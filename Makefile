@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos lockcheck lint adoclint check bench bench-smoke bench-compare bench-compress bench-paper fleet-smoke trace-demo
+.PHONY: test chaos lockcheck lint adoclint check bench bench-smoke bench-compare bench-compress bench-paper fleet-smoke live-smoke trace-demo
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -65,6 +65,12 @@ bench-compress:
 # (docs/OBSERVABILITY.md "Fleet mode").
 fleet-smoke:
 	$(PYTHON) benchmarks/fleet_smoke.py --smoke
+
+# Live end-to-end benchmark (BENCHMARK.json): a short run of every
+# workload, then the harness's own tests (benchmarks/live/README.md).
+live-smoke:
+	$(PYTHON) benchmarks/live/run.py --smoke
+	$(PYTHON) -m pytest benchmarks/live -q
 
 # The paper-figure benchmarks (tables/figures of RR-5500).
 bench-paper:

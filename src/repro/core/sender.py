@@ -17,14 +17,16 @@ the following decision ladder (sections 3 and 5):
    the socket and feeds per-level visible-bandwidth observations back
    to the divergence guard.
 
-By default the compression stage runs on the process-wide shared codec
-pool (``AdocConfig.compress_workers``): the compression thread becomes a
-dispatcher that keeps a window of buffers in flight across the
-:class:`~repro.serve.pool.WorkerPool` workers and drains their
-completions — in submission order, whichever worker finishes first —
-into the FIFO, so N buffers compress concurrently while the wire stays
-byte-identical to the single-threaded path.  ``compress_workers=0``
-restores the paper's original one-buffer-at-a-time compression thread.
+The compression thread is a dispatcher over one
+:class:`~repro.core.planner.SendPlanner` per message, which decides each
+buffer's level and keeps a window of buffers in flight.  By default the
+codec jobs run on the process-wide shared codec pool
+(``AdocConfig.compress_workers``) and their completions are drained —
+in submission order, whichever worker finishes first — into the FIFO,
+so N buffers compress concurrently while the wire stays byte-identical.
+``compress_workers=0``, short messages and a pool closed mid-message run
+the same loop with a window of one, executed synchronously: the paper's
+original one-buffer-at-a-time compression thread.
 
 Forcing compression (``min_level > 0``) skips steps 1 and 2 — that is
 what the paper's Table 2 "AdOC with forced compression" column
@@ -53,7 +55,6 @@ serialization.
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 from collections import deque
@@ -63,25 +64,21 @@ from typing import Any, BinaryIO, Callable
 from ..analysis.lockgraph import make_condition, make_lock
 from ..obs.telemetry import Telemetry, resolve_telemetry
 from ..transport.base import Endpoint, TransportTimeout, sendall, sendall_vectors
-from .adaptation import LevelAdapter
 from .compressor import compress_buffer
 from .config import AdocConfig, DEFAULT_CONFIG
 from .deadlines import DeadlineExceeded, TransferError
 from .divergence import DivergenceGuard
 from .fifo import PacketQueue, QueueClosed, QueuedPacket
-from .guards import IncompressibleGuard
 from .packets import Record, end_record_bytes, pack_message_header
-from .sources import BytesSource, ChunkSource, source_for_stream, stream_size
+from .planner import EmissionWindows, SendPlanner
+from .sources import BytesSource, ChunkSource, source_for_stream
 from .stats import ConnectionStats
 
 __all__ = [
     "SendResult",
     "MessageSender",
-    "packetize_record",
     "raw_message_vectors",
 ]
-
-_log = logging.getLogger("repro.core.sender")
 
 #: Upper bound on packets coalesced into one vectored send.  Each
 #: packet contributes at most two vectors (prefix + payload), so a
@@ -90,47 +87,10 @@ _log = logging.getLogger("repro.core.sender")
 _MAX_BATCH = 64
 
 #: A known-length message shorter than this many buffers compresses
-#: inline even when pooling is enabled: with fewer buffers than a
-#: worker window there is nothing to overlap, and the pool's hand-off
-#: latency would only distort the adaptation signal.
+#: with a window of one even when pooling is enabled: with fewer
+#: buffers than a worker window there is nothing to overlap, and the
+#: pool's hand-off latency would only distort the adaptation signal.
 _MIN_POOLED_BUFFERS = 4
-
-
-def packetize_record(
-    rec: Record,
-    cfg: AdocConfig,
-    emit: Callable[[QueuedPacket], None],
-    buffer_id: int = 0,
-) -> None:
-    """Split one record into packet-size slices, header as first prefix.
-
-    The 9-byte record header rides on the first packet's ``prefix``
-    instead of being copied into a serialized buffer; payload slices
-    stay views of the record's payload.  Original bytes are attributed
-    to slices pro rata, remainder to the last slice, so per-level
-    bandwidth accounting sums exactly.
-
-    ``emit`` receives each packet in wire order: the blocking engine
-    passes a bounded ``PacketQueue.put``, the readiness-driven engine
-    (:mod:`repro.serve.channel`) appends to its write backlog — both
-    produce byte-identical wire output.
-    """
-    payload = rec.payload
-    n = len(payload)
-    prefix = rec.header_bytes()
-    if n == 0:
-        emit(QueuedPacket(b"", rec.level, 0, buffer_id, prefix))
-        return
-    assigned = 0
-    for off in range(0, n, cfg.packet_size):
-        chunk = payload[off : off + cfg.packet_size]
-        if off + len(chunk) >= n:
-            orig = rec.original_size - assigned
-        else:
-            orig = rec.original_size * len(chunk) // n
-        assigned += orig
-        emit(QueuedPacket(chunk, rec.level, orig, buffer_id, prefix))
-        prefix = b""
 
 
 def raw_message_vectors(
@@ -181,11 +141,12 @@ class SendResult:
 
 
 class _CompletionFIFO:
-    """Hand-off of in-order pool completions to the dispatcher thread.
+    """Hand-off of in-order codec completions to the dispatcher thread.
 
-    Pushers are pool workers and must never block (a slow connection
-    must not stall the shared pool), so the queue is unbounded — its
-    depth is implicitly capped by the dispatcher's in-flight window.
+    Pushers are pool workers — or the dispatcher itself, running a job
+    synchronously — and must never block (a slow connection must not
+    stall the shared pool), so the queue is unbounded: its depth is
+    implicitly capped by the planner's in-flight window.
     The popping dispatcher bounds its wait with ``timeout``; the lock is
     a leaf (no other lock is ever acquired while it is held).
     """
@@ -452,20 +413,16 @@ class MessageSender:
         """
         tele = resolve_telemetry(cfg)
         queue: PacketQueue = PacketQueue(cfg.queue_capacity, tele, "send")
-        inc_guard = IncompressibleGuard(
-            cfg.incompressible_ratio, cfg.incompressible_holdoff
+        pool = self._resolve_pool(cfg, remaining)
+        plan = SendPlanner(
+            cfg, self.divergence, tele, pool.workers if pool is not None else 0
         )
-        adapter = LevelAdapter(cfg, self.divergence, inc_guard, tele)
         error: list[BaseException] = []
         consumed = [0]
-        degraded = [False]
 
         worker = threading.Thread(
             target=self._compression_thread,
-            args=(
-                source, cfg, queue, adapter, inc_guard, error, consumed,
-                degraded, tele, remaining,
-            ),
+            args=(source, cfg, queue, plan, pool, error, consumed, tele),
             name="adoc-compress",
             daemon=True,
         )
@@ -502,8 +459,8 @@ class MessageSender:
                 ) from exc
             raise exc
         result.pipeline_used = True
-        result.guard_trips = inc_guard.trips
-        result.degraded = degraded[0]
+        result.guard_trips = plan.guard.trips
+        result.degraded = plan.degraded
         return result, consumed[0]
 
     def _compression_thread(
@@ -511,27 +468,15 @@ class MessageSender:
         source: ChunkSource,
         cfg: AdocConfig,
         queue: PacketQueue,
-        adapter: LevelAdapter,
-        inc_guard: IncompressibleGuard,
+        plan: SendPlanner,
+        pool: Any,
         error: list[BaseException],
         consumed: list[int],
-        degraded: list[bool],
         tele: Telemetry,
-        remaining: int | None = None,
     ) -> None:
         try:
             with tele.span("compress"):
-                pool = self._resolve_pool(cfg, remaining)
-                if pool is not None:
-                    self._pooled_compression(
-                        source, cfg, queue, adapter, inc_guard, consumed,
-                        degraded, tele, pool,
-                    )
-                else:
-                    self._inline_compression(
-                        source, cfg, queue, adapter, inc_guard, consumed,
-                        degraded, tele,
-                    )
+                self._dispatch(source, cfg, queue, plan, pool, consumed)
         except QueueClosed:
             pass  # emission side failed; it carries the real error
         except BaseException as exc:  # noqa: BLE001 - reported to caller
@@ -540,11 +485,11 @@ class MessageSender:
             queue.close()
 
     def _resolve_pool(self, cfg: AdocConfig, remaining: int | None):
-        """The shared codec pool to compress on, or ``None`` for inline.
+        """The shared codec pool to compress on, or ``None`` for a window of one.
 
         ``compress_workers=0`` opts out (the paper's original two-thread
         pipeline); a compression-disabled stream is all raw records, so
-        pooling would be pure overhead.  Short pipelines stay inline
+        pooling would be pure overhead.  Short pipelines stay serial
         too: pooling pays per-buffer hand-off latency to buy overlap,
         which only exists when there are several buffers to overlap —
         and the hand-off gaps would let the emission side drain the
@@ -563,308 +508,101 @@ class MessageSender:
 
         return shared_pool(cfg.compress_workers)
 
-    def _inline_compression(
+    def _queued_packets(self, queue: PacketQueue) -> int:
+        """The Figure-2 queue reading: packets waiting in the emission FIFO."""
+        return queue.size()
+
+    def _dispatch(
         self,
         source: ChunkSource,
         cfg: AdocConfig,
         queue: PacketQueue,
-        adapter: LevelAdapter,
-        inc_guard: IncompressibleGuard,
-        consumed: list[int],
-        degraded: list[bool],
-        tele: Telemetry,
-        buffer_id: int = 0,
-        first_buf: bytes | memoryview | None = None,
-    ) -> None:
-        """The paper's single compression thread: one buffer at a time.
-
-        ``first_buf`` lets the pooled path hand over a buffer it had
-        already pulled from the source when it fell back mid-message.
-        """
-        while True:
-            level = adapter.next_level(queue.size(), self.clock())
-            if cfg.compression_disabled or degraded[0]:
-                level = 0
-            if first_buf is not None:
-                buf, first_buf = first_buf, None
-            else:
-                buf = source.read(cfg.buffer_size)
-                if not len(buf):
-                    break
-                consumed[0] += len(buf)
-            try:
-                outcome: tuple[list[Record], bool] | None = compress_buffer(
-                    buf, level, inc_guard, cfg
-                )
-                err: BaseException | None = None
-            except Exception as exc:  # adoclint: disable=ADOC106 -- graceful degradation by design: the codec failure is absorbed, the buffer ships raw, and SendResult.degraded reports it; re-raising would kill a recoverable message
-                outcome, err = None, exc
-            records = self._records_from_outcome(
-                buf, buffer_id, level, outcome, err, degraded, tele, "inline"
-            )
-            for rec in records:
-                self._enqueue_record(rec, cfg, queue, inc_guard, buffer_id)
-            buffer_id += 1
-
-    def _pooled_compression(
-        self,
-        source: ChunkSource,
-        cfg: AdocConfig,
-        queue: PacketQueue,
-        adapter: LevelAdapter,
-        inc_guard: IncompressibleGuard,
-        consumed: list[int],
-        degraded: list[bool],
-        tele: Telemetry,
+        plan: SendPlanner,
         pool: Any,
+        consumed: list[int],
     ) -> None:
-        """Dispatch buffers to the shared codec pool, emit in order.
+        """Feed the source through the planner, emitting outcomes in order.
 
-        This thread becomes a *dispatcher*: it keeps a bounded window of
-        buffers in flight on the pool (so N buffers compress on N cores)
-        and drains their completions — delivered strictly in submission
-        order by the pool's per-key FIFO reinsertion — into the packet
-        queue.  The wire is byte-identical to the inline path: same
-        buffers, same per-buffer level decision, same records, same
-        order.
-
-        Two properties the paper's adaptation depends on are preserved:
-
-        * the Figure-2 signal keeps its meaning.  The paper's queue
-          length counts everything the sender has committed to the wire
-          that the network has not yet drained; when buffer *k*'s level
-          is decided inline, buffers ``0..k-1`` have all been compressed
-          and their packets sit in (or have left) the queue.  Pooling
-          breaks that invariant: buffers still on a codec worker have
-          produced nothing yet, so the bare queue under-reads by a
-          window's worth of output — successive submissions would see an
-          unchanged queue, read ``delta == 0``, and Figure 2's ``n < 10``
-          rule would halve the level forever.  The dispatcher therefore
-          adds the in-flight buffers' packet count (at their raw
-          packetization — their compressed size is not known yet, so
-          this is a documented upper bound) to the queue length before
-          each decision.  Decisions stay one-per-input-buffer, exactly
-          the paper's cadence.  The window also *slow-starts* — one
-          buffer in flight at first, +1 per drained completion up to
-          the cap — so cold-start decisions are never a full window
-          ahead of the evidence.  The emission loop's per-(buffer,
-          level) bandwidth observations are unchanged, so the
-          divergence guard sees exactly the data it saw before;
-        * queue backpressure blocks *this* thread (when it enqueues
-          completed records), never a pool worker — a slow connection
-          cannot stall other connections' codec work.
-
-        A codec failure inside a job degrades exactly like inline: the
-        failed buffer ships raw and subsequent *submissions* are pinned
-        to level 0 (buffers already in flight at a higher level still
-        emit compressed — they compressed fine).  If the shared pool is
-        closed mid-message (process shutdown racing a transfer), the
-        in-flight window is drained and the message finishes inline.
+        Codec jobs run on ``pool`` — completions arrive strictly in
+        submission order through the pool's per-key FIFO reinsertion —
+        or, without a pool, synchronously on this thread.  Queue
+        backpressure blocks *this* thread (when it enqueues completed
+        packets), never a pool worker: a slow connection cannot stall
+        other connections' codec work.  If the shared pool is closed
+        mid-message (process shutdown racing a transfer), the in-flight
+        window is drained and the message finishes with a window of one.
         """
         from ..serve.pool import PoolClosed
 
         completions = _CompletionFIFO()
         stream_key = object()  # per-message identity for in-order delivery
-        window_cap = max(2, 2 * pool.workers)
-        window = 1  # slow-start: grows +1 per drained completion
-        inflight = 0
-        buffer_id = 0
-        next_emit = 0
+        timeout = cfg.io_timeout_s
         exhausted = False
-        # Packets the in-flight jobs will add to the queue (raw upper
-        # bound); part of the Figure-2 signal — see the docstring.
-        pending_packets = 0
-        packet_size = cfg.packet_size
         try:
-            while not exhausted or inflight:
-                while inflight < window and not exhausted:
-                    level = adapter.next_level(
-                        queue.size() + pending_packets, self.clock()
-                    )
-                    if cfg.compression_disabled or degraded[0]:
-                        level = 0
+            while True:
+                while not exhausted and plan.can_submit():
+                    # Decide, then read: the paper's loop shape.
+                    level = plan.decide(self._queued_packets(queue), self.clock())
                     buf = source.read(cfg.buffer_size)
                     if not len(buf):
                         exhausted = True
                         break
                     consumed[0] += len(buf)
-                    pending_packets += -(-len(buf) // packet_size)
-
-                    def on_done(
-                        result: Any,
-                        err: BaseException | None,
-                        _buf: bytes | memoryview = buf,
-                        _bid: int = buffer_id,
-                        _level: int = level,
-                    ) -> None:
-                        # Runs on a pool worker; must never block.
-                        completions.push((_buf, _bid, _level, result, err))
-
-                    try:
-                        pool.submit(
-                            compress_buffer, buf, level, inc_guard, cfg,
-                            key=stream_key, on_done=on_done,
-                            timeout=cfg.io_timeout_s,
-                        )
-                    except PoolClosed:
-                        # Drain what is in flight (their completions
-                        # still arrive in order), then finish the
-                        # message inline starting from this buffer.
-                        while inflight:
-                            item = completions.pop(cfg.io_timeout_s)
-                            inflight -= 1
-                            pending_packets -= -(-len(item[0]) // packet_size)
-                            next_emit = self._emit_completion(
-                                item, cfg, queue, inc_guard, degraded,
-                                tele, next_emit,
+                    if pool is not None:
+                        try:
+                            pool.submit(
+                                compress_buffer, buf, level, plan.guard, cfg,
+                                key=stream_key,
+                                on_done=lambda *outcome: completions.push(outcome),
+                                timeout=timeout,
                             )
-                        self._inline_compression(
-                            source, cfg, queue, adapter, inc_guard,
-                            consumed, degraded, tele, buffer_id, buf,
-                        )
-                        return
-                    inflight += 1
-                    buffer_id += 1
-                if inflight == 0:
-                    break
-                # Decrement *before* emitting: once the completion is
-                # popped it no longer counts as in flight, and the
-                # enqueue below may raise (QueueClosed when the emission
-                # loop died) — the failure drain below must then wait
-                # only for completions still genuinely outstanding, not
-                # block join_timeout_s on one that was already consumed.
-                item = completions.pop(cfg.io_timeout_s)
-                inflight -= 1
-                pending_packets -= -(-len(item[0]) // packet_size)
-                next_emit = self._emit_completion(
-                    item, cfg, queue, inc_guard, degraded, tele, next_emit,
-                )
-                if window < window_cap:
-                    window += 1
+                            plan.submit(buf, level)
+                            continue
+                        except PoolClosed:
+                            # Drain the window (its completions still
+                            # arrive in order), then go on serially.
+                            pool = None
+                            plan.serialize()
+                            while plan.inflight:
+                                for pkt in plan.complete(*completions.pop(timeout)):
+                                    queue.put(pkt, timeout)
+                    plan.submit(buf, level)
+                    try:
+                        outcome = compress_buffer(buf, level, plan.guard, cfg)
+                        completions.push((outcome, None))
+                    except Exception as exc:  # adoclint: disable=ADOC106 -- graceful degradation by design: the planner ships the buffer raw and SendResult.degraded reports it; re-raising would kill a recoverable message
+                        completions.push((None, exc))
+                if not plan.inflight:
+                    return
+                # The planner drops the buffer from its window *before*
+                # the puts: if one raises (QueueClosed when the emission
+                # loop died), the drain below must wait only for the
+                # completions still genuinely outstanding.
+                for pkt in plan.complete(*completions.pop(timeout)):
+                    queue.put(pkt, timeout)
         except BaseException:
             # The message is dead (emission failed, deadline, …).  The
             # borrowed input buffers captured by in-flight jobs must not
             # outlive the send call (the caller may reuse them the
             # moment it returns), so wait — bounded — for the stragglers
             # before unwinding.
-            completions.drain(inflight, cfg.join_timeout_s)
+            completions.drain(plan.inflight, cfg.join_timeout_s)
             raise
-
-    def _emit_completion(
-        self,
-        item: tuple,
-        cfg: AdocConfig,
-        queue: PacketQueue,
-        inc_guard: IncompressibleGuard,
-        degraded: list[bool],
-        tele: Telemetry,
-        next_emit: int,
-    ) -> int:
-        """Enqueue the records of one popped in-order completion."""
-        buf, bid, level, outcome, err = item
-        assert bid == next_emit, f"pool delivered buffer {bid}, expected {next_emit}"
-        records = self._records_from_outcome(
-            buf, bid, level, outcome, err, degraded, tele, "pooled"
-        )
-        for rec in records:
-            self._enqueue_record(rec, cfg, queue, inc_guard, bid)
-        return next_emit + 1
-
-    def _records_from_outcome(
-        self,
-        buf: bytes | memoryview,
-        buffer_id: int,
-        level: int,
-        outcome: tuple[list[Record], bool] | None,
-        err: BaseException | None,
-        degraded: list[bool],
-        tele: Telemetry,
-        mode: str,
-    ) -> list[Record]:
-        """Turn one buffer's codec outcome into records, degrading on error.
-
-        Graceful degradation: a codec blowing up on one buffer must not
-        kill the message.  Ship this buffer raw and pin the rest of the
-        stream to level 0 — the receiver needs no special handling, raw
-        records are always legal.
-        """
-        if err is not None or outcome is None:
-            degraded[0] = True
-            records = [Record(0, len(buf), buf)]
-            _log.warning(
-                "codec failed at level %d on buffer %d; degrading stream "
-                "to raw",
-                level, buffer_id,
-            )
-            tele.event(
-                "degraded", "codec_failure", buffer_id=buffer_id, level=level
-            )
-        else:
-            records = outcome[0]
-        if tele.enabled:
-            out_bytes = sum(len(r.payload) for r in records)
-            tele.tracer.record(
-                "buffer", "buffer_compressed",
-                buffer_id=buffer_id,
-                level=level,
-                in_bytes=len(buf),
-                out_bytes=out_bytes,
-            )
-            metrics = tele.metrics
-            metrics.counter(
-                "adoc_compress_buffers_total",
-                "buffers through the send compression stage",
-                ("mode",),
-            ).inc(mode=mode)
-            metrics.counter(
-                "adoc_compress_bytes_total",
-                "payload bytes through the send compression stage",
-                ("mode",),
-            ).inc(len(buf), mode=mode)
-            if err is not None:
-                metrics.counter(
-                    "adoc_compress_degraded_total",
-                    "buffers shipped raw after a codec failure",
-                    ("mode",),
-                ).inc(mode=mode)
-        return records
-
-    def _enqueue_record(
-        self,
-        rec: Record,
-        cfg: AdocConfig,
-        queue: PacketQueue,
-        inc_guard: IncompressibleGuard,
-        buffer_id: int = 0,
-    ) -> None:
-        """Push a record into the FIFO via :func:`packetize_record`."""
-        timeout = cfg.io_timeout_s
-
-        def emit(packet: QueuedPacket) -> None:
-            queue.put(packet, timeout)
-            inc_guard.note_packet_emitted()
-
-        packetize_record(rec, cfg, emit, buffer_id)
 
     def _emission_loop(self, queue: PacketQueue, cfg: AdocConfig) -> SendResult:
         """Drain the queue into the socket, observing per-buffer rates.
 
-        Visible bandwidth is aggregated over (buffer, level) windows:
-        per-packet send gaps are dominated by socket-buffer absorption
-        and would record absurd rates for whichever level happens to
-        run while the buffer has room (which then poisons the
-        divergence guard); a 200 KB window measures the sustained
-        pipeline rate at that level.
-
-        Packets already queued under the same window are coalesced into
-        one vectored send (up to :data:`_MAX_BATCH` packets), so a burst
-        of framed packets costs one syscall instead of one per packet.
+        Visible bandwidth goes to the divergence guard through
+        :class:`~repro.core.planner.EmissionWindows` (one window per
+        buffer and level).  Packets already queued under the same window
+        are coalesced into one vectored send (up to :data:`_MAX_BATCH`
+        packets), so a burst of framed packets costs one syscall instead
+        of one per packet.
         """
         wire_bytes = 0
         levels_used: dict[int, int] = {}
-        window_start = self.clock()
-        window_key: tuple[int, int] | None = None  # (buffer_id, level)
-        window_orig = 0
+        windows = EmissionWindows(self.divergence)
+        windows.open(self.clock())
         pending: QueuedPacket | None = None
         try:
             while True:
@@ -873,24 +611,15 @@ class MessageSender:
                 if pkt is None:
                     break
                 key = (pkt.buffer_id, pkt.level)
-                if window_key is not None and key != window_key:
-                    now = self.clock()
-                    if window_orig > 0:
-                        self.divergence.observe(
-                            window_key[1], window_orig, now - window_start
-                        )
-                    window_start = now
-                    window_orig = 0
-                window_key = key
-
+                now = self.clock()
                 vectors: list[bytes | memoryview] = []
                 count = 0
                 while True:
+                    windows.leaving(pkt, now)
                     if pkt.prefix:
                         vectors.append(pkt.prefix)
                     if len(pkt.payload):
                         vectors.append(pkt.payload)
-                    window_orig += pkt.original_bytes
                     wire_bytes += pkt.wire_length
                     levels_used[key[1]] = levels_used.get(key[1], 0) + 1
                     count += 1
@@ -904,15 +633,8 @@ class MessageSender:
                         break
                     pkt = nxt
                 sendall_vectors(self.endpoint, vectors)
-            if window_key is not None and window_orig > 0:
-                self.divergence.observe(
-                    window_key[1], window_orig, self.clock() - window_start
-                )
+            windows.close(self.clock())
         except BaseException:
             queue.close()  # unblock the compression thread
             raise
         return SendResult(0, wire_bytes, 0.0, levels_used=levels_used)
-
-
-#: Compatibility alias — the helper moved to :mod:`repro.core.sources`.
-_stream_size = stream_size

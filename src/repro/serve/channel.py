@@ -6,10 +6,10 @@ socket with a :class:`~repro.serve.reactor.Reactor` and moves bytes
 only when the kernel says it can: reads feed the same incremental
 :class:`~repro.core.receiver.StreamingParser` the blocking receiver
 uses, writes drain a backlog of framing vectors built by the same
-helpers (:func:`~repro.core.sender.raw_message_vectors`,
-:class:`~repro.core.packets.Record`), so the two modes are
-byte-compatible on the wire by construction — a blocking sender can
-talk to a reactor channel and vice versa.
+helpers (:func:`~repro.core.sender.raw_message_vectors` and the
+:class:`~repro.core.planner.SendPlanner` both engines drive), so the
+two modes are byte-compatible on the wire by construction — a blocking
+sender can talk to a reactor channel and vice versa.
 
 CPU-heavy codec work never runs on the loop thread: compression and
 decompression are submitted to a :class:`~repro.serve.pool.WorkerPool`
@@ -44,15 +44,16 @@ from functools import partial
 from typing import Callable
 
 from ..compress.registry import codec_for_level
-from ..core.adaptation import LevelAdapter
 from ..core.compressor import compress_buffer
 from ..core.config import AdocConfig, DEFAULT_CONFIG
 from ..core.deadlines import DeadlineExceeded, TransferError
 from ..core.divergence import DivergenceGuard
-from ..core.guards import IncompressibleGuard
-from ..core.packets import END_LEVEL, ProtocolError, Record, pack_message_header
+from ..core.fifo import QueuedPacket
+from ..core.packets import END_LEVEL, ProtocolError, pack_message_header
+from ..core.planner import EmissionWindows, SendPlanner
 from ..core.receiver import StreamingParser
 from ..core.sender import raw_message_vectors
+from ..core.sources import BytesSource
 from ..obs.telemetry import Telemetry, resolve_telemetry
 from ..transport.base import Endpoint, TransportClosed
 from .pool import PoolClosed, WorkerPool
@@ -390,11 +391,14 @@ class AdocChannel(_ChannelBase):
     One ``send_message`` call is one message on the wire, exactly as one
     ``adoc_write`` is in the blocking engine.  Small messages (below
     ``small_message_threshold``, compression not forced) are framed raw
-    inline; large ones are cut into ``buffer_size`` chunks, compressed
-    on the worker pool at a level the adapter picks per chunk, and their
-    records enqueued in chunk order (the pool's per-key FIFO
+    inline; large ones are cut into ``buffer_size`` buffers and driven
+    through a :class:`~repro.core.planner.SendPlanner` — the same
+    Figure-2 decisions, slow-start window and codec-failure rule as the
+    blocking dispatcher — with the codec jobs on the worker pool and
+    their packets enqueued in buffer order (the pool's per-key FIFO
     reinsertion plus the reactor's ordered cross-thread queue make that
-    order-safe even with every worker busy).
+    order-safe even with every worker busy).  The planner's queue
+    reading is the write backlog in packets.
     """
 
     mode = "adoc"
@@ -416,27 +420,17 @@ class AdocChannel(_ChannelBase):
         self._rxq: deque[_Slot] = deque()
         self._decode_parked: deque[tuple[_Slot, int, bytes, int]] = deque()
         self._retry_timer = None
-        # Send side: one message in flight through the pool at a time;
-        # later messages park until its records are all enqueued.
-        self._tx_busy = False
-        self._tx_msgq: deque[bytes | memoryview] = deque()
-        self._tx_chunks: deque[memoryview] = deque()
-        self._tx_jobs = 0
-        # Adaptation state mirrors MessageSender: per-connection
-        # divergence records persisting across messages.
+        # Send side: one message at a time through the planner; later
+        # messages park until its packets are all enqueued.
+        self._tx_msgq: deque[bytes | bytearray | memoryview] = deque()
+        self._plan: SendPlanner | None = None
+        self._tx_source: BytesSource | None = None  # None once read out
+        self._tx_next: tuple[memoryview, int] | None = None  # pool refused
+        # Per-connection divergence records persisting across messages,
+        # fed as packets reach the kernel: (wire offset, packet) marks.
         self.divergence = DivergenceGuard(config.divergence_forbid_s)
-        self._inc_guard = IncompressibleGuard(
-            config.incompressible_ratio, config.incompressible_holdoff
-        )
-        self._adapter = LevelAdapter(
-            config, self.divergence, self._inc_guard, self._tele
-        )
-        # Divergence windows over the write backlog: (level, orig
-        # bytes, absolute wire offset at which the window ends).
-        self._tx_enqueued = 0
-        self._tx_acked = 0
-        self._windows: deque[tuple[int, int, int]] = deque()
-        self._window_start: float | None = None
+        self._windows = EmissionWindows(self.divergence)
+        self._marks: deque[tuple[int, QueuedPacket]] = deque()
         self.messages_in = 0
         self.messages_out = 0
 
@@ -446,41 +440,49 @@ class AdocChannel(_ChannelBase):
         """Queue one AdOC message (loop thread only)."""
         if self._closed:
             return
-        if self._tx_busy:
-            self._tx_msgq.append(data)
-            return
-        self._start_message(data)
+        self._tx_msgq.append(data)
+        self._next_message()
 
-    def _start_message(self, data: bytes | bytearray | memoryview) -> None:
+    def _next_message(self) -> None:
         cfg = self.config
-        total = len(data)
-        self.messages_out += 1
-        small = not cfg.compression_forced and total < cfg.small_message_threshold
-        if cfg.compression_disabled or small:
-            self._enqueue(raw_message_vectors(data))
-            return
-        self._tx_busy = True
-        self._enqueue([pack_message_header(total, length_known=True)])
-        view = memoryview(data)
-        for off in range(0, total, cfg.buffer_size):
-            self._tx_chunks.append(view[off : off + cfg.buffer_size])
-        self._pump_tx()
+        while self._plan is None and self._tx_msgq:
+            data = self._tx_msgq.popleft()
+            total = len(data)
+            self.messages_out += 1
+            small = not cfg.compression_forced and total < cfg.small_message_threshold
+            if cfg.compression_disabled or small:
+                self._enqueue(raw_message_vectors(data))
+                continue
+            self._enqueue([pack_message_header(total, length_known=True)])
+            self._plan = SendPlanner(cfg, self.divergence, self._tele, self.pool.workers)
+            self._tx_source = BytesSource(data)
+            self._windows.open(time.monotonic())
+            self._pump_tx()
+
+    def _queued_packets(self) -> int:
+        """The Figure-2 queue reading: the write backlog in packets."""
+        return -(-self._pending_tx // self.config.packet_size)
 
     def _pump_tx(self) -> None:
-        """Submit parked chunks while the pool has room."""
-        cfg = self.config
-        while self._tx_chunks:
-            chunk = self._tx_chunks[0]
-            level = self._adapter.next_level(len(self._wq), time.monotonic())
-            if cfg.compression_disabled:
-                level = 0
+        """Decide and submit buffers while the planner's window has room."""
+        plan = self._plan
+        if plan is None or self._closed:
+            return
+        while self._tx_source is not None and plan.can_submit():
+            if self._tx_next is None:
+                # Decide, then read: the paper's loop shape.
+                level = plan.decide(self._queued_packets(), time.monotonic())
+                buf = self._tx_source.read(self.config.buffer_size)
+                if not len(buf):
+                    self._tx_source = None
+                    break
+                self._tx_next = (buf, level)
+            buf, level = self._tx_next
             try:
                 accepted = self.pool.try_submit(
-                    self._compress_job,
-                    chunk,
-                    level,
+                    compress_buffer, buf, level, plan.guard, self.config,
                     key=(id(self), "tx"),
-                    on_done=partial(self._tx_job_done, chunk, level),
+                    on_done=self._tx_job_done,
                 )
             except PoolClosed as exc:
                 self._fail(exc)
@@ -488,66 +490,43 @@ class AdocChannel(_ChannelBase):
             if not accepted:
                 self._arm_retry()
                 return
-            self._tx_chunks.popleft()
-            self._tx_jobs += 1
+            plan.submit(buf, level)
+            self._tx_next = None
+        if self._tx_source is None and not plan.inflight:
+            self._plan = None
+            if not self._pending_tx:
+                self._windows.close(time.monotonic())
+            self._next_message()
 
-    def _compress_job(self, chunk: memoryview, level: int) -> list[Record]:
-        records, _ = compress_buffer(chunk, level, self._inc_guard, self.config)
-        return records
-
-    def _tx_job_done(self, chunk, level, records, error) -> None:
+    def _tx_job_done(self, outcome, error) -> None:
         # Worker thread: hop to the loop.  The pool delivers per-key
         # completions in submission order and call_soon_threadsafe is
-        # FIFO, so chunk order survives the round trip.
+        # FIFO, so buffer order survives the round trip.
         self.reactor.call_soon_threadsafe(
-            partial(self._tx_enqueue_records, chunk, level, records, error)
+            partial(self._tx_enqueue_packets, outcome, error)
         )
 
-    def _tx_enqueue_records(self, chunk, level, records, error) -> None:
-        if self._closed:
+    def _tx_enqueue_packets(self, outcome, error) -> None:
+        if self._closed or self._plan is None:
             return
-        if error is not None:
-            # Graceful degradation, same as the blocking compression
-            # thread: a codec failure ships the chunk raw.
-            _log.warning(
-                "codec failed at level %d in reactor channel; sending raw: %s",
-                level, error,
-            )
-            records = [Record(0, len(chunk), chunk)]
-        wire = 0
+        offset = self.bytes_out + self._pending_tx
         vectors: list[bytes | memoryview] = []
-        for rec in records:
-            hdr = rec.header_bytes()
-            vectors.append(hdr)
-            wire += len(hdr)
-            if len(rec.payload):
-                vectors.append(rec.payload)
-                wire += len(rec.payload)
-        self._tx_enqueued += wire
-        self._windows.append((records[0].level, len(chunk), self._tx_enqueued))
-        if self._window_start is None:
-            self._window_start = time.monotonic()
+        for pkt in self._plan.complete(outcome, error):
+            self._marks.append((offset, pkt))
+            offset += pkt.wire_length
+            vectors += (pkt.prefix, pkt.payload)
         self._enqueue(vectors)
-        self._tx_jobs -= 1
         self._pump_tx()
-        if self._tx_jobs == 0 and not self._tx_chunks:
-            self._tx_busy = False
-            if self._tx_msgq:
-                self._start_message(self._tx_msgq.popleft())
 
     def _account_tx(self, sent: int) -> None:
         super()._account_tx(sent)
-        # Observe completed (level, buffer) windows, mirroring the
-        # blocking emission loop's divergence feedback.
-        self._tx_acked += sent
+        # A packet leaves once the kernel took its first byte; windows
+        # close as in the blocking emission loop.
         now = time.monotonic()
-        while self._windows and self._tx_acked >= self._windows[0][2]:
-            level, orig, _ = self._windows.popleft()
-            if self._window_start is not None and orig > 0:
-                self.divergence.observe(
-                    level, orig, max(now - self._window_start, 1e-9)
-                )
-            self._window_start = now if self._windows else None
+        while self._marks and self._marks[0][0] < self.bytes_out:
+            self._windows.leaving(self._marks.popleft()[1], now)
+        if not self._pending_tx and self._plan is None:
+            self._windows.close(now)
 
     # -- receive -----------------------------------------------------------
 
@@ -655,7 +634,7 @@ class AdocChannel(_ChannelBase):
             return
         self._pump_parked_decodes()
         self._pump_tx()
-        if self._decode_parked or (self._tx_chunks and self._tx_busy):
+        if self._decode_parked or self._tx_next is not None:
             self._arm_retry()
         elif self._rx_paused and self._may_resume():
             self._resume_reading()
@@ -673,7 +652,7 @@ class AdocChannel(_ChannelBase):
         except TransportClosed as exc:
             self._fail(exc)
             return
-        if self._rxq or self._tx_jobs or self._wq:
+        if self._rxq or self._plan is not None or self._wq:
             # Let in-flight decodes/writes finish before reporting EOF.
             self.reactor.call_later(_POOL_RETRY_S, self._on_eof)
             return

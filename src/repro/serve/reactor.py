@@ -96,15 +96,18 @@ class TimerWheel:
         return self._count
 
     def next_deadline(self) -> float | None:
-        """Nearest live deadline, or ``None`` when the wheel is empty."""
+        """Nearest live deadline, or ``None`` when no timer is live."""
         if self._count == 0:
             return None
         if self._soonest is None:
             self._soonest = min(
-                h.deadline
-                for bucket in self._slots
-                for h in bucket
-                if not h.cancelled
+                (
+                    h.deadline
+                    for bucket in self._slots
+                    for h in bucket
+                    if not h.cancelled
+                ),
+                default=None,
             )
         return self._soonest
 

@@ -98,6 +98,12 @@ class SocketEndpoint(Endpoint):
 
     def close(self) -> None:
         self._closed = True
+        # close() alone does not wake a thread blocked in recv() on this
+        # socket; a shutdown does (it sees EOF and exits).
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected, or the peer already hung up
         try:
             self._sock.close()
         except OSError:

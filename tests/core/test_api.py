@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import io
+import threading
+import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -244,6 +247,27 @@ class TestAdocSocketWrapper:
         assert rx.read_exact(100) == b"short"
         rx.close()
 
+    def test_close_wakes_a_reader_blocked_on_a_socket(self):
+        """close() must not wait out join_timeout_s on a parked recv()."""
+        a, b = socketpair_endpoints()
+        rx = AdocSocket(a, replace(CFG, join_timeout_s=3.0))
+        got: list[bytes] = []
+        reader = threading.Thread(
+            target=lambda: got.append(rx.read(10)),
+            name="blocked-reader",
+            daemon=True,
+        )
+        reader.start()
+        time.sleep(0.2)  # let the reception thread park in recv()
+        t0 = time.monotonic()
+        rx.close()
+        elapsed = time.monotonic() - t0
+        reader.join(5.0)
+        b.close()
+        assert elapsed < 1.0, f"close took {elapsed:.2f}s"
+        assert not reader.is_alive()
+        assert got == [b""]
+
 
 @settings(max_examples=20, deadline=None)
 @given(
@@ -253,8 +277,6 @@ class TestAdocSocketWrapper:
 def test_any_read_chunking_reassembles_stream(data, chunks):
     """Property: POSIX read semantics — arbitrary read sizes recombine
     the byte stream exactly, independent of write-side framing."""
-    import threading
-
     a, b = pipe_pair()
     tx, rx = AdocSocket(a, CFG), AdocSocket(b, CFG)
     err = []

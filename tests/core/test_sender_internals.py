@@ -1,13 +1,18 @@
-"""Sender internals: the probe, bypass ladder, stream sizing."""
+"""Sender internals: the probe, bypass ladder, stream sizing, feedback."""
 
 from __future__ import annotations
 
 import io
+import random
+from dataclasses import replace
 
 import pytest
 
 from repro.core import AdocConfig, MessageSender, SendResult
-from repro.core.sender import _stream_size
+from repro.core.divergence import DivergenceGuard
+from repro.data import ascii_data
+from repro.serve.pool import shutdown_shared_pool
+from repro.core.sources import stream_size
 from repro.transport import pipe_pair, shaped_pair
 
 CFG = AdocConfig(
@@ -82,9 +87,9 @@ class TestBypassLadder:
 class TestStreamSize:
     def test_seekable(self):
         f = io.BytesIO(b"0123456789")
-        assert _stream_size(f) == 10
+        assert stream_size(f) == 10
         f.read(4)
-        assert _stream_size(f) == 6  # remaining, not total
+        assert stream_size(f) == 6  # remaining, not total
         assert f.tell() == 4  # position restored
 
     def test_unseekable_returns_none(self):
@@ -92,7 +97,80 @@ class TestStreamSize:
             def tell(self):
                 raise OSError("unseekable")
 
-        assert _stream_size(NoSeek()) is None
+        assert stream_size(NoSeek()) is None
+
+
+class VirtualLink:
+    """Endpoint whose clock advances only as bytes are sent (1 MB/s).
+
+    Elapsed times then depend on bytes alone, never on thread
+    scheduling, so the emission loop's bandwidth windows repeat exactly.
+    """
+
+    RATE = 1_000_000
+
+    def __init__(self) -> None:
+        self.sent = 0
+
+    def clock(self) -> float:
+        return self.sent / self.RATE
+
+    def send(self, data) -> int:
+        self.sent += len(data)
+        return len(data)
+
+    def send_vectors(self, buffers) -> int:
+        n = sum(len(b) for b in buffers)
+        self.sent += n
+        return n
+
+    def recv(self, n):
+        return b""
+
+    def close(self):
+        pass
+
+
+#: (level, original bytes, elapsed) of every window the blocking driver
+#: fed the divergence guard for FEEDBACK_DATA, pinned before the send
+#: planner existed: four zlib-6 buffers, three incompressible buffers
+#: that ship raw, five zlib-6 buffers.
+PINNED_OBSERVATIONS = [
+    (6, 8192, 0.001862), (6, 8192, 0.001879), (6, 8192, 0.001857),
+    (6, 8192, 0.001843), (0, 8192, 0.008201), (0, 8192, 0.008201),
+    (0, 8192, 0.008201), (6, 8192, 0.001862), (6, 8192, 0.001865),
+    (6, 8192, 0.001856), (6, 8192, 0.001845), (6, 8192, 0.001877),
+]
+FEEDBACK_CFG = replace(
+    CFG, buffer_size=8 * 1024, small_message_threshold=4 * 1024
+).with_levels(6, 6)
+FEEDBACK_DATA = (
+    ascii_data(4 * 8 * 1024, seed=5)
+    + random.Random(4).randbytes(3 * 8 * 1024)
+    + ascii_data(5 * 8 * 1024, seed=6)
+)
+
+
+class TestDivergenceFeedback:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_observation_sequence_is_pinned(self, monkeypatch, workers):
+        """Serial and pooled dispatch feed the guard the same windows."""
+        seen = []
+        observe = DivergenceGuard.observe
+
+        def record(self, level, payload_bytes, elapsed):
+            seen.append((level, payload_bytes, round(elapsed, 9)))
+            observe(self, level, payload_bytes, elapsed)
+
+        monkeypatch.setattr(DivergenceGuard, "observe", record)
+        shutdown_shared_pool()  # so the pool starts with ``workers``
+        link = VirtualLink()
+        cfg = replace(FEEDBACK_CFG, compress_workers=workers)
+        try:
+            MessageSender(link, cfg, clock=link.clock).send(FEEDBACK_DATA)
+        finally:
+            shutdown_shared_pool()
+        assert seen == PINNED_OBSERVATIONS
 
 
 class TestSendResult:

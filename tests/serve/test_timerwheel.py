@@ -78,3 +78,17 @@ def test_same_bucket_collision_keeps_future_timer():
     assert wheel.expire(1.005) == [near]
     assert len(wheel) == 1
     assert wheel.expire(2.0) == [far]
+
+
+def test_only_cancelled_timers_left_means_no_deadline():
+    # Expiring the due timer leaves just a cancelled one behind in a
+    # bucket the clock has not crossed yet: the wheel still holds an
+    # entry, but no live deadline exists.
+    wheel = TimerWheel(granularity_s=0.01)
+    wheel.expire(0.0)  # a running loop has swept before: cursor is set
+    due, cancelled = _handle(0.001), _handle(0.5)
+    wheel.add(due)
+    wheel.add(cancelled)
+    cancelled.cancel()
+    assert wheel.expire(0.01) == [due]
+    assert wheel.next_deadline() is None
