@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos lockcheck lint adoclint check bench bench-smoke bench-compare bench-compress bench-paper fleet-smoke live-smoke trace-demo
+.PHONY: test chaos lockcheck lint check bench bench-smoke bench-compare bench-compress bench-paper fleet-smoke live-smoke trace-demo
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -14,20 +14,18 @@ chaos:
 lockcheck:
 	REPRO_LOCKCHECK=1 $(PYTHON) -m pytest -x -q
 
-# Repo-specific rules always run; ruff/mypy run when installed
+# The repo's own analyzer always runs; ruff/mypy run when installed
 # (pip install -e .[lint]) and are skipped gracefully otherwise.
-lint: adoclint
+lint: check
 	@if $(PYTHON) -c "import ruff" 2>/dev/null || command -v ruff >/dev/null; \
 		then ruff check .; else echo "ruff not installed -- skipped"; fi
 	@if command -v mypy >/dev/null; \
 		then mypy; else echo "mypy not installed -- skipped"; fi
 
-adoclint:
-	$(PYTHON) -m repro.analysis -v
-
-# Whole-program analyzer: interprocedural lock-order (ADOC110/113),
-# deadline-propagation (ADOC111), thread-lifecycle (ADOC112) proofs,
-# plus cross-module wire symmetry.  docs/ANALYSIS.md.
+# The analyzer: single-file concurrency rules (docs/LINTING.md) plus
+# interprocedural lock-order (ADOC110/113), deadline-propagation
+# (ADOC111), thread-lifecycle (ADOC112) proofs and cross-module wire
+# symmetry (docs/ANALYSIS.md).
 check:
 	$(PYTHON) -m repro.cli check src/repro -v
 

@@ -1,18 +1,18 @@
 """Correctness tooling for the AdOC reproduction.
 
-Three halves:
+Two halves:
 
-* **adoclint** — an AST-based static analyzer with repo-specific
-  concurrency and wire-protocol rules (ADOC101..ADOC109, plus ADOC100
-  for suppression hygiene).  Run it with ``adoc lint``, ``adoc-lint``
-  or ``python -m repro.analysis``; rules are documented in
-  ``docs/LINTING.md``.
-* **adoc check** — the whole-program analyzer: call graph, static
-  lock-order extraction with cycle detection (ADOC113), interprocedural
-  blocking-under-lock (ADOC110), deadline-propagation (ADOC111) and
-  thread-lifecycle (ADOC112) proofs, cross-module wire symmetry, and
+* **adoc check** — the static analyzer.  One pass parses each file
+  once and runs the repo-specific single-file rules (condition-wait
+  loops, notify under the lock, thread names, recorded thread errors,
+  copy-free hot path, registered telemetry locks; ADOC100..ADOC109) and
+  the whole-program proofs over a call graph: blocking under a lock
+  (ADOC110), deadline-propagation (ADOC111), thread-lifecycle
+  (ADOC112), static lock-order cycles (ADOC113), reactor-callback
+  blocking (ADOC115), cross-module wire symmetry (ADOC107), and
   cross-validation against a runtime lockgraph export (ADOC114 notes).
-  Documented in ``docs/ANALYSIS.md``.
+  Run it with ``adoc check``; rules are documented in
+  ``docs/LINTING.md`` and ``docs/ANALYSIS.md``.
 * **lockgraph** — a runtime lock-order/deadlock detector enabled by
   ``REPRO_LOCKCHECK=1``; every lock-owning class in the tree creates
   its primitives through :func:`make_lock`/:func:`make_condition` so
@@ -24,7 +24,6 @@ from .baseline import apply_baseline, fingerprint, load_baseline, write_baseline
 from .callgraph import CallGraph, build_callgraph
 from .checker import CheckReport, run_check
 from .findings import RULES, Finding
-from .linter import LintReport, lint_sources, run_lint
 from .lockgraph import (
     GLOBAL_GRAPH,
     CheckedCondition,
@@ -39,9 +38,6 @@ from .lockorder import LockAnalysis, StaticLockGraph, analyze_locks
 __all__ = [
     "RULES",
     "Finding",
-    "LintReport",
-    "lint_sources",
-    "run_lint",
     "CallGraph",
     "build_callgraph",
     "CheckReport",

@@ -1,4 +1,4 @@
-"""Accepted-findings baseline for adoclint / `adoc check`.
+"""Accepted-findings baseline for `adoc check`.
 
 A baseline lets a new rule land with the tree's existing debt recorded
 instead of fixed-or-suppressed in one PR: findings whose fingerprint

@@ -1,7 +1,7 @@
 """Whole-program call graph over a closed set of Python modules.
 
 ``adoc check``'s interprocedural passes (lock-order propagation,
-ADOC110..ADOC112) all reduce to one question the per-file linter cannot
+ADOC110..ADOC112) all reduce to one question a per-file rule cannot
 answer: *which function bodies can run downstream of this statement?*
 This module builds the answer — a conservative, name-resolution-based
 call graph over every module handed to it — without importing any of
@@ -127,6 +127,7 @@ class ModuleInfo:
 
 
 def _dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -135,6 +136,21 @@ def _dotted(node: ast.AST) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def _last_name(node: ast.AST) -> str | None:
+    """The final identifier of a Name/Attribute chain."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _short(qualname: str) -> str:
+    """``Class.meth`` (the last two parts) of a qualname, for messages."""
+    parts = qualname.split(".")
+    return ".".join(parts[-2:]) if len(parts) > 1 else qualname
 
 
 def _resolve_relative(module: str, level: int, target: str | None) -> str:
@@ -552,20 +568,25 @@ def _own_statements(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator[ast.
             work.append(child)
 
 
-def build_callgraph(sources: Iterable[tuple[str, str]]) -> CallGraph:
-    """Build the whole-program graph from (path, source-text) pairs.
+def build_callgraph(sources: Iterable[tuple[str, str | ast.Module]]) -> CallGraph:
+    """Build the whole-program graph from (path, source) pairs.
 
-    Files that fail to parse are skipped (the linter reports them
-    separately as ADOC100); everything else is a closed world — calls
-    out of the analyzed set stay unresolved by design.
+    A source is the file's text or its already-parsed module (the
+    checker parses each file once and shares the tree).  Text that
+    fails to parse is skipped (the checker reports it separately as
+    ADOC100); everything else is a closed world — calls out of the
+    analyzed set stay unresolved by design.
     """
     graph = CallGraph()
     trees: list[ModuleInfo] = []
-    for path, text in sources:
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError:
-            continue
+    for path, source in sources:
+        if isinstance(source, ast.Module):
+            tree = source
+        else:
+            try:
+                tree = ast.parse(source, filename=path)
+            except SyntaxError:
+                continue
         name = module_name_for_path(path)
         mod = ModuleInfo(
             name,

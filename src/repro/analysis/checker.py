@@ -1,24 +1,33 @@
-"""`adoc check` — the whole-program concurrency & protocol analyzer.
+"""`adoc check` — the repo's concurrency & protocol analyzer.
 
-Where adoclint (:mod:`repro.analysis.linter`) judges one function body
-at a time, this driver builds the interprocedural picture over a closed
-source set and runs the proofs that need it:
+One pass over a closed source set: each file is parsed once, the
+single-file rules (:mod:`repro.analysis.rules`, ADOC102..ADOC109) run
+on that tree, and the same trees feed the whole-program passes:
 
 * the call graph (:mod:`repro.analysis.callgraph`),
-* static lock-order extraction, cycle detection, and ADOC110
-  blocking-under-lock propagation (:mod:`repro.analysis.lockorder`),
+* static lock-order extraction, cycle detection (ADOC113), and ADOC110
+  blocking-under-lock (:mod:`repro.analysis.lockorder`),
 * ADOC111 deadline-propagation and ADOC112 thread-lifecycle
   (:mod:`repro.analysis.interproc`),
-* cross-module wire symmetry (:mod:`repro.analysis.wirecheck`).
+* ADOC115 reactor-callback blocking (:mod:`repro.analysis.reactorcheck`),
+* cross-module wire symmetry, ADOC107 (:mod:`repro.analysis.wirecheck`).
 
 Cross-validation against a runtime ``REPRO_LOCKCHECK`` lockgraph
 export (``--lockgraph``) reports statically-possible lock orderings no
 instrumented test ever exercised — ADOC114 notes, informational only.
 
-Findings honour the same inline suppressions as adoclint and an
-optional checked-in baseline (:mod:`repro.analysis.baseline`).  Exit
-codes are the adoclint contract: 0 clean, 1 findings, 2 internal
-error.
+Suppressions are inline comments on the line the finding points at::
+
+    with conn.write_lock:
+        conn.sender.send(buf)  # adoclint: disable=<RULE-ID> -- <why this is safe here>
+
+The justification after ``--`` is mandatory: a bare
+``# adoclint: disable=ADOC110`` suppresses the finding but raises
+ADOC100 instead, so unexplained suppressions cannot accumulate; so does
+a suppression naming an unknown (or retired) rule ID.  ``disable=all``
+is accepted for generated code.  An optional checked-in baseline
+(:mod:`repro.analysis.baseline`) accepts known findings.  Exit codes:
+0 clean, 1 findings, 2 internal error.
 """
 
 from __future__ import annotations
@@ -26,8 +35,10 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import re
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import interproc, reactorcheck
@@ -35,13 +46,17 @@ from .baseline import apply_baseline, load_baseline, write_baseline
 from .callgraph import build_callgraph
 from .emitters import json_document, render_document, sarif_document
 from .findings import Finding, RULES
-from .linter import _parse_suppressions, iter_python_files
 from .lockorder import analyze_locks
+from .rules import check_file
 from .wirecheck import StructUsage, check_struct_symmetry, collect_struct_usage
 
-__all__ = ["CheckReport", "run_check", "main"]
+__all__ = ["CheckReport", "run_check", "iter_python_files", "main"]
 
 TOOL_NAME = "adoc-check"
+
+_SUPPRESS_RE = re.compile(
+    r"#\s*adoclint:\s*disable=([A-Za-z0-9,\s]+?)\s*(?:--\s*(\S.*))?$"
+)
 
 
 @dataclass
@@ -85,14 +100,64 @@ class CheckReport:
         return "\n".join(lines)
 
 
+def _parse_suppressions(
+    source: str, path: str
+) -> tuple[dict[int, set[str]], list[Finding]]:
+    """Per-line suppressed rule IDs, plus ADOC100 findings.
+
+    A suppression with no ``-- justification`` still suppresses (the
+    author clearly meant to) but earns an ADOC100 so it cannot pass a
+    clean run; so does one naming an unknown rule ID.
+    """
+    suppressions: dict[int, set[str]] = {}
+    meta: list[Finding] = []
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        m = _SUPPRESS_RE.search(line)
+        if m is None:
+            continue
+        ids = {part.strip().upper() for part in m.group(1).split(",") if part.strip()}
+        justification = m.group(2)
+        if "ALL" in ids:
+            ids = set(RULES)
+        unknown = ids - set(RULES)
+        if unknown:
+            meta.append(
+                Finding(
+                    path,
+                    lineno,
+                    line.index("#"),
+                    "ADOC100",
+                    f"suppression names unknown rule(s) {sorted(unknown)}",
+                )
+            )
+        if not justification:
+            meta.append(
+                Finding(
+                    path,
+                    lineno,
+                    line.index("#"),
+                    "ADOC100",
+                    "suppression without justification — append "
+                    "' -- <why this is safe here>'",
+                )
+            )
+        suppressions[lineno] = ids & set(RULES)
+    return suppressions, meta
+
+
 def run_check(
     sources: Iterable[tuple[str, str]],
     runtime_edges: set[tuple[str, str]] | None = None,
     baseline_fingerprints: set[str] | None = None,
 ) -> CheckReport:
-    """Analyze (path, source-text) pairs as one closed whole program."""
+    """Analyze (path, source-text) pairs as one closed whole program.
+
+    The set is closed for every cross-file rule: a struct format counts
+    as "unpacked" only if some *listed* source unpacks it, and calls
+    out of the set stay unresolved.
+    """
     report = CheckReport()
-    parsed: list[tuple[str, str]] = []
+    parsed: list[tuple[str, ast.Module]] = []
     struct_usage = StructUsage()
     suppress_by_path: dict[str, dict[int, set[str]]] = {}
     raw: list[Finding] = []
@@ -112,10 +177,11 @@ def run_check(
                 )
             )
             continue
-        parsed.append((path, text))
+        parsed.append((path, tree))
         line_suppress, meta = _parse_suppressions(text, path)
         suppress_by_path[path] = line_suppress
         raw.extend(meta)
+        raw.extend(check_file(tree, path))
         struct_usage.merge(collect_struct_usage(tree, path))
 
     cg = build_callgraph(parsed)
@@ -139,22 +205,34 @@ def run_check(
         live, report.baselined = apply_baseline(live, baseline_fingerprints)
     report.findings = live
 
-    notes = list(lock_analysis.notes)
     report.notes = [
         f
-        for f in notes
+        for f in lock_analysis.notes
         if f.rule not in suppress_by_path.get(f.path, {}).get(f.line, ())
     ]
     return report
 
 
-def _load_sources(paths: Sequence[str]) -> list[tuple[str, str]]:
-    files = iter_python_files(paths)
-    sources: list[tuple[str, str]] = []
-    for p in files:
-        with open(p, "r", encoding="utf-8") as fh:
-            sources.append((str(p), fh.read()))
-    return sources
+def iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
+    """Expand files/directories into a sorted list of ``.py`` files."""
+    out: set[Path] = set()
+    for raw in paths:
+        p = Path(raw)
+        if p.is_dir():
+            out.update(
+                f
+                for f in p.rglob("*.py")
+                if "__pycache__" not in f.parts and ".egg-info" not in str(f)
+            )
+        elif p.suffix == ".py":
+            out.add(p)
+        else:
+            raise FileNotFoundError(f"not a python file or directory: {p}")
+    return sorted(out)
+
+
+def _load_sources(paths: Sequence[str | Path]) -> list[tuple[str, str]]:
+    return [(str(p), p.read_text(encoding="utf-8")) for p in iter_python_files(paths)]
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -165,17 +243,13 @@ def _emit(text: str, output: str | None) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="adoc check",
-        description="whole-program concurrency & protocol analysis",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The `adoc check` options, shared by this module's CLI and ``adoc``."""
     parser.add_argument(
         "paths",
         nargs="*",
-        default=["src/repro"],
         help="files or directories to analyze as one closed program "
-        "(default: src/repro)",
+        "(default: the installed repro package)",
     )
     parser.add_argument(
         "--format",
@@ -206,25 +280,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="list the interprocedural rule IDs and exit",
+        help="print the rule table and exit",
     )
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="show suppressed/baselined too"
     )
-    return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(args: argparse.Namespace) -> int:
+    """Execute a parsed `adoc check` command line; returns the exit code."""
     if args.list_rules:
-        for rule in (
-            "ADOC110", "ADOC111", "ADOC112", "ADOC113", "ADOC114", "ADOC115"
-        ):
-            print(f"{rule}  {RULES[rule]}")
+        for rule, desc in sorted(RULES.items()):
+            print(f"{rule}  {desc}")
         return 0
     if args.update_baseline and not args.baseline:
-        parser.error("--update-baseline requires --baseline")
+        print("adoc check: --update-baseline requires --baseline", file=sys.stderr)
+        return 2
     try:
         runtime_edges: set[tuple[str, str]] | None = None
         if args.lockgraph:
@@ -238,7 +309,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             accepted = load_baseline(args.baseline)
 
         report = run_check(
-            _load_sources(args.paths),
+            _load_sources(args.paths or [Path(__file__).resolve().parents[1]]),
             runtime_edges=runtime_edges,
             baseline_fingerprints=accepted,
         )
@@ -273,6 +344,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - exit-code contract: 2 = internal error
         print(f"adoc check: internal error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="adoc check",
+        description="concurrency & wire-protocol static analysis",
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,6 +1,6 @@
-"""Machine-readable output for adoclint / `adoc check`.
+"""Machine-readable output for `adoc check`.
 
-Two formats, shared by both tools so CI and editors consume one shape:
+Two formats, so CI and editors consume one shape:
 
 * ``json_document`` — a compact report: tool, file count, findings
   (live / suppressed / baselined), and informational notes.

@@ -1,7 +1,7 @@
 """Interprocedural protocol rules: ADOC111 (deadline propagation) and
 ADOC112 (thread lifecycle).
 
-Both rules answer whole-program questions the per-file linter cannot:
+Both rules answer whole-program questions a per-file rule cannot:
 
 * **ADOC111** — PR 3's discipline is that every blocking transport or
   queue operation reachable from a *public API entry point* is bounded
@@ -15,16 +15,17 @@ Both rules answer whole-program questions the per-file linter cannot:
   argument, ``settimeout`` call, ``Deadline`` use).  The path search
   stops at bounded functions — the bound covers everything below it.
 * **ADOC112** — every ``Thread.start()`` must have a join/reap on some
-  shutdown path.  The per-file ADOC105 only sees the starting
-  function; this rule also accepts evidence (a ``.join(...)`` call or
-  a ``reap_threads(...)`` call) in any method of the enclosing class
-  and in any direct caller — the places a shutdown path lives — and
-  reports the start site when *none* of those scopes can ever join the
-  thread.  That is a static thread leak: the thread outlives every
-  handle that could have reaped it.
+  shutdown path.  Evidence (a ``.join(...)`` call or a
+  ``reap_threads(...)`` call) counts in the starting function, in any
+  method of the enclosing class and in any direct caller — the places
+  a shutdown path lives — and the start site is reported when *none*
+  of those scopes can ever join the thread.  That is a static thread
+  leak: the thread outlives every handle that could have reaped it.
+  ``daemon=True`` is not evidence: a daemon thread still needs a
+  shutdown path, or it dies mid-operation at interpreter exit.
 
-Heuristics are name-based, like the rest of adoclint; false positives
-carry justified inline suppressions naming the rule.
+Heuristics are name-based, like the rest of the analyzer; false
+positives carry justified inline suppressions naming the rule.
 """
 
 from __future__ import annotations
@@ -32,33 +33,11 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from .callgraph import CallGraph, FunctionInfo, _dotted
+from .callgraph import CallGraph, FunctionInfo, _is_thread_ctor, _last_name, _short
 from .findings import Finding
+from .rules import _TRANSPORT_OPS, _queue_op
 
 __all__ = ["check_deadline_propagation", "check_thread_lifecycles"]
-
-_FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-#: Transport operations that block on a peer (the ADOC101 vocabulary
-#: minus CPU work — sleeps and codec calls are not *unbounded* waits).
-_TRANSPORT_BLOCKING = {
-    "send",
-    "sendall",
-    "sendto",
-    "sendmsg",
-    "send_vectors",
-    "sendall_vectors",
-    "recv",
-    "recv_into",
-    "recv_exact",
-    "accept",
-    "connect",
-}
-
-#: Queue/thread operations that block, gated on a queue-ish receiver.
-_RECEIVER_GATED = {"put", "get", "join"}
-_QUEUEISH_FRAGMENTS = ("queue", "fifo", "thread", "worker")
-_QUEUEISH_NAMES = {"q", "t", "w"}
 
 _BOUND_FRAGMENTS = ("timeout", "deadline", "expires", "give_up")
 _BOUND_NAMES = {"Deadline", "settimeout"}
@@ -66,14 +45,6 @@ _BOUND_NAMES = {"Deadline", "settimeout"}
 #: Receivers whose ``send`` resumes a generator/coroutine — control
 #: flow, not I/O.  Exact names only: "gen" must not match "agent".
 _GENERATOR_RECEIVERS = {"gen", "generator", "coro", "coroutine"}
-
-
-def _last_name(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +82,11 @@ def _transport_blocking_ops(
 ) -> list[tuple[str, int]]:
     """Direct blocking transport/queue operations in one function.
 
-    ``resolved_sites`` holds (line, col) of calls the call graph resolved
-    to in-tree functions; those are *not* direct transport ops — the BFS
-    descends into them and judges the callee's own body instead.
+    Sleeps and codec calls are not in the vocabulary: they are bounded,
+    not waits on a peer.  ``resolved_sites`` holds (line, col) of calls
+    the call graph resolved to in-tree functions; those are *not* direct
+    transport ops — the BFS descends into them and judges the callee's
+    own body instead.
     """
     ops: list[tuple[str, int]] = []
     for node in ast.walk(fn):
@@ -122,22 +95,18 @@ def _transport_blocking_ops(
         if (node.lineno, node.col_offset) in resolved_sites:
             continue
         name = _last_name(node.func)
-        if name is None or name == "wait":
-            continue
-        if name in _TRANSPORT_BLOCKING:
-            if name == "send" and isinstance(node.func, ast.Attribute):
-                recv = _last_name(node.func.value)
-                if recv in _GENERATOR_RECEIVERS:
-                    continue
+        if name is not None and name in _TRANSPORT_OPS:
+            if (
+                name == "send"
+                and isinstance(node.func, ast.Attribute)
+                and _last_name(node.func.value) in _GENERATOR_RECEIVERS
+            ):
+                continue
             ops.append((name, node.lineno))
-        elif name in _RECEIVER_GATED and isinstance(node.func, ast.Attribute):
-            recv = _last_name(node.func.value)
-            if recv is not None:
-                low = recv.lower()
-                if low in _QUEUEISH_NAMES or any(
-                    frag in low for frag in _QUEUEISH_FRAGMENTS
-                ):
-                    ops.append((name, node.lineno))
+        else:
+            op = _queue_op(node)
+            if op is not None:
+                ops.append((op, node.lineno))
     return ops
 
 
@@ -214,11 +183,7 @@ def check_deadline_propagation(
         hit: tuple[str, str, int] | None = None  # (fn, op, line)
         while queue and hit is None:
             cur = queue.pop(0)
-            if blocking.get(cur) and cur != entry.qualname:
-                op, line = blocking[cur][0]
-                hit = (cur, op, line)
-                break
-            if blocking.get(cur) and cur == entry.qualname:
+            if blocking.get(cur):
                 op, line = blocking[cur][0]
                 hit = (cur, op, line)
                 break
@@ -251,19 +216,9 @@ def check_deadline_propagation(
     return findings
 
 
-def _short(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 1 else qualname
-
-
 # ---------------------------------------------------------------------------
 # ADOC112: thread lifecycle
 # ---------------------------------------------------------------------------
-
-
-def _is_thread_ctor(call: ast.Call) -> bool:
-    chain = _dotted(call.func)
-    return chain is not None and (chain == "Thread" or chain.endswith(".Thread"))
 
 
 @dataclass

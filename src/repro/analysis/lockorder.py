@@ -16,10 +16,9 @@ Three outputs:
   (a statically-possible lock-order inversion, deadlock-capable even if
   no test ever interleaves that way);
 * **ADOC110** findings — a blocking call (socket I/O, sleep, codec
-  work, queue ops; the ADOC101 vocabulary) reachable through any call
-  chain entered while a lock is held.  ADOC101 already flags the
-  same-function case, so ADOC110 fires only when the blocking call
-  lives in a *callee*;
+  work, queue ops) made while a lock is held: either the call itself
+  blocks, or it enters a call chain that reaches one.  Function bodies
+  and module top-level statements are both walked;
 * cross-validation against a runtime lockgraph export
   (``LockGraph.to_json``): static edges between runtime-named locks
   that the instrumented test run never exercised are reported as
@@ -37,11 +36,18 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator
 
-from .callgraph import CallGraph, FunctionInfo, ModuleInfo, _dotted
+from .callgraph import (
+    _FUNC_NODES,
+    CallGraph,
+    ModuleInfo,
+    _dotted,
+    _last_name,
+    _local_var_types,
+    _short,
+)
 from .findings import Finding
-from .rules import _blocking_reason, FileContext
+from .rules import _COND_FACTORIES, _LOCK_FACTORIES, _blocking_op
 
 __all__ = [
     "LockDecl",
@@ -49,10 +55,6 @@ __all__ = [
     "analyze_locks",
     "LockAnalysis",
 ]
-
-_FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-_LOCK_FACTORIES = {"Lock", "RLock", "make_lock"}
-_COND_FACTORIES = {"Condition", "make_condition"}
 
 
 @dataclass(frozen=True)
@@ -163,14 +165,6 @@ def _call_factory(value: ast.AST) -> tuple[str, ast.Call] | None:
         name = _last_name(value.func)
         if name in _LOCK_FACTORIES or name in _COND_FACTORIES:
             return name or "", value
-    return None
-
-
-def _last_name(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
     return None
 
 
@@ -302,16 +296,19 @@ def _condition_lock_module(
 
 @dataclass
 class _FnLockSummary:
-    """What one function does with locks, before propagation."""
+    """What one function (or module top level) does with locks, before
+    propagation."""
 
+    path: str
     #: (lock id, line, col, held ids at acquisition) per ``with`` item.
     acquires: list[tuple[str, int, int, tuple[str, ...]]] = field(
         default_factory=list
     )
-    #: (call node, resolved callees, held ids) for calls under a lock.
-    calls_under_lock: list[tuple[ast.Call, tuple[str, ...], tuple[str, ...]]] = (
-        field(default_factory=list)
-    )
+    #: (call node, its own blocking op or None, resolved callees, held
+    #: ids) for calls under a lock.
+    calls_under_lock: list[
+        tuple[ast.Call, str | None, tuple[str, ...], tuple[str, ...]]
+    ] = field(default_factory=list)
     #: Blocking operations performed directly in this function.
     blocking: list[tuple[str, int]] = field(default_factory=list)
 
@@ -327,24 +324,26 @@ def _looks_lockish(name: str | None) -> bool:
 
 
 class _FnWalker:
-    """Walk one function's own statements tracking the held-lock stack."""
+    """Walk one function's (or a module's top-level) own statements
+    tracking the held-lock stack."""
 
     def __init__(
         self,
         cg: CallGraph,
         mod: ModuleInfo,
-        fn: FunctionInfo,
         table: _DeclTable,
+        qualname: str,
+        cls: str | None,
         var_types: dict[str, str],
     ) -> None:
         self.cg = cg
         self.mod = mod
-        self.fn = fn
+        self.cls = cls
         self.table = table
         self.var_types = var_types
-        self.summary = _FnLockSummary()
+        self.summary = _FnLockSummary(mod.path)
         self._resolver = {
-            site.line: site for site in cg.calls.get(fn.qualname, ())
+            site.line: site for site in cg.calls.get(qualname, ())
         }
 
     # -- lock identity -----------------------------------------------------
@@ -355,8 +354,8 @@ class _FnWalker:
         name = _last_name(expr)
         if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
             recv = expr.value.id
-            if recv == "self" and self.fn.cls is not None:
-                resolved = self._class_attr(self.fn.cls, expr.attr)
+            if recv == "self" and self.cls is not None:
+                resolved = self._class_attr(self.cls, expr.attr)
                 if resolved is not None:
                     return resolved
             elif recv in self.var_types:
@@ -389,8 +388,8 @@ class _FnWalker:
 
     # -- traversal ---------------------------------------------------------
 
-    def walk(self) -> _FnLockSummary:
-        self._visit_body(self.fn.node.body, ())
+    def walk(self, body: list[ast.stmt]) -> _FnLockSummary:
+        self._visit_body(body, ())
         return self.summary
 
     def _visit_body(self, body: list[ast.stmt], held: tuple[str, ...]) -> None:
@@ -429,7 +428,7 @@ class _FnWalker:
                 continue
             if not isinstance(sub, ast.Call):
                 continue
-            op = _blocking_reason(sub, _DUMMY_CTX)
+            op = _blocking_op(sub)
             if op is not None:
                 self.summary.blocking.append((op, sub.lineno))
             if held:
@@ -437,10 +436,7 @@ class _FnWalker:
                 callees: tuple[str, ...] = ()
                 if site is not None and site.kind == "call":
                     callees = site.callees
-                self.summary.calls_under_lock.append((sub, callees, held))
-
-
-_DUMMY_CTX = FileContext()
+                self.summary.calls_under_lock.append((sub, op, callees, held))
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +507,19 @@ def analyze_locks(
     graph = StaticLockGraph(decls=table.decls)
     summaries: dict[str, _FnLockSummary] = {}
 
-    from .callgraph import _local_var_types  # shared inference helper
-
     for fn in cg.functions.values():
         mod = cg.modules.get(fn.module)
         if mod is None:
             continue
         var_types = _local_var_types(cg, mod, fn.node)
-        summaries[fn.qualname] = _FnWalker(cg, mod, fn, table, var_types).walk()
+        walker = _FnWalker(cg, mod, table, fn.qualname, fn.cls, var_types)
+        summaries[fn.qualname] = walker.walk(fn.node.body)
+    for mod in cg.modules.values():
+        # Top-level statements run at import time; no call graph node
+        # covers them, so only their direct blocking calls can be seen.
+        qual = f"{mod.name}.<module>"
+        walker = _FnWalker(cg, mod, table, qual, None, {})
+        summaries[qual] = walker.walk(mod.tree.body)
 
     inside = _locks_inside_fixpoint(cg, summaries)
     blocks = _blocking_inside(cg, summaries)
@@ -529,19 +530,17 @@ def analyze_locks(
 
     # Intra-function nesting edges.
     for fn_name, summary in summaries.items():
-        fn = cg.functions[fn_name]
         for lock_id, line, _col, held in summary.acquires:
             for h in held:
                 if is_named(h) and is_named(lock_id):
                     graph.add(
-                        h, lock_id, _EdgeSite(fn.path, line, f"in {fn_name}")
+                        h, lock_id, _EdgeSite(summary.path, line, f"in {fn_name}")
                     )
 
     # Interprocedural edges + ADOC110.
     reported_110: set[tuple[str, int]] = set()
     for fn_name, summary in summaries.items():
-        fn = cg.functions[fn_name]
-        for call, callees, held in summary.calls_under_lock:
+        for call, op, callees, held in summary.calls_under_lock:
             for callee in callees:
                 for acquired in inside.get(callee, set()):
                     for h in held:
@@ -550,33 +549,40 @@ def analyze_locks(
                                 h,
                                 acquired,
                                 _EdgeSite(
-                                    fn.path, call.lineno,
+                                    summary.path, call.lineno,
                                     f"{fn_name} -> {callee}",
                                 ),
                             )
-                # ADOC110: callee (transitively) blocks while we hold a lock.
-                if blocks.get(callee, False):
-                    key = (fn_name, call.lineno)
-                    if key in reported_110:
-                        continue
-                    reported_110.add(key)
-                    target = _first_blocking_path(cg, summaries, callee)
-                    lock_names = ", ".join(
-                        sorted(_pretty_lock(h, table.decls) for h in held)
-                    )
-                    findings.append(
-                        Finding(
-                            fn.path,
-                            call.lineno,
-                            call.col_offset,
-                            "ADOC110",
-                            f"call '{_dotted(call.func) or '<call>'}' while "
-                            f"holding '{lock_names}' reaches blocking "
-                            f"{target} — every other user of the lock "
-                            "stalls for the full I/O; restructure, or "
-                            "suppress with a justification",
-                        )
-                    )
+            # ADOC110: the call blocks, or a callee (transitively) does,
+            # while we hold a lock.
+            blocker = next((c for c in callees if blocks.get(c, False)), None)
+            if op is not None:
+                reaches = f"is a blocking '{op}'"
+            elif blocker is not None:
+                target = _first_blocking_path(cg, summaries, blocker)
+                reaches = f"reaches blocking {target}"
+            else:
+                continue
+            key = (fn_name, call.lineno)
+            if key in reported_110:
+                continue
+            reported_110.add(key)
+            lock_names = ", ".join(
+                sorted(_pretty_lock(h, table.decls) for h in held)
+            )
+            findings.append(
+                Finding(
+                    summary.path,
+                    call.lineno,
+                    call.col_offset,
+                    "ADOC110",
+                    f"call '{_dotted(call.func) or '<call>'}' while holding "
+                    f"'{lock_names}' {reaches} — every other user of the "
+                    "lock stalls for its full duration; move the work "
+                    "outside the critical section, or suppress with a "
+                    "justification",
+                )
+            )
 
     # ADOC113: statically-possible ordering cycles.
     for cycle in graph.find_cycles():
@@ -630,8 +636,3 @@ def _first_blocking_path(
     where = cg.functions[leaf]
     via = " -> ".join(_short(p) for p in path)
     return f"'{op}' at {where.path}:{line} (via {via})"
-
-
-def _short(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 1 else qualname

@@ -36,9 +36,16 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from .callgraph import CallGraph, _CallCollector, _dotted, _own_statements
+from .callgraph import (
+    CallGraph,
+    _CallCollector,
+    _dotted,
+    _last_name,
+    _own_statements,
+    _short,
+)
 from .findings import Finding
-from .interproc import _TRANSPORT_BLOCKING, _last_name, _short
+from .rules import _CPU_OPS, _TRANSPORT_OPS
 
 __all__ = ["check_reactor_callbacks"]
 
@@ -51,10 +58,6 @@ _REACTOR_APIS = {
     "call_later": 1,
     "call_at": 1,
 }
-
-#: CPU-bound codec work: not an unbounded wait, but it parks the loop
-#: for the duration — reactor code must pool it.
-_CPU_BLOCKING = {"compress", "decompress", "sleep"}
 
 #: Queue/thread operations that block unless given a timeout.
 _TIMED_OK = {"get", "join"}  # blocking only when called with no arguments
@@ -80,9 +83,10 @@ def _blocking_reason(call: ast.Call) -> str | None:
     name = _last_name(call.func)
     if name is None:
         return None
-    if name in _TRANSPORT_BLOCKING:
+    if name in _TRANSPORT_OPS:
         return f"blocking transport op '{name}'"
-    if name in _CPU_BLOCKING:
+    if name in _CPU_OPS:
+        # Not an unbounded wait, but it parks the loop for the duration.
         return f"loop-starving call '{name}'"
     if name == "wait" and not call.args and not _has_timeout_kwarg(call):
         return "untimed 'wait()' (lock/event wait)"

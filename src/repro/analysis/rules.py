@@ -1,22 +1,26 @@
-"""AST-based concurrency lint rules (ADOC101..ADOC106).
+"""The blocking-operation vocabulary and the single-file rules.
 
 The rules encode the thread discipline the AdOC pipeline depends on
 (paper section 3.1: compression thread -> FIFO -> emission thread):
 
-* critical sections stay small and never do I/O (ADOC101);
 * condition waits re-check their predicate (ADOC102) and notifies
   happen under the owning lock (ADOC103);
-* threads are nameable in stack dumps (ADOC104) and have an explicit
-  lifecycle decision (ADOC105);
+* threads are nameable in stack dumps (ADOC104);
 * thread bodies never swallow exceptions silently — they record them
   for re-raise on ``join()``/``close()``, the pattern the core
-  sender/receiver already follow (ADOC106).
+  sender/receiver already follow (ADOC106);
+* the core hot path stays copy-free (ADOC108) and telemetry locks are
+  visible to the lock-order detector (ADOC109).
+
+The vocabulary below — which calls block, which calls build locks — is
+shared by the whole-program rules: ADOC110 (:mod:`.lockorder`), ADOC111
+(:mod:`.interproc`) and ADOC115 (:mod:`.reactorcheck`).
 
 Everything here is a *heuristic* over names and shapes — that is what
 makes it cheap and dependency-free (stdlib ``ast`` only).  False
 positives are expected occasionally and are suppressed inline with a
 ``disable=<rule-id> -- justification`` comment (see
-:mod:`repro.analysis.linter` for the exact syntax).
+:mod:`repro.analysis.checker` for the exact syntax).
 """
 
 from __future__ import annotations
@@ -24,33 +28,38 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
+from .callgraph import _FUNC_NODES, _dotted, _is_thread_ctor, _last_name
 from .findings import Finding
 
-__all__ = ["check_file", "FileContext"]
+__all__ = ["check_file"]
 
-#: Attribute calls that (can) block regardless of receiver name: socket
-#: I/O, sleeps, and CPU-heavy codec work.
-_BLOCKING_ATTRS = {
-    "send",
-    "sendall",
-    "sendto",
-    "sendmsg",
-    "send_vectors",
-    "sendall_vectors",
-    "recv",
-    "recv_into",
-    "recv_exact",
-    "accept",
-    "connect",
-    "sleep",
-    "compress",
-    "decompress",
-}
+#: Transport operations that block on a peer, whatever the receiver
+#: (module-level helpers count too: ``sendall(ep, ...)``).
+_TRANSPORT_OPS = frozenset(
+    {
+        "send",
+        "sendall",
+        "sendto",
+        "sendmsg",
+        "send_vectors",
+        "sendall_vectors",
+        "recv",
+        "recv_into",
+        "recv_exact",
+        "accept",
+        "connect",
+    }
+)
 
-#: Attribute calls that block only when the receiver looks like a
-#: queue/thread (``.get`` is also a dict method, ``.join`` a str one).
-_RECEIVER_GATED_ATTRS = {"put", "get", "join"}
+#: Sleeps and codec work: bounded, but they park whatever thread (and
+#: hold whatever lock) they run under.
+_CPU_OPS = frozenset({"sleep", "compress", "decompress"})
+
+#: Queue/thread operations that block only when the receiver looks like
+#: a queue/thread (``.get`` is also a dict method, ``.join`` a str one).
+_QUEUE_OPS = frozenset({"put", "get", "join"})
 _QUEUEISH_FRAGMENTS = ("queue", "fifo", "thread", "worker")
 _QUEUEISH_NAMES = {"q", "t", "w"}
 
@@ -81,30 +90,30 @@ _HOT_PATH_PART = "core"
 _OBS_PATH_PART = "obs"
 
 
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
+def _queue_op(call: ast.Call) -> str | None:
+    """``put``/``get``/``join`` on a queue- or thread-looking receiver."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr in _QUEUE_OPS):
+        return None
+    recv = _last_name(func.value)
+    if recv is None:
+        return None
+    low = recv.lower()
+    if low in _QUEUEISH_NAMES or any(frag in low for frag in _QUEUEISH_FRAGMENTS):
+        return func.attr
     return None
 
 
-def _last_name(node: ast.AST) -> str | None:
-    """The final identifier of a Name/Attribute chain."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
+def _blocking_op(call: ast.Call) -> str | None:
+    """The blocking operation a call performs (ADOC110's vocabulary).
 
-
-def _receiver_name(func: ast.Attribute) -> str | None:
-    """For ``x.y.put`` the receiver identifier is ``y``."""
-    return _last_name(func.value)
+    ``Condition.wait`` is not in it: it releases the lock while blocked
+    and is the sanctioned way to block inside a critical section.
+    """
+    name = _last_name(call.func)
+    if name in _TRANSPORT_OPS or name in _CPU_OPS:
+        return name
+    return _queue_op(call)
 
 
 def _annotate_parents(tree: ast.AST) -> None:
@@ -113,22 +122,11 @@ def _annotate_parents(tree: ast.AST) -> None:
             child._adoc_parent = node  # type: ignore[attr-defined]
 
 
-def _ancestors(node: ast.AST):
+def _ancestors(node: ast.AST) -> Iterator[ast.AST]:
     cur = getattr(node, "_adoc_parent", None)
     while cur is not None:
         yield cur
         cur = getattr(cur, "_adoc_parent", None)
-
-
-_FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _enclosing_scope(node: ast.AST) -> ast.AST | None:
-    """Innermost enclosing function (or None for module level)."""
-    for anc in _ancestors(node):
-        if isinstance(anc, _FUNC_NODES):
-            return anc
-    return None
 
 
 @dataclass
@@ -153,7 +151,7 @@ class FileContext:
         )
 
 
-def _target_names(target: ast.AST):
+def _target_names(target: ast.AST) -> Iterator[str]:
     if isinstance(target, ast.Name):
         yield target.id
     elif isinstance(target, ast.Attribute):
@@ -181,76 +179,9 @@ def _prescan(tree: ast.AST) -> FileContext:
                         ctx.cond_names.update(_target_names(t))
         elif isinstance(node, ast.FunctionDef):
             ctx.functions.setdefault(node.name, []).append(node)
-        elif isinstance(node, ast.Call):
-            chain = _dotted(node.func)
-            if chain is not None and (
-                chain == "Thread" or chain.endswith(".Thread")
-            ):
-                ctx.thread_calls.append(node)
+        elif isinstance(node, ast.Call) and _is_thread_ctor(node):
+            ctx.thread_calls.append(node)
     return ctx
-
-
-# -- ADOC101: blocking call while a lock is held ---------------------------
-
-
-def _blocking_reason(call: ast.Call, ctx: FileContext) -> str | None:
-    """Name of the blocking operation, or None if not blocking."""
-    func = call.func
-    name = _last_name(func)
-    if name is None:
-        return None
-    if name == "wait":
-        return None  # Condition.wait is the sanctioned in-lock block
-    if name in _BLOCKING_ATTRS:
-        # Module-level helpers count too: sendall(ep, ...), recv_exact(...).
-        return name
-    if name in _RECEIVER_GATED_ATTRS and isinstance(func, ast.Attribute):
-        recv = _receiver_name(func)
-        if recv is not None:
-            low = recv.lower()
-            if low in _QUEUEISH_NAMES or any(
-                frag in low for frag in _QUEUEISH_FRAGMENTS
-            ):
-                return name
-    return None
-
-
-def _check_blocking_under_lock(
-    tree: ast.AST, ctx: FileContext, path: str
-) -> list[Finding]:
-    findings = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        op = _blocking_reason(node, ctx)
-        if op is None:
-            continue
-        # Only With blocks between the call and its innermost function
-        # matter: a nested def inside a with-block runs later, lock-free.
-        for anc in _ancestors(node):
-            if isinstance(anc, _FUNC_NODES):
-                break
-            if isinstance(anc, ast.With):
-                held = [
-                    item.context_expr
-                    for item in anc.items
-                    if ctx.is_lockish(item.context_expr)
-                ]
-                if held:
-                    lock = _dotted(held[0]) or "<lock>"
-                    findings.append(
-                        Finding(
-                            path,
-                            node.lineno,
-                            node.col_offset,
-                            "ADOC101",
-                            f"blocking call '{op}' while holding '{lock}' — "
-                            "move I/O/CPU work outside the critical section "
-                            "(copy under the lock, act outside it)",
-                        )
-                    )
-                    break
-    return findings
 
 
 # -- ADOC102: wait() outside a while-predicate loop ------------------------
@@ -265,8 +196,7 @@ def _check_wait_in_while(tree: ast.AST, ctx: FileContext, path: str) -> list[Fin
             and node.func.attr == "wait"
         ):
             continue
-        recv = _receiver_name(node.func)
-        if recv not in ctx.cond_names:
+        if _last_name(node.func.value) not in ctx.cond_names:
             continue  # Event.wait()/thread.join-style waits are fine bare
         in_while = False
         for anc in _ancestors(node):
@@ -304,8 +234,7 @@ def _check_notify_under_lock(
             and node.func.attr in ("notify", "notify_all")
         ):
             continue
-        recv = _receiver_name(node.func)
-        if recv not in ctx.cond_names:
+        if _last_name(node.func.value) not in ctx.cond_names:
             continue
         under_lock = False
         for anc in _ancestors(node):
@@ -330,52 +259,22 @@ def _check_notify_under_lock(
     return findings
 
 
-# -- ADOC104/ADOC105: Thread construction hygiene --------------------------
+# -- ADOC104: Thread construction hygiene ----------------------------------
 
 
-def _kwarg(call: ast.Call, name: str) -> bool:
-    return any(kw.arg == name for kw in call.keywords)
-
-
-def _scope_has_join(scope: ast.AST) -> bool:
-    for node in ast.walk(scope):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "join"
-        ):
-            return True
-    return False
-
-
-def _check_thread_calls(tree: ast.AST, ctx: FileContext, path: str) -> list[Finding]:
-    findings = []
-    for call in ctx.thread_calls:
-        if not _kwarg(call, "name"):
-            findings.append(
-                Finding(
-                    path,
-                    call.lineno,
-                    call.col_offset,
-                    "ADOC104",
-                    "Thread created without name= — anonymous threads make "
-                    "stack dumps and lockgraph reports unreadable",
-                )
-            )
-        if not _kwarg(call, "daemon"):
-            scope = _enclosing_scope(call) or tree
-            if not _scope_has_join(scope):
-                findings.append(
-                    Finding(
-                        path,
-                        call.lineno,
-                        call.col_offset,
-                        "ADOC105",
-                        "Thread without daemon= and no join() in scope — "
-                        "decide the lifecycle: daemon=True, or join it",
-                    )
-                )
-    return findings
+def _check_thread_names(tree: ast.AST, ctx: FileContext, path: str) -> list[Finding]:
+    return [
+        Finding(
+            path,
+            call.lineno,
+            call.col_offset,
+            "ADOC104",
+            "Thread created without name= — anonymous threads make "
+            "stack dumps and lockgraph reports unreadable",
+        )
+        for call in ctx.thread_calls
+        if not any(kw.arg == "name" for kw in call.keywords)
+    ]
 
 
 # -- ADOC106: thread bodies must record exceptions -------------------------
@@ -394,7 +293,6 @@ def _thread_target_functions(ctx: FileContext) -> list[ast.FunctionDef]:
                 if id(fn) not in seen:
                     seen.add(id(fn))
                     out.append(fn)
-    # run() methods of Thread subclasses are thread bodies too.
     return out
 
 
@@ -571,10 +469,9 @@ def check_file(tree: ast.AST, path: str) -> list[Finding]:
     _annotate_parents(tree)
     ctx = _prescan(tree)
     findings: list[Finding] = []
-    findings += _check_blocking_under_lock(tree, ctx, path)
     findings += _check_wait_in_while(tree, ctx, path)
     findings += _check_notify_under_lock(tree, ctx, path)
-    findings += _check_thread_calls(tree, ctx, path)
+    findings += _check_thread_names(tree, ctx, path)
     findings += _check_swallowed_thread_errors(tree, ctx, path)
     findings += _check_payload_copies(tree, ctx, path)
     findings += _check_obs_locks(tree, ctx, path)

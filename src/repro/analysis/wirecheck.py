@@ -35,7 +35,7 @@ import ast
 import struct
 from dataclasses import dataclass, field
 
-from .callgraph import _resolve_relative, module_name_for_path
+from .callgraph import _last_name, _resolve_relative, module_name_for_path
 from .findings import Finding
 
 __all__ = ["StructDef", "StructUsage", "collect_struct_usage", "check_struct_symmetry"]
@@ -99,14 +99,6 @@ class StructUsage:
             seen.add(key)
             key = self.imports[key]
         return self.defs[key]
-
-
-def _last_name(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 def _str_const(node: ast.AST) -> str | None:

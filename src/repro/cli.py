@@ -22,15 +22,13 @@ Subcommands:
     per-process Chrome-trace exports into one cross-process timeline
     (each input on its own pid, aligned on the shared wall clock).
 
-``adoc lint [PATH...]``
-    Run the adoclint static analyzer (concurrency + wire-protocol
-    rules) over the given files/directories, defaulting to the
-    installed ``repro`` package.  See ``docs/LINTING.md``.
-
 ``adoc check [PATH...]``
-    Run the whole-program analyzer: interprocedural lock-order,
-    deadline-propagation and thread-lifecycle proofs, with SARIF and
-    baseline support.  See ``docs/ANALYSIS.md``.
+    Run the static analyzer over the given files/directories,
+    defaulting to the installed ``repro`` package: single-file
+    concurrency and wire-protocol rules plus interprocedural
+    lock-order, deadline-propagation and thread-lifecycle proofs, with
+    SARIF and baseline support.  See ``docs/LINTING.md`` and
+    ``docs/ANALYSIS.md``.
 
 ``adoc stats``
     Run a traced demo transfer — one blocking pipelined send plus a
@@ -621,38 +619,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis.__main__ import main as lint_main
-
-    argv: list[str] = list(args.paths)
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.verbose:
-        argv.append("--verbose")
-    argv += ["--format", args.format]
-    if args.output:
-        argv += ["--output", args.output]
-    return lint_main(argv)
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .analysis.checker import main as check_main
+    from .analysis.checker import run
 
-    argv: list[str] = list(args.paths)
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.verbose:
-        argv.append("--verbose")
-    argv += ["--format", args.format]
-    if args.output:
-        argv += ["--output", args.output]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.lockgraph:
-        argv += ["--lockgraph", args.lockgraph]
-    return check_main(argv)
+    return run(args)
 
 
 def _hostport(value: str) -> tuple[str, int]:
@@ -774,37 +744,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="serve for N seconds then exit "
                               "(default: until Ctrl-C)")
 
-    p_lint = sub.add_parser("lint", help="run the adoclint static analyzer")
-    p_lint.add_argument("paths", nargs="*",
-                        help="files/directories (default: the repro package)")
-    p_lint.add_argument("--list-rules", action="store_true",
-                        help="print the rule table and exit")
-    p_lint.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text", help="output format (default: text)")
-    p_lint.add_argument("--output", metavar="FILE",
-                        help="write the report here instead of stdout")
-    p_lint.add_argument("-v", "--verbose", action="store_true",
-                        help="also show suppressed findings")
+    from .analysis.checker import add_arguments as add_check_arguments
 
-    p_check = sub.add_parser(
-        "check", help="run the whole-program concurrency/protocol analyzer"
+    add_check_arguments(
+        sub.add_parser("check", help="run the concurrency/protocol analyzer")
     )
-    p_check.add_argument("paths", nargs="*",
-                         help="files/directories (default: src/repro)")
-    p_check.add_argument("--list-rules", action="store_true",
-                         help="list the interprocedural rule IDs and exit")
-    p_check.add_argument("--format", choices=("text", "json", "sarif"),
-                         default="text", help="output format (default: text)")
-    p_check.add_argument("--output", metavar="FILE",
-                         help="write the report here instead of stdout")
-    p_check.add_argument("--baseline", metavar="FILE",
-                         help="accepted-findings baseline file")
-    p_check.add_argument("--update-baseline", action="store_true",
-                         help="rewrite --baseline accepting current findings")
-    p_check.add_argument("--lockgraph", metavar="FILE",
-                         help="runtime lockgraph export to cross-validate against")
-    p_check.add_argument("-v", "--verbose", action="store_true",
-                         help="also show suppressed/baselined findings")
     return parser
 
 
@@ -824,7 +768,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "send": _cmd_send,
         "bench": _cmd_bench,
         "trace": _cmd_trace,
-        "lint": _cmd_lint,
         "check": _cmd_check,
         "stats": _cmd_stats,
         "top": _cmd_top,

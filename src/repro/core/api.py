@@ -147,7 +147,7 @@ def adoc_write(d: int, buf: bytes | bytearray | memoryview) -> tuple[int, int]: 
     """
     conn = _lookup(d)
     with conn.write_lock:
-        result = conn.sender.send(buf)  # adoclint: disable=ADOC101 -- the write lock exists to serialise whole-message sends; holding it across the send is the contract
+        result = conn.sender.send(buf)  # adoclint: disable=ADOC110 -- the write lock exists to serialise whole-message sends; holding it across the send is the contract
     return result.payload_bytes, result.wire_bytes
 
 
@@ -166,7 +166,7 @@ def adoc_write_levels(  # adoclint: disable=ADOC111 -- bounded by cfg.io_timeout
     conn = _lookup(d)
     cfg = conn.config.with_levels(min_level, max_level)
     with conn.write_lock:
-        result = conn.sender.send(buf, cfg)  # adoclint: disable=ADOC101 -- write lock serialises whole-message sends by design (see adoc_write)
+        result = conn.sender.send(buf, cfg)  # adoclint: disable=ADOC110 -- write lock serialises whole-message sends by design (see adoc_write)
     return result.payload_bytes, result.wire_bytes
 
 

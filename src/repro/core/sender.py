@@ -570,7 +570,7 @@ class MessageSender:
                     try:
                         outcome = compress_buffer(buf, level, plan.guard, cfg)
                         completions.push((outcome, None))
-                    except Exception as exc:  # adoclint: disable=ADOC106 -- graceful degradation by design: the planner ships the buffer raw and SendResult.degraded reports it; re-raising would kill a recoverable message
+                    except Exception as exc:
                         completions.push((None, exc))
                 if not plan.inflight:
                     return

@@ -92,7 +92,7 @@ class FileServer:
 
     # -- connection management ------------------------------------------------
 
-    def connect(self) -> Endpoint:  # adoclint: disable=ADOC111 -- the control loop waits for the next command indefinitely by contract; client-side replies are deadline-bounded
+    def connect(self) -> Endpoint:
         """Open a control connection; returns the client's end."""
         client_end, server_end = self.transport_factory()
         thread = threading.Thread(

@@ -65,6 +65,63 @@ def _observe_rpc(tele, name: str, failed: bool, t0: float) -> None:
     ).inc(service=name, status="error" if failed else "ok")
 
 
+def _error_reply(
+    name: str,
+    detail: str,
+    trace_id: str | None = None,
+    span_id: str | None = None,
+) -> RpcMessage:
+    return RpcMessage(
+        MsgType.ERROR,
+        name,
+        [detail.encode("utf-8")],
+        status=1,
+        trace_id=trace_id,
+        span_id=span_id,
+    )
+
+
+def _execute(
+    registry: ServiceRegistry, stats: "ServerStats", tele, msg: RpcMessage
+) -> RpcMessage:
+    """Run one request; always returns the reply (never raises).
+
+    Shared by both server flavours.  The caller writes the reply, so
+    the recorded latency and outcome cover the service call only.
+    """
+    stats.begin()
+    failed = False
+    t0 = time.monotonic()
+    adopted = tele.enabled and msg.trace_id is not None
+    if adopted:
+        # Adopt the caller's trace for the duration of the request:
+        # every event this thread records joins the caller's timeline
+        # in `adoc trace merge`.
+        prev_trace = tele.tracer.set_trace(msg.trace_id)
+        tele.event("rpc", msg.name, side="server", span=msg.span_id)
+    try:
+        service = registry.lookup(msg.name)
+        results = service(msg.args)
+        reply = RpcMessage(
+            MsgType.RESPONSE,
+            msg.name,
+            results,
+            status=0,
+            trace_id=msg.trace_id,
+            span_id=msg.span_id,
+        )
+    except Exception as exc:  # noqa: BLE001 - converted to RPC error
+        failed = True
+        detail = "".join(traceback.format_exception_only(type(exc), exc)).strip()
+        reply = _error_reply(msg.name, detail, msg.trace_id, msg.span_id)
+    finally:
+        if adopted:
+            tele.tracer.set_trace(prev_trace)
+        stats.end(failed)
+        _observe_rpc(tele, msg.name, failed, t0)
+    return reply
+
+
 @dataclass
 class ServerStats:
     """Served-request accounting (read by the agent's load balancing)."""
@@ -180,78 +237,24 @@ class Server:
                     break
                 if msg is None:
                     break
-                if msg.type != MsgType.REQUEST:
-                    self._reply_error(comm, msg.name, "expected a REQUEST")
-                    continue
-                self._handle(comm, msg)
+                if not self._handle(comm, msg):
+                    break
         finally:
             comm.close()
             with self._lock:
                 self._endpoints.discard(endpoint)
 
-    def _handle(self, comm: Communicator, msg: RpcMessage) -> None:
-        self.stats.begin()
-        failed = False
-        t0 = time.monotonic()
-        tele = active_telemetry()
-        adopted = tele.enabled and msg.trace_id is not None
-        if adopted:
-            # Adopt the caller's trace for the duration of the request:
-            # every event this thread records joins the caller's
-            # timeline in `adoc trace merge`.
-            prev_trace = tele.tracer.set_trace(msg.trace_id)
-            tele.event("rpc", msg.name, side="server", span=msg.span_id)
+    def _handle(self, comm: Communicator, msg: RpcMessage) -> bool:
+        """Answer one message; False once the peer can no longer hear it."""
+        if msg.type != MsgType.REQUEST:
+            reply = _error_reply(msg.name, "expected a REQUEST")
+        else:
+            reply = _execute(self.registry, self.stats, active_telemetry(), msg)
         try:
-            service = self.registry.lookup(msg.name)
-            results = service(msg.args)
-            write_message(
-                comm,
-                RpcMessage(
-                    MsgType.RESPONSE,
-                    msg.name,
-                    results,
-                    status=0,
-                    trace_id=msg.trace_id,
-                    span_id=msg.span_id,
-                ),
-            )
-        except Exception as exc:  # noqa: BLE001 - converted to RPC error
-            failed = True
-            detail = "".join(
-                traceback.format_exception_only(type(exc), exc)
-            ).strip()
-            self._reply_error(
-                comm, msg.name, detail,
-                trace_id=msg.trace_id, span_id=msg.span_id,
-            )
-        finally:
-            if adopted:
-                tele.tracer.set_trace(prev_trace)
-            self.stats.end(failed)
-            _observe_rpc(tele, msg.name, failed, t0)
-
-    def _reply_error(
-        self,
-        comm: Communicator,
-        name: str,
-        detail: str,
-        trace_id: str | None = None,
-        span_id: str | None = None,
-    ) -> None:
-        try:
-            write_message(
-                comm,
-                RpcMessage(
-                    MsgType.ERROR,
-                    name,
-                    [detail.encode("utf-8")],
-                    status=1,
-                    trace_id=trace_id,
-                    span_id=span_id,
-                ),
-            )
+            write_message(comm, reply)
         except TransportClosed:
-            pass
+            return False
+        return True
 
 
 class _RpcConnection:
@@ -283,11 +286,7 @@ class _RpcConnection:
 
     def _on_message(self, msg: RpcMessage) -> None:
         if msg.type != MsgType.REQUEST:
-            self._send(
-                RpcMessage(
-                    MsgType.ERROR, msg.name, [b"expected a REQUEST"], status=1
-                )
-            )
+            self._send(_error_reply(msg.name, "expected a REQUEST"))
             return
         if self.server.dispatch == "inline":
             self._send(self.server._execute(msg))
@@ -445,44 +444,7 @@ class ReactorRpcServer:
         Runs on a pool worker under ``dispatch="pool"``, on the loop
         thread under ``dispatch="inline"``.
         """
-        self.stats.begin()
-        failed = False
-        t0 = time.monotonic()
-        tele = self._server.telemetry
-        adopted = tele.enabled and msg.trace_id is not None
-        if adopted:
-            prev_trace = tele.tracer.set_trace(msg.trace_id)
-            tele.event("rpc", msg.name, side="server", span=msg.span_id)
-        try:
-            service = self.registry.lookup(msg.name)
-            results = service(msg.args)
-            reply = RpcMessage(
-                MsgType.RESPONSE,
-                msg.name,
-                results,
-                status=0,
-                trace_id=msg.trace_id,
-                span_id=msg.span_id,
-            )
-        except Exception as exc:  # noqa: BLE001 - converted to RPC error
-            failed = True
-            detail = "".join(
-                traceback.format_exception_only(type(exc), exc)
-            ).strip()
-            reply = RpcMessage(
-                MsgType.ERROR,
-                msg.name,
-                [detail.encode("utf-8")],
-                status=1,
-                trace_id=msg.trace_id,
-                span_id=msg.span_id,
-            )
-        finally:
-            if adopted:
-                tele.tracer.set_trace(prev_trace)
-            self.stats.end(failed)
-            _observe_rpc(tele, msg.name, failed, t0)
-        return reply
+        return _execute(self.registry, self.stats, self._server.telemetry, msg)
 
     def close(self, join_timeout: float = 10.0) -> None:
         """Tear down listeners, channels, loop thread, pool workers."""

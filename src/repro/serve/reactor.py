@@ -251,7 +251,7 @@ class Reactor:
 
     def _drain_wakeup(self, mask: int) -> None:
         try:
-            self._wake_r.recv(4096)  # adoclint: disable=ADOC115 -- non-blocking self-pipe drain: O_NONBLOCK is set in __init__, EAGAIN is caught
+            self._wake_r.recv(4096)
         except (BlockingIOError, OSError):
             pass
 

@@ -75,8 +75,8 @@ def test_inline_suppression_moves_finding_to_suppressed():
 
 
 def test_comma_separated_suppression_list_in_check():
-    # One comment carries lint + check rule ids; the check run honors
-    # the one that fires here (ADOC111) and ignores the rest.
+    # One comment carries two rule ids; the run honors the one that
+    # fires here (ADOC111) and ignores the other.
     report = run_check(
         [
             (
@@ -85,7 +85,7 @@ def test_comma_separated_suppression_list_in_check():
 __all__ = ["poll"]
 
 
-def poll(sock):  # adoclint: disable=ADOC101,ADOC111 -- fixed cadence probe; socket owned by caller
+def poll(sock):  # adoclint: disable=ADOC110,ADOC111 -- fixed cadence probe; socket owned by caller
     return sock.recv(1)
 """,
             )
@@ -96,22 +96,19 @@ def poll(sock):  # adoclint: disable=ADOC101,ADOC111 -- fixed cadence probe; soc
 
 
 def test_comma_separated_suppression_list_in_lint():
-    from repro.analysis.linter import lint_sources
-
-    # Thread() with no name= and no daemon=/join() raises ADOC104 and
-    # ADOC105 on the same line; one comma list silences both.
+    # An unnamed, never-joined Thread raises the single-file ADOC104 and
+    # the whole-program ADOC112 on the same line; one comma list
+    # silences both.
     src = """
 import threading
 
 
 def spawn(fn):
-    t = threading.Thread(target=fn)  # adoclint: disable=ADOC104,ADOC105 -- short-lived probe thread, reaped by the harness
-    t.start()
-    return t
+    threading.Thread(target=fn).start()  # adoclint: disable=ADOC104,ADOC112 -- short-lived probe thread, reaped by the harness
 """
-    report = lint_sources([("pkg/a.py", src)])
-    assert {f.rule for f in report.findings} & {"ADOC104", "ADOC105"} == set()
-    assert {f.rule for f in report.suppressed} >= {"ADOC104", "ADOC105"}
+    report = run_check([("pkg/a.py", src)])
+    assert report.findings == []
+    assert {f.rule for f in report.suppressed} == {"ADOC104", "ADOC112"}
 
 
 def test_baseline_round_trip(tmp_path):

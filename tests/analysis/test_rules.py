@@ -1,27 +1,28 @@
-"""Positive/negative fixtures for every adoclint rule.
+"""Positive/negative fixtures for every `adoc check` rule family.
 
 Each rule gets at least one seeded violation (the rule must fire) and
 one compliant variant (the rule must stay quiet) — the acceptance bar
 for the analyzer is that the *shape* of the violation is detected, not
-the exact program.
+the exact program.  Every fixture runs through the one driver,
+``run_check``, so single-file and whole-program rules see it together.
 """
 
 from __future__ import annotations
 
 import textwrap
 
-from repro.analysis import lint_sources
+from repro.analysis.checker import run_check
 
 
 def lint(source: str, path: str = "fixture.py"):
-    return lint_sources([(path, textwrap.dedent(source))])
+    return run_check([(path, textwrap.dedent(source))])
 
 
 def fired(source: str) -> set[str]:
     return {f.rule for f in lint(source).findings}
 
 
-# -- ADOC101: blocking call under a lock -----------------------------------
+# -- ADOC110, direct case (the retired ADOC101): blocking call under a lock -
 
 
 def test_adoc101_socket_send_under_lock_fires():
@@ -36,7 +37,7 @@ def test_adoc101_socket_send_under_lock_fires():
                 with self._lock:
                     sock.sendall(b"x")
     """
-    assert "ADOC101" in fired(src)
+    assert "ADOC110" in fired(src)
 
 
 def test_adoc101_sleep_and_compress_under_lock_fire():
@@ -51,7 +52,7 @@ def test_adoc101_sleep_and_compress_under_lock_fire():
                 return zlib.compress(data)
     """
     report = lint(src)
-    assert sum(f.rule == "ADOC101" for f in report.findings) == 2
+    assert sum(f.rule == "ADOC110" for f in report.findings) == 2
 
 
 def test_adoc101_queue_put_under_lock_fires_but_dict_get_does_not():
@@ -73,7 +74,7 @@ def test_adoc101_queue_put_under_lock_fires_but_dict_get_does_not():
                     return self.files.get(key)
     """
     report = lint(src)
-    assert sum(f.rule == "ADOC101" for f in report.findings) == 1
+    assert sum(f.rule == "ADOC110" for f in report.findings) == 1
 
 
 def test_adoc101_io_outside_lock_is_clean():
@@ -89,7 +90,7 @@ def test_adoc101_io_outside_lock_is_clean():
                     payload = self.buf
                 sock.sendall(payload)
     """
-    assert "ADOC101" not in fired(src)
+    assert "ADOC110" not in fired(src)
 
 
 def test_adoc101_nested_def_inside_with_is_clean():
@@ -105,7 +106,21 @@ def test_adoc101_nested_def_inside_with_is_clean():
                     sock.sendall(b"x")
                 return sender
     """
-    assert "ADOC101" not in fired(src)
+    assert "ADOC110" not in fired(src)
+
+
+def test_adoc110_module_level_sleep_under_lock_fires():
+    # Import-time statements are walked too, not only function bodies.
+    src = """
+        import threading, time
+
+        lock = threading.Lock()
+
+        with lock:
+            time.sleep(1)
+    """
+    [f] = [f for f in lint(src).findings if f.rule == "ADOC110"]
+    assert f.line == 7 and "sleep" in f.message
 
 
 # -- ADOC102: wait() must sit in a while loop ------------------------------
@@ -197,7 +212,7 @@ def test_adoc103_notify_under_lock_is_clean():
     assert "ADOC103" not in fired(src)
 
 
-# -- ADOC104/ADOC105: Thread construction hygiene --------------------------
+# -- ADOC104 thread names; ADOC112 (absorbed the retired ADOC105) lifecycle -
 
 
 def test_adoc104_anonymous_thread_fires():
@@ -217,7 +232,7 @@ def test_adoc105_no_daemon_no_join_fires():
         def go(fn):
             threading.Thread(target=fn, name="worker").start()
     """
-    assert "ADOC105" in fired(src)
+    assert "ADOC112" in fired(src)
 
 
 def test_adoc105_joined_thread_is_clean():
@@ -232,14 +247,17 @@ def test_adoc105_joined_thread_is_clean():
     assert fired(src) == set()
 
 
-def test_named_daemon_thread_is_clean():
+def test_named_daemon_thread_without_join_fires_adoc112():
+    # The one fixture whose outcome changed when ADOC105 was retired:
+    # daemon=True alone used to settle the lifecycle; ADOC112 still
+    # wants a join or reap on some shutdown path.
     src = """
         import threading
 
         def go(fn):
             threading.Thread(target=fn, name="worker", daemon=True).start()
     """
-    assert fired(src) == set()
+    assert fired(src) == {"ADOC112"}
 
 
 # -- ADOC106: thread bodies must record exceptions -------------------------
@@ -344,7 +362,7 @@ def test_adoc107_cross_file_unpack_counts():
         def parse(data):
             return struct.unpack(">Q", data)
     """
-    report = lint_sources(
+    report = run_check(
         [
             ("sender.py", textwrap.dedent(sender)),
             ("receiver.py", textwrap.dedent(receiver)),
@@ -356,7 +374,7 @@ def test_adoc107_cross_file_unpack_counts():
 def test_adoc107_mismatched_formats_fire():
     sender = "import struct\n\ndef f(n):\n    return struct.pack('>HH', n, n)\n"
     receiver = "import struct\n\ndef g(d):\n    return struct.unpack('>I', d)\n"
-    report = lint_sources([("s.py", sender), ("r.py", receiver)])
+    report = run_check([("s.py", sender), ("r.py", receiver)])
     assert {f.rule for f in report.findings} == {"ADOC107"}
 
 
@@ -425,7 +443,9 @@ def test_justified_suppression_silences_the_finding():
         import threading
 
         def go(fn):
-            threading.Thread(target=fn, daemon=True).start()  # adoclint: disable=ADOC104 -- ephemeral probe thread, named by its pool
+            t = threading.Thread(target=fn, daemon=True)  # adoclint: disable=ADOC104 -- ephemeral probe thread, named by its pool
+            t.start()
+            t.join()
     """
     report = lint(src)
     assert report.findings == []
@@ -437,7 +457,9 @@ def test_unjustified_suppression_earns_adoc100():
         import threading
 
         def go(fn):
-            threading.Thread(target=fn, daemon=True).start()  # adoclint: disable=ADOC104
+            t = threading.Thread(target=fn, daemon=True)  # adoclint: disable=ADOC104
+            t.start()
+            t.join()
     """
     report = lint(src)
     assert [f.rule for f in report.findings] == ["ADOC100"]
@@ -449,6 +471,19 @@ def test_unknown_rule_in_suppression_earns_adoc100():
         x = 1  # adoclint: disable=ADOC999 -- no such rule
     """
     assert fired(src) == {"ADOC100"}
+
+
+def test_retired_rule_id_in_suppression_earns_adoc100():
+    # An unmigrated ADOC101/ADOC105 suppression must not hide anything.
+    src = """
+        x = 1  # adoclint: disable=ADOC101 -- lock exists to serialise sends
+        y = 2  # adoclint: disable=ADOC105 -- lifecycle decided by the caller
+    """
+    report = lint(src)
+    assert [(f.line, f.rule) for f in report.findings] == [
+        (2, "ADOC100"),
+        (3, "ADOC100"),
+    ]
 
 
 def test_report_renders_location_and_rule():

@@ -5,7 +5,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analysis.checker import run_check
-from repro.analysis.linter import lint_sources
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -15,7 +14,7 @@ def _wire(report):
 
 
 def test_pack_without_any_unpack_still_fires():
-    report = lint_sources(
+    report = run_check(
         [
             (
                 "pkg/a.py",
@@ -35,7 +34,7 @@ def send(ep, idx, k):
 
 
 def test_alias_packed_here_unpacked_in_importing_module_is_clean():
-    report = lint_sources(
+    report = run_check(
         [
             (
                 "pkg/wire.py",
@@ -63,7 +62,7 @@ def read(raw):
 
 
 def test_import_chain_re_export_resolves():
-    report = lint_sources(
+    report = run_check(
         [
             (
                 "pkg/wire.py",
@@ -83,7 +82,7 @@ def test_import_chain_re_export_resolves():
 def test_duplicate_wire_definitions_same_format_are_flagged():
     # Two independently-defined Structs with the same format string are
     # a drift hazard: editing one silently desynchronises the wire.
-    report = lint_sources(
+    report = run_check(
         [
             (
                 "pkg/sender.py",
@@ -104,7 +103,7 @@ def test_duplicate_wire_definitions_same_format_are_flagged():
 def test_alias_from_unlisted_external_module_is_skipped():
     # The import target is outside the analyzed set; symmetric-or-not is
     # unknowable, so the checker stays quiet rather than guessing.
-    report = lint_sources(
+    report = run_check(
         [
             (
                 "pkg/a.py",
@@ -121,7 +120,7 @@ def send(ep, i, k):
 
 
 def test_literal_format_pack_matches_alias_unpack():
-    report = lint_sources(
+    report = run_check(
         [
             (
                 "pkg/a.py",
