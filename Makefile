@@ -30,7 +30,7 @@ check:
 	$(PYTHON) -m repro.cli check src/repro -v
 
 # Send-path engine benchmark (legacy vs streaming) plus the reactor
-# concurrency curve (thread-per-connection vs multiplexed): full runs
+# concurrency curve (streams vs throughput): full runs
 # write BENCH_send_path.json / BENCH_concurrency.json and enforce the
 # perf acceptance bars; smoke is the seconds-long CI variant.
 bench:

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.bench import render_netsolve_figure, run_netsolve_figure
 from repro.data import sparse_matrix
-from repro.middleware import AdocCommunicator, Agent, Client, PlainCommunicator, Server
+from repro.middleware import AdocCommunicator, Agent, Client, PlainCommunicator, ReactorRpcServer
 from repro.transport import LAN100
 
 from conftest import emit
@@ -38,20 +38,24 @@ def test_fig8(benchmark):
 
 def test_fig8_live_middleware(benchmark):
     """Reduced-size live round trip: sparse dgemm with AdOC over the
-    shaped LAN must beat the plain communicator."""
+    shaped LAN must beat the plain communicator.  The reactor server
+    hosts the shaped link through a splice."""
 
-    def run_once(comm_factory):
+    def run_once(mode, comm_factory):
         agent = Agent()
-        server = Server("s1", communicator_factory=comm_factory)
+        server = ReactorRpcServer("s1", mode=mode)
         agent.register(server, lambda: LAN100.make_pair(seed=21))
-        client = Client(agent, communicator_factory=comm_factory)
-        s = sparse_matrix(180)  # ~650 KB marshalled
-        result, info = client.call_timed("dgemm", s, s)
+        try:
+            client = Client(agent, communicator_factory=comm_factory)
+            s = sparse_matrix(180)  # ~650 KB marshalled
+            result, info = client.call_timed("dgemm", s, s)
+        finally:
+            server.close()
         assert not result.any()
         return info.elapsed_s
 
     def run():
-        return run_once(PlainCommunicator), run_once(AdocCommunicator)
+        return run_once("plain", PlainCommunicator), run_once("adoc", AdocCommunicator)
 
     plain_s, adoc_s = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(f"live dgemm(180) sparse over LAN100: plain {plain_s:.2f}s, AdOC {adoc_s:.2f}s")

@@ -59,31 +59,34 @@ def main() -> None:
         return profile.make_pair(seed=seed_counter[0])
 
     server = FileServer(factory, config=DEMO_CFG, chunk_size=512 * 1024)
-    client = FileClient(server, config=DEMO_CFG)
-    client.set_stripes(args.stripes)
+    try:
+        client = FileClient(server, config=DEMO_CFG)
+        client.set_stripes(args.stripes)
 
-    print(
-        f"gridftp-lite over shaped {args.profile} "
-        f"({profile.bandwidth_bps / 1e6:.0f} Mbit/s), {args.stripes} stripe(s)\n"
-    )
-    for mode in ("PLAIN", "ADOC"):
-        client.set_mode(mode)
-        for name, data in files.items():
-            t0 = time.monotonic()
-            report = client.store(f"{mode.lower()}-{name}", data)
-            elapsed = time.monotonic() - t0
-            print(
-                f"  {mode:<5} STOR {name:<11} {len(data) / 1024:7.0f} KB -> "
-                f"{report.wire_bytes / 1024:7.0f} KB on the wire "
-                f"(ratio {report.compression_ratio:4.2f}) in {elapsed:5.2f}s"
-            )
+        print(
+            f"gridftp-lite over shaped {args.profile} "
+            f"({profile.bandwidth_bps / 1e6:.0f} Mbit/s), {args.stripes} stripe(s)\n"
+        )
+        for mode in ("PLAIN", "ADOC"):
+            client.set_mode(mode)
+            for name, data in files.items():
+                t0 = time.monotonic()
+                report = client.store(f"{mode.lower()}-{name}", data)
+                elapsed = time.monotonic() - t0
+                print(
+                    f"  {mode:<5} STOR {name:<11} {len(data) / 1024:7.0f} KB -> "
+                    f"{report.wire_bytes / 1024:7.0f} KB on the wire "
+                    f"(ratio {report.compression_ratio:4.2f}) in {elapsed:5.2f}s"
+                )
 
-    # Round-trip check: download one file back in ADOC mode.
-    got = client.retrieve("adoc-oilpann.hb")
-    assert got == files["oilpann.hb"], "retrieve corrupted the file"
-    print("\nRETR adoc-oilpann.hb verified byte-identical")
-    print("catalog:", client.list_files())
-    client.quit()
+        # Round-trip check: download one file back in ADOC mode.
+        got = client.retrieve("adoc-oilpann.hb")
+        assert got == files["oilpann.hb"], "retrieve corrupted the file"
+        print("\nRETR adoc-oilpann.hb verified byte-identical")
+        print("catalog:", client.list_files())
+        client.quit()
+    finally:
+        server.close()
 
 
 if __name__ == "__main__":

@@ -19,24 +19,27 @@ import numpy as np
 
 from repro import ALL_PROFILES
 from repro.data import dense_matrix, sparse_matrix
-from repro.middleware import AdocCommunicator, Agent, Client, PlainCommunicator, Server
+from repro.middleware import AdocCommunicator, Agent, Client, PlainCommunicator, ReactorRpcServer
 
 
-def run_once(profile, comm_factory, label: str, n: int) -> None:
+def run_once(profile, mode: str, comm_factory, label: str, n: int) -> None:
     agent = Agent()
-    server = Server("compute-1", communicator_factory=comm_factory)
+    server = ReactorRpcServer("compute-1", mode=mode)
     agent.register(server, lambda: profile.make_pair(seed=17))
     client = Client(agent, communicator_factory=comm_factory)
 
-    for kind, make in (("dense", lambda: dense_matrix(n, seed=4)), ("sparse", lambda: sparse_matrix(n))):
-        a = make()
-        b = make()
-        c, info = client.call_timed("dgemm", a, b)
-        assert np.allclose(c, a @ b), "wrong dgemm result!"
-        print(
-            f"  {label:<8} {kind:<7} n={n}: {info.elapsed_s:6.2f}s, "
-            f"request ratio {info.compression_ratio:5.2f}"
-        )
+    try:
+        for kind, make in (("dense", lambda: dense_matrix(n, seed=4)), ("sparse", lambda: sparse_matrix(n))):
+            a = make()
+            b = make()
+            c, info = client.call_timed("dgemm", a, b)
+            assert np.allclose(c, a @ b), "wrong dgemm result!"
+            print(
+                f"  {label:<8} {kind:<7} n={n}: {info.elapsed_s:6.2f}s, "
+                f"request ratio {info.compression_ratio:5.2f}"
+            )
+    finally:
+        server.close()
 
 
 def main() -> None:
@@ -48,8 +51,8 @@ def main() -> None:
     if profile.bandwidth_bps < 50e6:
         profile = profile.scaled(10)
     print(f"dgemm over shaped {args.profile} ({profile.bandwidth_bps / 1e6:.0f} Mbit/s):")
-    run_once(profile, PlainCommunicator, "NetSolve", args.n)
-    run_once(profile, AdocCommunicator, "+AdOC", args.n)
+    run_once(profile, "plain", PlainCommunicator, "NetSolve", args.n)
+    run_once(profile, "adoc", AdocCommunicator, "+AdOC", args.n)
 
 
 if __name__ == "__main__":

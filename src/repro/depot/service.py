@@ -32,7 +32,7 @@ _U64 = struct.Struct(">Q")
 
 
 def depot_registry(depot: ByteArrayDepot) -> ServiceRegistry:
-    """A service registry exposing ``depot`` (mount it on a Server)."""
+    """A service registry exposing ``depot`` (mount it on a ReactorRpcServer)."""
     reg = ServiceRegistry()
 
     def allocate(args: list[bytes]) -> list[bytes]:

@@ -1,10 +1,14 @@
 """The mini-gridFTP file server.
 
 One :class:`FileServer` holds an in-memory file store and serves any
-number of control connections, each on its own thread.  Data channels
-are brokered by token: STOR/RETR replies carry channel tokens; the
-client redeems each token for its end of a freshly created endpoint
-pair (standing in for PASV's host/port in our in-process world).
+number of control connections, each a channel on one shared reactor:
+line assembly runs on the loop thread, commands run on the worker pool.
+Control connections arrive from a TCP listener (:meth:`FileServer.listen`)
+or from the transport factory (:meth:`FileServer.connect`, which may
+make in-memory or shaped links).  Data channels are brokered by token:
+STOR/RETR replies carry channel tokens; the client redeems each token
+for its end of a freshly created endpoint pair (standing in for PASV's
+host/port in our in-process world).
 
 The compression option (paper's conclusion: "as in FTP a compression
 option is available") is the session's MODE: data channels are wrapped
@@ -14,7 +18,6 @@ in AdOC when the session selects ``MODE ADOC``.
 from __future__ import annotations
 
 import secrets
-import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -22,20 +25,20 @@ from typing import Callable
 
 from ..analysis.lockgraph import make_lock
 from ..core.config import AdocConfig, DEFAULT_CONFIG
-from ..core.deadlines import TransferError, reap_threads
 from ..obs.telemetry import Telemetry
 from ..serve import PlainChannel, PoolClosed, Reactor, ReactorServer, WorkerPool
-from ..transport.base import Endpoint, TransportClosed, sendall
-from .protocol import ProtocolViolation, format_reply, parse_command, read_line
+from ..serve.server import DEFAULT_BACKLOG
+from ..transport.base import Endpoint
+from .protocol import ProtocolViolation, format_reply, parse_command
 from .transfer import DEFAULT_CHUNK, receive_data, send_data
 
-__all__ = ["FileServer", "ReactorFileServer", "ChannelBroker"]
+__all__ = ["FileServer", "ChannelBroker"]
 
 TransportFactory = Callable[[], tuple[Endpoint, Endpoint]]
 
 MAX_STRIPES = 16
 
-#: Longest accepted control line (matches the blocking reader's bound).
+#: Longest accepted control line (matches the client's reader bound).
 MAX_CONTROL_LINE = 4096
 
 #: Seconds between retries when the worker pool is saturated and a
@@ -73,13 +76,27 @@ class ChannelBroker:
 
 
 class FileServer:
-    """In-memory gridFTP-lite server with AdOC-optional data channels."""
+    """In-memory gridFTP-lite server with AdOC-optional data channels.
+
+    Control endpoints of any kind work: socket-backed ones go straight
+    to the reactor, others are spliced onto a socketpair (see
+    :meth:`~repro.serve.ReactorServer.adopt`).  Data channels may be any
+    endpoint the transport factory makes, because transfers run on the
+    worker pool with the blocking engine.  ``close()`` walks listeners,
+    channels, the loop thread, and the pool workers down through
+    :func:`~repro.core.deadlines.reap_threads`.
+    """
 
     def __init__(
         self,
         transport_factory: TransportFactory,
         config: AdocConfig = DEFAULT_CONFIG,
         chunk_size: int = DEFAULT_CHUNK,
+        telemetry: Telemetry | None = None,
+        reactor: Reactor | None = None,
+        pool: WorkerPool | None = None,
+        workers: int | None = None,
+        max_pending: int = 256,
     ) -> None:
         self.transport_factory = transport_factory
         self.config = config
@@ -88,47 +105,56 @@ class FileServer:
         self.files: dict[str, bytes] = {}
         self._files_lock = make_lock("FileServer.files_lock")
         self.transfers = 0  # diagnostic counter
-        self._sessions: list[tuple[threading.Thread, Endpoint]] = []
+        self._server = ReactorServer(
+            name="gridftp",
+            config=config,
+            telemetry=telemetry,
+            reactor=reactor,
+            pool=pool,
+            workers=workers,
+            max_pending=max_pending,
+        )
+
+    @property
+    def reactor(self) -> Reactor:
+        return self._server.reactor
+
+    @property
+    def pool(self) -> WorkerPool:
+        return self._server.pool
+
+    @property
+    def connection_count(self) -> int:
+        return self._server.connection_count
 
     # -- connection management ------------------------------------------------
 
     def connect(self) -> Endpoint:
         """Open a control connection; returns the client's end."""
         client_end, server_end = self.transport_factory()
-        thread = threading.Thread(
-            target=self._control_loop,
-            args=(server_end,),
-            name="gridftp-control",
-            daemon=True,
-        )
-        self._sessions.append((thread, server_end))
-        thread.start()
+        self._server.adopt(server_end, self._make_channel)
         return client_end
 
-    def close(self, join_timeout: float = 5.0) -> None:
-        """Tear down every control session: close the server-side
-        endpoints (waking any loop blocked in ``read_line``) and reap
-        the control threads.  Idempotent; sessions that already ended
-        are just reaped.  The seeded error list sends
-        :func:`~repro.core.deadlines.reap_threads` straight to its
-        bounded join, so a session wedged inside a transfer surfaces as
-        a ``teardown`` error instead of a silent half-closed server."""
-        sessions, self._sessions = self._sessions, []
+    def listen(
+        self, host: str = "127.0.0.1", port: int = 0, backlog: int = DEFAULT_BACKLOG
+    ) -> tuple[str, int]:
+        """Serve control connections from a TCP port (socket deployments)."""
+        return self._server.listen(host, port, self._make_channel, backlog)
 
-        def close_endpoints() -> None:
-            for _, endpoint in sessions:
-                try:
-                    endpoint.close()
-                except Exception:  # noqa: BLE001 - endpoint may already be dead
-                    pass
-
-        close_endpoints()
-        reap_threads(
-            [thread for thread, _ in sessions],
-            [TransferError("server closing", stage="teardown")],
-            cancel=close_endpoints,
-            join_timeout=join_timeout,
+    def _make_channel(self, endpoint, addr) -> PlainChannel:
+        channel = PlainChannel(
+            self._server.reactor, endpoint, self.config, self._server.telemetry
         )
+        session = _ControlSession(self, channel)
+        channel.on_data = session.feed
+        # Greet once the server has opened the channel (this factory
+        # returns before open() runs).
+        self._server.reactor.call_soon(session.greet)
+        return channel
+
+    def close(self, join_timeout: float = 5.0) -> None:
+        """Tear down listeners, control sessions, loop thread, pool workers."""
+        self._server.close(join_timeout)
 
     # -- file store -------------------------------------------------------------
 
@@ -140,35 +166,11 @@ class FileServer:
         with self._files_lock:
             return self.files[name]
 
-    # -- control loop -----------------------------------------------------------
-
-    def _control_loop(self, control: Endpoint) -> None:
-        state = _SessionState()
-
-        def reply(code: int, text: str) -> None:
-            sendall(control, format_reply(code, text))
-
-        try:
-            reply(220, "gridftp-lite ready")
-            while True:
-                line = read_line(control)
-                if not line:
-                    return
-                if not self._dispatch(state, reply, line):
-                    return
-        except (TransportClosed, ProtocolViolation):
-            pass
-        finally:
-            control.close()
-
     def _dispatch(self, state: _SessionState, reply, line: bytes) -> bool:
         """Handle one control line; ``False`` ends the session.
 
-        ``reply(code, text)`` is the session's way of talking back —
-        a blocking ``sendall`` for thread-per-connection sessions, a
-        loop-thread hop for reactor sessions.  Everything else (command
-        grammar, session state, transfer brokering) is identical in
-        both serving models.
+        Runs on a pool worker; ``reply(code, text)`` hops the reply to
+        the loop thread.
         """
         try:
             verb, args = parse_command(line.decode("utf-8"))
@@ -265,13 +267,13 @@ class _ControlSession:
 
     Line assembly runs on the loop thread; each complete command runs
     on the worker pool (STOR/RETR block on their data endpoints), one
-    command at a time per session so session state and reply order
-    match the thread-per-connection server exactly.  The pool's
-    ``max_pending`` bound is therefore also the transfer-concurrency
-    bound — a storm of STORs queues instead of spawning threads.
+    command at a time per session so session state and replies stay in
+    command order.  The pool's ``max_pending`` bound is therefore also
+    the transfer-concurrency bound — a storm of STORs queues instead of
+    spawning threads.
     """
 
-    def __init__(self, server: "ReactorFileServer", channel: PlainChannel) -> None:
+    def __init__(self, server: FileServer, channel: PlainChannel) -> None:
         self.server = server
         self.channel = channel
         self.state = _SessionState()
@@ -353,112 +355,3 @@ class _ControlSession:
         self.channel.reactor.call_soon_threadsafe(
             partial(self._finish, keep_going, error)
         )
-
-
-class ReactorFileServer(FileServer):
-    """A :class:`FileServer` whose control plane multiplexes on one reactor.
-
-    Control endpoints must be socket-backed (``fileno``/``setblocking``
-    — the reactor selects on them); data channels may be any endpoint
-    the transport factory makes, because transfers run on the worker
-    pool with the blocking engine.  ``close()`` walks listeners,
-    channels, the loop thread, and the pool workers down through
-    :func:`~repro.core.deadlines.reap_threads`.
-    """
-
-    def __init__(
-        self,
-        transport_factory: TransportFactory,
-        config: AdocConfig = DEFAULT_CONFIG,
-        chunk_size: int = DEFAULT_CHUNK,
-        telemetry: Telemetry | None = None,
-        reactor: Reactor | None = None,
-        pool: WorkerPool | None = None,
-        workers: int | None = None,
-        max_pending: int = 256,
-    ) -> None:
-        super().__init__(transport_factory, config, chunk_size)
-        self._server = ReactorServer(
-            name="gridftp",
-            config=config,
-            telemetry=telemetry,
-            reactor=reactor,
-            pool=pool,
-            workers=workers,
-            max_pending=max_pending,
-        )
-
-    @property
-    def reactor(self) -> Reactor:
-        return self._server.reactor
-
-    @property
-    def pool(self) -> WorkerPool:
-        return self._server.pool
-
-    @property
-    def connection_count(self) -> int:
-        return self._server.connection_count
-
-    def connect(self) -> Endpoint:
-        """Open a control connection; returns the client's end.
-
-        Unlike the base class this consumes no thread: the server end
-        becomes a channel on the shared reactor.
-        """
-        client_end, server_end = self.transport_factory()
-        ready = threading.Event()
-        failures: list[BaseException] = []
-
-        def setup() -> None:
-            try:
-                channel = PlainChannel(
-                    self._server.reactor,
-                    server_end,
-                    self.config,
-                    self._server.telemetry,
-                )
-                session = _ControlSession(self, channel)
-                channel.on_data = session.feed
-                self._server.track(channel)
-                channel.open()
-                session.greet()
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
-                failures.append(exc)
-                try:
-                    server_end.close()
-                except Exception:  # noqa: BLE001
-                    pass
-            finally:
-                ready.set()
-
-        self._server.reactor.call_soon_threadsafe(setup)
-        if not ready.wait(10.0):
-            raise TransferError(
-                "reactor loop did not take the control connection", stage="accept"
-            )
-        if failures:
-            raise failures[0]
-        return client_end
-
-    def listen(self, host: str = "127.0.0.1", port: int = 0, backlog: int | None = None):
-        """Serve control connections from a TCP port (socket deployments)."""
-        from ..serve.server import DEFAULT_BACKLOG
-
-        def channel_factory(endpoint, addr):
-            channel = PlainChannel(
-                self._server.reactor, endpoint, self.config, self._server.telemetry
-            )
-            session = _ControlSession(self, channel)
-            channel.on_data = session.feed
-            # Greet once on_accept has opened the channel (this factory
-            # returns before open() runs).
-            self._server.reactor.call_soon(session.greet)
-            return channel
-
-        return self._server.listen(
-            host, port, channel_factory, backlog if backlog is not None else DEFAULT_BACKLOG
-        )
-
-    def close(self, join_timeout: float = 5.0) -> None:
-        self._server.close(join_timeout)

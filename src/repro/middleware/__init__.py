@@ -1,8 +1,10 @@
 """Mini-NetSolve: a GridRPC middleware with a pluggable communicator.
 
 Reproduces the paper's section 6.2 integration: the only difference
-between "NetSolve" and "NetSolve + AdOC" is whether connections are
-wrapped in :class:`PlainCommunicator` or :class:`AdocCommunicator`.
+between "NetSolve" and "NetSolve + AdOC" is whether client connections
+are wrapped in :class:`PlainCommunicator` or :class:`AdocCommunicator`,
+and whether the :class:`ReactorRpcServer` runs in ``"plain"`` or
+``"adoc"`` mode.
 """
 
 from .agent import Agent, Registration
@@ -16,7 +18,7 @@ from .protocol import (
     read_message,
     write_message,
 )
-from .server import Server, ServerStats
+from .server import ReactorRpcServer, ServerStats
 from .services import ServiceRegistry, default_registry
 
 __all__ = [
@@ -24,7 +26,7 @@ __all__ = [
     "Registration",
     "Client",
     "CallResult",
-    "Server",
+    "ReactorRpcServer",
     "ServerStats",
     "Communicator",
     "PlainCommunicator",

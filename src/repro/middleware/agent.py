@@ -21,7 +21,7 @@ from typing import Callable
 
 from ..analysis.lockgraph import make_lock
 from ..transport.base import Endpoint
-from .server import Server
+from .server import ReactorRpcServer
 
 __all__ = ["Agent", "Registration"]
 
@@ -32,7 +32,7 @@ TransportFactory = Callable[[], tuple[Endpoint, Endpoint]]
 
 @dataclass
 class Registration:
-    server: Server
+    server: ReactorRpcServer
     factory: TransportFactory
 
 
@@ -44,16 +44,16 @@ class Agent:
         self._rr = 0
         self._lock = make_lock("Agent.lock")
 
-    def register(self, server: Server, factory: TransportFactory) -> None:
+    def register(self, server: ReactorRpcServer, factory: TransportFactory) -> None:
         """A server announces itself (NetSolve server start-up)."""
         with self._lock:
             self._registrations.append(Registration(server, factory))
 
-    def servers_for(self, service: str) -> list[Server]:
+    def servers_for(self, service: str) -> list[ReactorRpcServer]:
         with self._lock:
             return [r.server for r in self._registrations if service in r.server.registry]
 
-    def connect(self, service: str) -> Endpoint:  # adoclint: disable=ADOC111 -- serve() is called in background mode and returns immediately; the join only runs for foreground serves
+    def connect(self, service: str) -> Endpoint:
         """Pick the best server for ``service`` and return a connected
         client endpoint (the server side starts serving immediately).
 

@@ -9,14 +9,16 @@ every ``read`` became ``adoc_read``, every ``write`` became
 * :class:`AdocCommunicator` — the same surface over the AdOC library
   (the AdOC-enabled NetSolve).
 
-Everything above (protocol marshalling, agent, server, client) is
-identical for both; construct a :class:`repro.middleware.client.Client`
-or :class:`repro.middleware.server.Server` with one or the other.
+Everything above (protocol marshalling, agent, client) is identical
+for both; construct a :class:`repro.middleware.client.Client` with one
+or the other.
 
-The reactor-mode servers make the same choice through the same seam:
-each communicator class declares its ``channel_mode``, and
-:func:`reactor_channel` builds the matching non-blocking channel — so
-"plain vs AdOC" stays a one-line decision in both threading models.
+The server makes the same choice on its side of the wire: it runs on
+the reactor, so it has no blocking communicator, and picks its framing
+by ``mode`` (``"plain"`` or ``"adoc"``) instead.  :func:`reactor_channel`
+maps that mode to the matching non-blocking channel — so "plain vs
+AdOC" stays a one-line decision on both sides, and this module stays
+the one file that makes it.
 """
 
 from __future__ import annotations
@@ -90,9 +92,6 @@ class Communicator(abc.ABC):
 class PlainCommunicator(Communicator):
     """Unmodified NetSolve: plain read/write on the socket."""
 
-    #: Reactor-mode counterpart (see :func:`reactor_channel`).
-    channel_mode = "plain"
-
     def __init__(self, endpoint: Endpoint) -> None:
         self.endpoint = endpoint
         self.bytes_written = 0
@@ -110,9 +109,6 @@ class PlainCommunicator(Communicator):
 
 class AdocCommunicator(Communicator):
     """AdOC-enabled NetSolve: read/write replaced by adoc_read/adoc_write."""
-
-    #: Reactor-mode counterpart (see :func:`reactor_channel`).
-    channel_mode = "adoc"
 
     def __init__(self, endpoint: Endpoint, config: AdocConfig = DEFAULT_CONFIG) -> None:
         self.socket = AdocSocket(endpoint, config)
@@ -142,35 +138,23 @@ class AdocCommunicator(Communicator):
 
 
 def reactor_channel(
-    mode_or_factory,
+    mode: str,
     reactor,
     endpoint,
     pool,
     config: AdocConfig = DEFAULT_CONFIG,
     telemetry=None,
 ):
-    """Build the channel matching a communicator choice.
+    """Build the server-side channel for ``mode`` (``"plain"``/``"adoc"``).
 
-    Accepts either a mode string (``"plain"`` / ``"adoc"``) or any
-    communicator factory carrying a ``channel_mode`` attribute
-    (:class:`PlainCommunicator`, :class:`AdocCommunicator`, or a
-    wrapper that sets it).  Keeping the mapping here preserves the
-    paper's story: this module is the single file that decides whether
-    the middleware speaks plain or AdOC bytes, in both threading
-    models.
+    The reactor-side twin of picking :class:`PlainCommunicator` or
+    :class:`AdocCommunicator`: the two channel kinds speak exactly the
+    bytes those communicators do.
     """
     from ..serve.channel import AdocChannel, PlainChannel
 
-    mode = (
-        mode_or_factory
-        if isinstance(mode_or_factory, str)
-        else getattr(mode_or_factory, "channel_mode", None)
-    )
     if mode == "adoc":
         return AdocChannel(reactor, endpoint, pool, config, telemetry)
     if mode == "plain":
         return PlainChannel(reactor, endpoint, config, telemetry)
-    raise TypeError(
-        f"cannot infer a channel mode from {mode_or_factory!r}; pass "
-        "'plain'/'adoc' or a communicator class with channel_mode"
-    )
+    raise ValueError(f"mode must be 'plain' or 'adoc', not {mode!r}")

@@ -54,7 +54,8 @@ __all__ = [
 ]
 
 _MAGIC = b"NS"
-_HDR = struct.Struct(">2sBB")
+#: magic, type, status, name length.
+_HDR = struct.Struct(">2sBBH")
 _U16 = struct.Struct(">H")
 _U64 = struct.Struct(">Q")
 
@@ -62,8 +63,9 @@ _U64 = struct.Struct(">Q")
 TRACE_WIRE_VERSION = 1
 
 _TMAGIC = b"NT"
-#: magic, version, type, status, 16-byte trace id, 8-byte span id.
-_THDR = struct.Struct(">2sBBB16s8s")
+#: magic, version, type, status, 16-byte trace id, 8-byte span id,
+#: name length.
+_THDR = struct.Struct(">2sBBB16s8sH")
 
 #: All-zero span id on the wire means "no span" (trace id only).
 _NO_SPAN = b"\x00" * 8
@@ -140,9 +142,9 @@ def _trace_bytes(value: str | None, size: int, what: str) -> bytes:
 def _pack_header(msg: RpcMessage) -> bytes:
     """The fixed header + name + nargs prefix (legacy or traced form)."""
     name_b = msg.name.encode("utf-8")
-    tail = _U16.pack(len(name_b)) + name_b + _U16.pack(len(msg.args))
+    tail = name_b + _U16.pack(len(msg.args))
     if msg.trace_id is None:
-        return _HDR.pack(_MAGIC, msg.type, msg.status) + tail
+        return _HDR.pack(_MAGIC, msg.type, msg.status, len(name_b)) + tail
     return (
         _THDR.pack(
             _TMAGIC,
@@ -151,6 +153,7 @@ def _pack_header(msg: RpcMessage) -> bytes:
             msg.status,
             _trace_bytes(msg.trace_id, 16, "trace_id"),
             _trace_bytes(msg.span_id, 8, "span_id"),
+            len(name_b),
         )
         + tail
     )
@@ -205,137 +208,147 @@ def iter_message_segments(msg: RpcMessage):
             yield arg
 
 
-# MessageAssembler states.
-_A_HEADER = 0  # fixed header + name length
-_A_NAME = 1
-_A_NARGS = 2
-_A_ARGLEN = 3
-_A_ARG = 4
+# MessageAssembler fields, in wire order.  The first field is sized to
+# the legacy header, which no message is shorter than; a traced header
+# then needs ``_TRACED_REST`` more bytes.
+_F_HEADER = 0
+_F_TRACED = 1
+_F_NAME = 2
+_F_NARGS = 3
+_F_ARGLEN = 4
+_F_ARG = 5
+
+_TRACED_REST = _THDR.size - _HDR.size
 
 
 class MessageAssembler:
-    """Incremental push-mode parser for the NS wire format.
+    """Incremental push-mode parser for the NS wire format — the only one.
 
-    The reactor-mode servers have no blocking ``read_exact`` to pull
-    fields through; instead the channel pushes whatever bytes arrived
-    and the assembler invokes ``on_message(msg)`` for every complete
-    :class:`RpcMessage` — zero, one, or several per ``feed``.  The
-    format is self-delimiting, so AdOC message boundaries (one blocking
-    ``write`` = one AdOC message) need no special handling: the
-    assembler consumes the decoded byte stream exactly as
-    :func:`read_message` consumes ``comm.read``.
+    Callers push whatever bytes arrived and the assembler invokes
+    ``on_message(msg)`` for every complete :class:`RpcMessage` — zero,
+    one, or several per ``feed``.  The reactor server pushes socket
+    reads; :func:`read_message` pulls exactly :attr:`need` bytes at a
+    time through a blocking communicator, so it never reads past the
+    message it returns.  The format is self-delimiting, so AdOC message
+    boundaries (one blocking ``write`` = one AdOC message) need no
+    special handling.
 
     ``max_arg_bytes`` bounds a single argument so a malformed or
-    hostile length prefix cannot make the server buffer unbounded
-    memory — the blocking reader never needed this because it paid the
-    memory on the reading thread; here the loop thread pays it.
+    hostile length prefix cannot make the reader buffer unbounded
+    memory.
     """
 
-    def __init__(
-        self,
-        on_message,
-        max_arg_bytes: int = 1 << 31,
-    ) -> None:
+    def __init__(self, on_message, max_arg_bytes: int = 1 << 31) -> None:
         self.on_message = on_message
         self.max_arg_bytes = max_arg_bytes
-        self._buf = bytearray()
-        self._pos = 0
-        self._state = _A_HEADER
+        self._partial = bytearray()
+        self._field = _F_HEADER
+        self._size = _HDR.size
+        self._head = b""
         self._type = 0
         self._status = 0
         self._trace_id: str | None = None
         self._span_id: str | None = None
         self._name = ""
-        self._name_len = 0
         self._nargs = 0
         self._args: list[bytes] = []
-        self._arg_len = 0
         self.messages = 0
 
-    def _take(self, n: int) -> bytes | None:
-        if len(self._buf) - self._pos < n:
-            return None
-        start = self._pos
-        self._pos += n
-        return bytes(self._buf[start : self._pos])
+    @property
+    def need(self) -> int:
+        """Bytes the current field still needs (always at least one)."""
+        return self._size - len(self._partial)
+
+    @property
+    def mid_message(self) -> bool:
+        """Bytes of an unfinished message are outstanding."""
+        return self._field != _F_HEADER or bool(self._partial)
 
     def feed(self, data: bytes) -> None:
         """Consume a chunk, firing ``on_message`` per completed message."""
-        self._buf += data
-        while self._step():
-            pass
-        if self._pos:
-            del self._buf[: self._pos]
-            self._pos = 0
-
-    def _step(self) -> bool:
-        if self._state == _A_HEADER:
-            # Peek the magic to know which header size to wait for; the
-            # two forms interleave freely on one connection.
-            if len(self._buf) - self._pos < len(_TMAGIC):
-                return False
-            traced = (
-                bytes(self._buf[self._pos : self._pos + len(_TMAGIC)]) == _TMAGIC
-            )
-            hdr = _THDR if traced else _HDR
-            raw = self._take(hdr.size + _U16.size)
-            if raw is None:
-                return False
-            if traced:
-                (magic, version, self._type, self._status, trace_raw, span_raw) = (
-                    _THDR.unpack(raw[: _THDR.size])
-                )
-                if version != TRACE_WIRE_VERSION:
-                    raise RpcError(
-                        f"unsupported traced-header version {version}"
-                    )
-                self._trace_id = trace_raw.hex()
-                self._span_id = None if span_raw == _NO_SPAN else span_raw.hex()
+        if not self._partial and len(data) == self._size:
+            # Exactly the current field (read_message's case): take the
+            # caller's bytes as they are, no staging copy.
+            self._complete(bytes(data))
+            return
+        view = memoryview(data)
+        pos, end = 0, len(view)
+        while pos < end:
+            partial = self._partial
+            take = self._size - len(partial)
+            if partial or end - pos < take:
+                partial += view[pos : pos + take]
+                pos += take
+                if len(partial) < self._size:
+                    return
+                raw = bytes(partial)
+                partial.clear()
             else:
-                magic, self._type, self._status = _HDR.unpack(raw[: _HDR.size])
-                if magic != _MAGIC:
-                    raise RpcError(f"bad RPC magic {magic!r}")
+                raw = bytes(view[pos : pos + take])
+                pos += take
+            self._complete(raw)
+
+    def _complete(self, raw: bytes) -> None:
+        """Consume one whole field, then any zero-length ones after it."""
+        self._advance(raw)
+        while self._size == 0:
+            self._advance(b"")
+
+    def _expect(self, field: int, size: int) -> None:
+        self._field = field
+        self._size = size
+
+    def _advance(self, raw: bytes) -> None:
+        field = self._field
+        if field == _F_HEADER:
+            magic = raw[:2]
+            if magic == _MAGIC:
+                _, self._type, self._status, name_len = _HDR.unpack(raw)
                 self._trace_id = None
                 self._span_id = None
-            (self._name_len,) = _U16.unpack(raw[hdr.size :])
-            self._state = _A_NAME
-        elif self._state == _A_NAME:
-            raw = self._take(self._name_len)
-            if raw is None:
-                return False
-            self._name = raw.decode("utf-8")
-            self._state = _A_NARGS
-        elif self._state == _A_NARGS:
-            raw = self._take(_U16.size)
-            if raw is None:
-                return False
+                self._expect(_F_NAME, name_len)
+            elif magic == _TMAGIC:
+                # The two header forms interleave freely on one connection.
+                self._head = raw
+                self._expect(_F_TRACED, _TRACED_REST)
+            else:
+                raise RpcError(f"bad RPC magic {magic!r}")
+        elif field == _F_TRACED:
+            _, version, self._type, self._status, trace_raw, span_raw, name_len = (
+                _THDR.unpack(self._head + raw)
+            )
+            if version != TRACE_WIRE_VERSION:
+                raise RpcError(f"unsupported traced-header version {version}")
+            self._trace_id = trace_raw.hex()
+            self._span_id = None if span_raw == _NO_SPAN else span_raw.hex()
+            self._expect(_F_NAME, name_len)
+        elif field == _F_NAME:
+            try:
+                self._name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise RpcError("service name is not UTF-8") from None
+            self._expect(_F_NARGS, _U16.size)
+        elif field == _F_NARGS:
             (self._nargs,) = _U16.unpack(raw)
             self._args = []
-            self._state = _A_ARGLEN if self._nargs else _A_HEADER
-            if not self._nargs:
+            if self._nargs:
+                self._expect(_F_ARGLEN, _U64.size)
+            else:
                 self._emit()
-        elif self._state == _A_ARGLEN:
-            raw = self._take(_U64.size)
-            if raw is None:
-                return False
-            (self._arg_len,) = _U64.unpack(raw)
-            if self._arg_len > self.max_arg_bytes:
+        elif field == _F_ARGLEN:
+            (arg_len,) = _U64.unpack(raw)
+            if arg_len > self.max_arg_bytes:
                 raise RpcError(
-                    f"argument of {self._arg_len} bytes exceeds the "
+                    f"argument of {arg_len} bytes exceeds the "
                     f"{self.max_arg_bytes}-byte bound"
                 )
-            self._state = _A_ARG
-        else:  # _A_ARG
-            raw = self._take(self._arg_len)
-            if raw is None:
-                return False
+            self._expect(_F_ARG, arg_len)
+        else:  # _F_ARG
             self._args.append(raw)
             if len(self._args) == self._nargs:
                 self._emit()
-                self._state = _A_HEADER
             else:
-                self._state = _A_ARGLEN
-        return True
+                self._expect(_F_ARGLEN, _U64.size)
 
     def _emit(self) -> None:
         msg = RpcMessage(
@@ -348,54 +361,27 @@ class MessageAssembler:
         )
         self.messages += 1
         self._args = []
+        self._expect(_F_HEADER, _HDR.size)
         self.on_message(msg)
-
-    @property
-    def mid_message(self) -> bool:
-        """Bytes of an unfinished message are outstanding."""
-        return self._state != _A_HEADER or self._pos < len(self._buf)
 
 
 def read_message(comm) -> RpcMessage | None:
     """Read one message; ``None`` on clean EOF before a header.
 
-    EOF *inside* a message raises :exc:`ConnectionLost` — the peer hung
-    up mid-RPC.  (``read_exact`` returns short only at EOF; without
-    this check a truncated field would surface as a bare
-    ``struct.error`` from the unpack below.)
+    Drives a :class:`MessageAssembler`, reading exactly the bytes its
+    current field still needs, so the next message stays unread.  EOF
+    *inside* a message raises :exc:`ConnectionLost` — the peer hung up
+    mid-RPC.  A length prefix above the assembler's bound raises
+    :exc:`RpcError` before any of the argument is read.
     """
-
-    def need(n: int) -> bytes:
+    got: list[RpcMessage] = []
+    assembler = MessageAssembler(got.append)
+    while not got:
+        n = assembler.need
         raw = comm.read_exact(n)
         if len(raw) < n:
+            if not raw and not assembler.mid_message:
+                return None
             raise ConnectionLost("connection lost mid-message")
-        return raw
-
-    first = comm.read_exact(_HDR.size)
-    if not first:
-        return None
-    if len(first) < _HDR.size:
-        raise ConnectionLost("truncated RPC header")
-    trace_id: str | None = None
-    span_id: str | None = None
-    if first[:2] == _TMAGIC:
-        rest = need(_THDR.size - _HDR.size)
-        magic, version, mtype, status, trace_raw, span_raw = _THDR.unpack(
-            first + rest
-        )
-        if version != TRACE_WIRE_VERSION:
-            raise RpcError(f"unsupported traced-header version {version}")
-        trace_id = trace_raw.hex()
-        span_id = None if span_raw == _NO_SPAN else span_raw.hex()
-    else:
-        magic, mtype, status = _HDR.unpack(first)
-        if magic != _MAGIC:
-            raise RpcError(f"bad RPC magic {magic!r}")
-    (name_len,) = _U16.unpack(need(_U16.size))
-    name = need(name_len).decode("utf-8")
-    (nargs,) = _U16.unpack(need(_U16.size))
-    args: list[bytes] = []
-    for _ in range(nargs):
-        (alen,) = _U64.unpack(need(_U64.size))
-        args.append(need(alen) if alen else b"")
-    return RpcMessage(mtype, name, args, status, trace_id=trace_id, span_id=span_id)
+        assembler.feed(raw)
+    return got[0]

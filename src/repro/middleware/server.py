@@ -1,16 +1,19 @@
 """The computational server: hosts services, answers GridRPC requests.
 
-A :class:`Server` owns a service registry and serves any number of
-connections, each on its own thread (NetSolve forks per request; threads
-are the Python equivalent).  The communicator class is pluggable — this
-is where "NetSolve" differs from "NetSolve + AdOC" and nowhere else.
+:class:`ReactorRpcServer` owns a service registry and serves any number
+of connections, each a channel on one shared
+:class:`~repro.serve.Reactor` rather than a thread (NetSolve forks per
+request).  Request payloads are decoded/encoded on the shared codec
+pool, and service execution itself is dispatched to the pool (keyed per
+connection, so replies stay in request order).  Connections arrive
+either from a TCP listener (:meth:`ReactorRpcServer.listen`) or from
+the agent (:meth:`ReactorRpcServer.serve`), which may hand over an
+in-memory or shaped link.
 
-:class:`ReactorRpcServer` is the multiplexed alternative: every
-connection is a channel on one shared :class:`~repro.serve.Reactor`,
-request payloads are decoded/encoded on the shared codec pool, and
-service execution itself is dispatched to the pool (keyed per
-connection, so replies stay in request order) instead of holding a
-thread per client.  Same registry, same wire format, same stats.
+The server's ``mode`` is where "NetSolve" differs from "NetSolve +
+AdOC" and nowhere else: ``"plain"`` speaks the raw protocol bytes,
+``"adoc"`` the AdOC stream the clients'
+:class:`~repro.middleware.communicator.AdocCommunicator` speaks.
 """
 
 from __future__ import annotations
@@ -24,45 +27,25 @@ from functools import partial
 
 from ..analysis.lockgraph import make_lock
 from ..core.config import AdocConfig, DEFAULT_CONFIG
-from ..core.deadlines import TransferError, reap_threads
-from ..obs.telemetry import LATENCY_BUCKETS, Telemetry, active_telemetry
+from ..obs.telemetry import LATENCY_BUCKETS, Telemetry
 from ..serve import PoolClosed, Reactor, ReactorServer, WorkerPool
 from ..serve.server import DEFAULT_BACKLOG
-from ..transport.base import Endpoint, TransportClosed
-from .communicator import Communicator, PlainCommunicator, reactor_channel
+from ..transport.base import Endpoint
+from .communicator import reactor_channel
 from .protocol import (
     MessageAssembler,
     MsgType,
     RpcError,
     RpcMessage,
     iter_message_segments,
-    read_message,
-    write_message,
 )
 from .services import ServiceRegistry, default_registry
 
-__all__ = ["ReactorRpcServer", "Server", "ServerStats"]
+__all__ = ["ReactorRpcServer", "ServerStats"]
 
 #: Seconds between retries when the codec pool is saturated and a
 #: connection has requests parked waiting for a slot.
 _POOL_RETRY_S = 0.01
-
-
-def _observe_rpc(tele, name: str, failed: bool, t0: float) -> None:
-    """Record one served request (shared by both server flavours)."""
-    if not tele.enabled:
-        return
-    tele.metrics.histogram(
-        "adoc_rpc_latency_seconds",
-        "RPC handling / round-trip latency",
-        ("side", "service"),
-        buckets=LATENCY_BUCKETS,
-    ).observe(time.monotonic() - t0, side="server", service=name)
-    tele.metrics.counter(
-        "adoc_rpc_requests_total",
-        "RPCs served, by outcome",
-        ("service", "status"),
-    ).inc(service=name, status="error" if failed else "ok")
 
 
 def _error_reply(
@@ -79,47 +62,6 @@ def _error_reply(
         trace_id=trace_id,
         span_id=span_id,
     )
-
-
-def _execute(
-    registry: ServiceRegistry, stats: "ServerStats", tele, msg: RpcMessage
-) -> RpcMessage:
-    """Run one request; always returns the reply (never raises).
-
-    Shared by both server flavours.  The caller writes the reply, so
-    the recorded latency and outcome cover the service call only.
-    """
-    stats.begin()
-    failed = False
-    t0 = time.monotonic()
-    adopted = tele.enabled and msg.trace_id is not None
-    if adopted:
-        # Adopt the caller's trace for the duration of the request:
-        # every event this thread records joins the caller's timeline
-        # in `adoc trace merge`.
-        prev_trace = tele.tracer.set_trace(msg.trace_id)
-        tele.event("rpc", msg.name, side="server", span=msg.span_id)
-    try:
-        service = registry.lookup(msg.name)
-        results = service(msg.args)
-        reply = RpcMessage(
-            MsgType.RESPONSE,
-            msg.name,
-            results,
-            status=0,
-            trace_id=msg.trace_id,
-            span_id=msg.span_id,
-        )
-    except Exception as exc:  # noqa: BLE001 - converted to RPC error
-        failed = True
-        detail = "".join(traceback.format_exception_only(type(exc), exc)).strip()
-        reply = _error_reply(msg.name, detail, msg.trace_id, msg.span_id)
-    finally:
-        if adopted:
-            tele.tracer.set_trace(prev_trace)
-        stats.end(failed)
-        _observe_rpc(tele, msg.name, failed, t0)
-    return reply
 
 
 @dataclass
@@ -145,118 +87,6 @@ class ServerStats:
                 self.errors += 1
 
 
-class Server:
-    """One computational host.
-
-    ``communicator_factory`` wraps each accepted endpoint; pass
-    :class:`~repro.middleware.communicator.AdocCommunicator` (or a
-    lambda applying a config) to build the AdOC-enabled server.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        registry: ServiceRegistry | None = None,
-        communicator_factory=PlainCommunicator,
-    ) -> None:
-        self.name = name
-        self.registry = registry or default_registry()
-        self.communicator_factory = communicator_factory
-        self.stats = ServerStats()
-        self._threads: list[threading.Thread] = []
-        self._endpoints: set[Endpoint] = set()
-        self._lock = make_lock("Server.lock")
-        self._closed = False
-
-    def services(self) -> list[str]:
-        return self.registry.names()
-
-    def serve(self, endpoint: Endpoint, background: bool = True) -> threading.Thread:  # adoclint: disable=ADOC111 -- foreground serve blocks until client EOF by contract; background mode returns immediately
-        """Serve one connection; requests are handled until EOF."""
-        with self._lock:
-            if self._closed:
-                raise TransferError("server is closed", stage="accept")
-            self._endpoints.add(endpoint)
-        thread = threading.Thread(
-            target=self._serve_loop,
-            args=(endpoint,),
-            name=f"server-{self.name}",
-            daemon=True,
-        )
-        self._threads.append(thread)
-        thread.start()
-        if not background:
-            thread.join()
-        return thread
-
-    def join(self, timeout: float | None = None) -> None:
-        for t in self._threads:
-            t.join(timeout)
-
-    def close(self, join_timeout: float = 10.0) -> None:
-        """Close every live connection and reap the serving threads.
-
-        Historically the only way to stop this server was for every
-        client to hang up.  Closing the endpoints kicks each serving
-        thread out of its blocking ``read``; the seeded error list sends
-        :func:`~repro.core.deadlines.reap_threads` straight to the
-        bounded join, so a thread wedged inside a service call surfaces
-        as a ``teardown`` :exc:`~repro.core.deadlines.TransferError`
-        instead of hanging the caller.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._close_endpoints()
-        reap_threads(
-            self._threads,
-            [TransferError("server closing", stage="teardown")],
-            cancel=self._close_endpoints,
-            join_timeout=join_timeout,
-        )
-
-    def _close_endpoints(self) -> None:
-        with self._lock:
-            endpoints = list(self._endpoints)
-        for ep in endpoints:
-            try:
-                ep.close()
-            except Exception:  # noqa: BLE001 - teardown is best-effort
-                pass
-
-    # -- request loop ----------------------------------------------------------
-
-    def _serve_loop(self, endpoint: Endpoint) -> None:
-        comm: Communicator = self.communicator_factory(endpoint)
-        try:
-            while True:
-                try:
-                    msg = read_message(comm)
-                except (RpcError, TransportClosed):
-                    break
-                if msg is None:
-                    break
-                if not self._handle(comm, msg):
-                    break
-        finally:
-            comm.close()
-            with self._lock:
-                self._endpoints.discard(endpoint)
-
-    def _handle(self, comm: Communicator, msg: RpcMessage) -> bool:
-        """Answer one message; False once the peer can no longer hear it."""
-        if msg.type != MsgType.REQUEST:
-            reply = _error_reply(msg.name, "expected a REQUEST")
-        else:
-            reply = _execute(self.registry, self.stats, active_telemetry(), msg)
-        try:
-            write_message(comm, reply)
-        except TransportClosed:
-            return False
-        return True
-
-
 class _RpcConnection:
     """One client on a :class:`ReactorRpcServer`: assembler + dispatch.
 
@@ -279,9 +109,8 @@ class _RpcConnection:
         try:
             self.assembler.feed(data)
         except RpcError as exc:
-            # Malformed traffic: the blocking server drops the
-            # connection too (its read loop breaks) — no reply, since
-            # framing is no longer trustworthy.
+            # Malformed traffic: drop the connection without a reply,
+            # since framing is no longer trustworthy.
             self.channel.close(exc)
 
     def _on_message(self, msg: RpcMessage) -> None:
@@ -353,12 +182,10 @@ class _RpcConnection:
 
 
 class ReactorRpcServer:
-    """The multiplexed computational server: one reactor, N clients.
+    """One computational host: one reactor, N clients.
 
-    Drop-in peer of :class:`Server` for socket-served deployments: the
-    same registry, wire protocol, and stats, but connections are
-    channels on a shared :class:`~repro.serve.Reactor` instead of a
-    thread each, and service execution runs on the shared
+    Connections are channels on a shared :class:`~repro.serve.Reactor`,
+    and service execution runs on the shared
     :class:`~repro.serve.WorkerPool` (``dispatch="pool"``, keyed per
     connection so replies keep request order).  ``dispatch="inline"``
     runs services directly on the loop thread — only for sub-millisecond
@@ -425,6 +252,12 @@ class ReactorRpcServer:
         """Bind and serve; returns the bound ``(host, port)``."""
         return self._server.listen(host, port, self._make_channel, backlog)
 
+    def serve(self, endpoint: Endpoint) -> None:
+        """Serve one connected endpoint (what :class:`~repro.middleware.Agent`
+        calls); any endpoint works, see
+        :meth:`~repro.serve.ReactorServer.adopt`."""
+        self._server.adopt(endpoint, self._make_channel)
+
     def _make_channel(self, endpoint, addr):
         channel = reactor_channel(
             self.mode,
@@ -442,9 +275,52 @@ class ReactorRpcServer:
         """Run one request; always returns the reply (never raises).
 
         Runs on a pool worker under ``dispatch="pool"``, on the loop
-        thread under ``dispatch="inline"``.
+        thread under ``dispatch="inline"``.  The caller writes the
+        reply, so the recorded latency and outcome cover the service
+        call only.
         """
-        return _execute(self.registry, self.stats, self._server.telemetry, msg)
+        tele = self._server.telemetry
+        self.stats.begin()
+        failed = False
+        t0 = time.monotonic()
+        adopted = tele.enabled and msg.trace_id is not None
+        if adopted:
+            # Adopt the caller's trace for the duration of the request:
+            # every event this thread records joins the caller's
+            # timeline in `adoc trace merge`.
+            prev_trace = tele.tracer.set_trace(msg.trace_id)
+            tele.event("rpc", msg.name, side="server", span=msg.span_id)
+        try:
+            results = self.registry.lookup(msg.name)(msg.args)
+            reply = RpcMessage(
+                MsgType.RESPONSE,
+                msg.name,
+                results,
+                status=0,
+                trace_id=msg.trace_id,
+                span_id=msg.span_id,
+            )
+        except Exception as exc:  # noqa: BLE001 - converted to RPC error
+            failed = True
+            detail = "".join(traceback.format_exception_only(type(exc), exc)).strip()
+            reply = _error_reply(msg.name, detail, msg.trace_id, msg.span_id)
+        finally:
+            if adopted:
+                tele.tracer.set_trace(prev_trace)
+            self.stats.end(failed)
+            if tele.enabled:
+                tele.metrics.histogram(
+                    "adoc_rpc_latency_seconds",
+                    "RPC handling / round-trip latency",
+                    ("side", "service"),
+                    buckets=LATENCY_BUCKETS,
+                ).observe(time.monotonic() - t0, side="server", service=msg.name)
+                tele.metrics.counter(
+                    "adoc_rpc_requests_total",
+                    "RPCs served, by outcome",
+                    ("service", "status"),
+                ).inc(service=msg.name, status="error" if failed else "ok")
+        return reply
 
     def close(self, join_timeout: float = 10.0) -> None:
         """Tear down listeners, channels, loop thread, pool workers."""

@@ -546,10 +546,11 @@ class FleetAggregator:
     """The aggregation service, hosted on a :class:`~repro.serve.ReactorServer`.
 
     Peers of :class:`~repro.middleware.server.ReactorRpcServer` /
-    ``ReactorFileServer`` / ``serve_depot``: one reactor thread, plain
-    channels (the frame protocol carries its own lengths), and an
-    expiry sweep on the reactor's timer wheel every ``ttl_s / 2`` so a
-    silent instance disappears within 1.5 TTLs of its last push.
+    :class:`~repro.gridftp.server.FileServer` / ``serve_depot``: one
+    reactor thread, plain channels (the frame protocol carries its own
+    lengths), and an expiry sweep on the reactor's timer wheel every
+    ``ttl_s / 2`` so a silent instance disappears within 1.5 TTLs of
+    its last push.
     """
 
     def __init__(

@@ -1,14 +1,12 @@
 """Accept machinery: one listener fd, one reactor, many channels.
 
-The thread-per-connection servers in this repo each grew their own
-accept loop with their own quirks (missing ``SO_REUSEADDR``, hard-coded
-``listen()`` backlogs, close paths that forgot worker threads).
-:class:`Listener` is the one accept implementation they now share —
-non-blocking, reactor-registered, uniform socket options — and
+:class:`Listener` is the one accept implementation every service
+shares — non-blocking, reactor-registered, uniform socket options — and
 :class:`ReactorServer` is the bundle a service builds on: a reactor
 running on its own named thread, a bounded codec pool, any number of
-listeners, and a close path that tears all of it down through
-:func:`~repro.core.deadlines.reap_threads`.
+listeners, :meth:`ReactorServer.adopt` for connections made elsewhere
+(in-memory and shaped links included), and a close path that tears all
+of it down through :func:`~repro.core.deadlines.reap_threads`.
 """
 
 from __future__ import annotations
@@ -22,7 +20,8 @@ from typing import Callable
 from ..core.config import AdocConfig, DEFAULT_CONFIG
 from ..core.deadlines import TransferError, reap_threads
 from ..obs.telemetry import Telemetry, resolve_telemetry
-from ..transport.socket_transport import SocketEndpoint
+from ..transport.base import Endpoint
+from ..transport.socket_transport import SocketEndpoint, splice
 from .pool import WorkerPool
 from .reactor import EVENT_READ, Reactor
 
@@ -40,6 +39,19 @@ DEFAULT_BACKLOG = 512
 #: accept() calls per readiness callback before yielding to other fds —
 #: a connection storm must not starve established channels.
 _ACCEPTS_PER_CALLBACK = 64
+
+#: How long :meth:`ReactorServer.adopt` waits for the loop to take a
+#: connection.
+_ADOPT_TIMEOUT_S = 10.0
+
+
+def _selectable(endpoint: Endpoint) -> bool:
+    """Can a selector watch ``endpoint`` directly?"""
+    try:
+        endpoint.fileno()  # type: ignore[attr-defined]
+    except (AttributeError, OSError):
+        return False  # e.g. a fault wrapper around an in-memory pipe
+    return callable(getattr(endpoint, "setblocking", None))
 
 
 class Listener:
@@ -121,12 +133,13 @@ class ReactorServer:
     """A reactor thread + codec pool + listeners, torn down as one unit.
 
     Services (middleware RPC, gridftp, depot) compose this rather than
-    owning threads: ``listen()`` binds a port and hands every accepted
-    endpoint to a channel factory on the loop thread; ``close()`` walks
-    the whole structure down — listeners first (no new connections),
-    then tracked channels, then the loop thread and the pool's workers,
-    each join bounded through :func:`~repro.core.deadlines.reap_threads`
-    so a wedged thread surfaces as a structured teardown error.
+    owning threads: ``listen()`` binds a port and ``adopt()`` takes an
+    already-connected endpoint, and both hand the endpoint to a channel
+    factory on the loop thread; ``close()`` walks the whole structure
+    down — listeners first (no new connections), then tracked channels,
+    then splice pumps, the loop thread and the pool's workers, each join
+    bounded through :func:`~repro.core.deadlines.reap_threads` so a
+    wedged thread surfaces as a structured teardown error.
     """
 
     def __init__(
@@ -155,6 +168,8 @@ class ReactorServer:
         )
         self._listeners: list[Listener] = []
         self._channels: set = set()
+        #: (pump threads, wrapped endpoint, its socket end) per splice.
+        self._spliced: list[tuple[list[threading.Thread], Endpoint, Endpoint]] = []
         self._lock = threading.Lock()
         self._closed = False
         if self._own_reactor:
@@ -180,19 +195,71 @@ class ReactorServer:
 
         def on_accept(endpoint: SocketEndpoint, addr: tuple) -> None:
             channel = channel_factory(endpoint, addr)
-            if channel is None:
+            if channel is None or not self.track(channel):
                 endpoint.close()
                 return
-            self.track(channel)
             channel.open()
 
         listener = Listener(self.reactor, host, port, on_accept, backlog)
         self._listeners.append(listener)
         return listener.address
 
-    def track(self, channel) -> None:
-        """Register a channel for teardown and the connections gauge."""
+    def adopt(
+        self,
+        endpoint: Endpoint,
+        channel_factory: Callable[[Endpoint, tuple], object],
+    ) -> None:
+        """Serve one already-connected endpoint, exactly as ``listen()``
+        serves an accepted one (``addr`` is ``()``).
+
+        A socket-backed endpoint goes straight to the loop.  Any other
+        (in-memory pipe, shaped link, a fault wrapper around either) is
+        first bridged onto a socketpair by
+        :func:`~repro.transport.socket_transport.splice`; its pump
+        threads are reaped by ``close()``.  Returns once the loop has
+        opened the channel; a factory failure is re-raised here.
+        """
+        wrapped, pumps = endpoint, []
+        if not _selectable(endpoint):
+            endpoint, pumps = splice(wrapped, name=f"{self.name}-splice")
         with self._lock:
+            # Checked with the append, so a later close() reaps these pumps.
+            closed = self._closed
+            if pumps and not closed:
+                alive = [e for e in self._spliced if any(t.is_alive() for t in e[0])]
+                self._spliced = alive + [(pumps, wrapped, endpoint)]
+        if closed:
+            endpoint.close()
+            reap_threads(pumps, [TransferError("server is closed")], wrapped.close)
+            raise TransferError("server is closed", stage="accept")
+        ready = threading.Event()
+        failures: list[BaseException] = []
+
+        def setup() -> None:
+            try:
+                channel = channel_factory(endpoint, ())
+                if not self.track(channel):
+                    raise TransferError("server is closed", stage="accept")
+                channel.open()
+            except BaseException as exc:  # noqa: BLE001 - reported to caller
+                failures.append(exc)
+                endpoint.close()
+            finally:
+                ready.set()
+
+        self.reactor.call_soon_threadsafe(setup)
+        if not ready.wait(_ADOPT_TIMEOUT_S):
+            endpoint.close()
+            raise TransferError("reactor loop did not take the connection", stage="accept")
+        if failures:
+            raise failures[0]
+
+    def track(self, channel) -> bool:
+        """Register a channel for teardown and the connections gauge;
+        ``False`` (nothing registered) once the server is closed."""
+        with self._lock:
+            if self._closed:
+                return False
             self._channels.add(channel)
         inner_close = channel.on_close
 
@@ -204,6 +271,7 @@ class ReactorServer:
 
         channel.on_close = on_close
         self._note_connections()
+        return True
 
     def _note_connections(self) -> None:
         if self.telemetry.enabled:
@@ -228,9 +296,10 @@ class ReactorServer:
 
     def close(self, join_timeout: float = 10.0) -> None:
         """Stop accepting, close channels, reap every thread (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
         for listener in self._listeners:
             listener.close()
         with self._lock:
@@ -254,6 +323,23 @@ class ReactorServer:
                     f"within {join_timeout}s",
                     stage="teardown",
                 )
+
+        with self._lock:
+            spliced, self._spliced = self._spliced, []
+        if spliced:
+            # Closing both ends frees a pump blocked on a peer that
+            # stopped reading, or on a socket no channel took over.
+            def close_links() -> None:
+                for _, *ends in spliced:
+                    for end in ends:
+                        end.close()
+
+            reap_threads(
+                [t for pumps, *_ in spliced for t in pumps],
+                [TransferError("server closing", stage="teardown")],
+                cancel=close_links,
+                join_timeout=join_timeout,
+            )
 
         if self._own_reactor:
             self.reactor.stop()

@@ -17,7 +17,7 @@ from .shaping import (
     TokenBucket,
     shaped_pair,
 )
-from .socket_transport import SocketEndpoint, socketpair_endpoints, tcp_pair
+from .socket_transport import SocketEndpoint, socketpair_endpoints, splice, tcp_pair
 
 __all__ = [
     "Endpoint",
@@ -33,6 +33,7 @@ __all__ = [
     "pipe_pair",
     "SocketEndpoint",
     "socketpair_endpoints",
+    "splice",
     "tcp_pair",
     "JitterModel",
     "CongestionModel",

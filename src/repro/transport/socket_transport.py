@@ -5,15 +5,26 @@ the same substrate for integration tests and examples.  AdOC itself only
 sees the :class:`~repro.transport.base.Endpoint` interface, so the
 library code is identical over real sockets, in-memory pipes, and shaped
 links.
+
+:func:`splice` goes the other way: it puts an in-memory or shaped link
+behind a real socket, so a selector-driven server can host it.
 """
 
 from __future__ import annotations
 
 import socket
+import threading
 
-from .base import Endpoint, TransportClosed, TransportTimeout
+from .base import Endpoint, TransportClosed, TransportTimeout, sendall
 
-__all__ = ["SocketEndpoint", "socketpair_endpoints", "tcp_pair"]
+__all__ = ["SocketEndpoint", "socketpair_endpoints", "splice", "tcp_pair"]
+
+#: Bytes a splice pump moves per ``recv``.
+_SPLICE_CHUNK = 64 * 1024
+
+#: How long the outbound pump waits for its inbound twin once it has
+#: closed the link under it (a close wakes a blocked pump at once).
+_SPLICE_JOIN_TIMEOUT_S = 5.0
 
 
 class SocketEndpoint(Endpoint):
@@ -114,6 +125,58 @@ def socketpair_endpoints() -> tuple[SocketEndpoint, SocketEndpoint]:
     """A connected AF_UNIX socket pair wrapped as endpoints."""
     a, b = socket.socketpair()
     return SocketEndpoint(a), SocketEndpoint(b)
+
+
+def splice(
+    endpoint: Endpoint, name: str = "splice"
+) -> tuple[SocketEndpoint, list[threading.Thread]]:
+    """Bridge ``endpoint`` onto a ``socketpair``.
+
+    Returns the pair's selectable end and two running, named pump
+    threads (one per direction) for the caller to reap.  EOF from
+    ``endpoint`` reaches the selectable end as a half-close; once the
+    selectable end closes (or ``endpoint`` stops taking bytes) the
+    outbound pump closes ``endpoint``, which ends the inbound pump, and
+    joins it.  Closing ``endpoint`` from outside ends both pumps too.
+
+    The pair's buffers are set to the kernel minimum, so the wrapped
+    link's own buffer stays the backpressure a sender on the selectable
+    end feels (AdOC's write backlog reads that signal).
+    """
+    near, far = socket.socketpair()
+    for sock in (near, far):
+        # The kernel clamps both up to its minimum.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1)
+    pump_end = SocketEndpoint(far)
+
+    def inbound() -> None:
+        try:
+            while data := endpoint.recv(_SPLICE_CHUNK):
+                sendall(pump_end, data)
+        except (TransportClosed, TransportTimeout):
+            pass
+        finally:
+            pump_end.shutdown_write()
+
+    def outbound() -> None:
+        try:
+            while data := pump_end.recv(_SPLICE_CHUNK):
+                sendall(endpoint, data)
+        except (TransportClosed, TransportTimeout):
+            pass
+        finally:
+            endpoint.close()
+            pump_end.close()
+            pumps[0].join(_SPLICE_JOIN_TIMEOUT_S)
+
+    pumps = [
+        threading.Thread(target=inbound, name=f"{name}-in", daemon=True),
+        threading.Thread(target=outbound, name=f"{name}-out", daemon=True),
+    ]
+    for pump in pumps:
+        pump.start()
+    return SocketEndpoint(near), pumps
 
 
 def tcp_pair(nodelay: bool = True) -> tuple[SocketEndpoint, SocketEndpoint]:

@@ -42,10 +42,8 @@ _ACCEPTED = {
     ("core/api.py", 257, "ADOC108"),
     ("core/compressor.py", 133, "ADOC108"),
     ("core/packets.py", 137, "ADOC108"),
-    ("middleware/agent.py", 56, "ADOC111"),
-    ("middleware/communicator.py", 104, "ADOC111"),
-    ("middleware/communicator.py", 121, "ADOC111"),
-    ("middleware/server.py", 174, "ADOC111"),
+    ("middleware/communicator.py", 103, "ADOC111"),
+    ("middleware/communicator.py", 117, "ADOC111"),
     ("serve/channel.py", 113, "ADOC111"),
     ("serve/channel.py", 113, "ADOC115"),
     ("serve/channel.py", 120, "ADOC111"),
@@ -54,7 +52,7 @@ _ACCEPTED = {
     ("serve/channel.py", 129, "ADOC115"),
     ("serve/pool.py", 186, "ADOC103"),
     ("serve/reactor.py", 248, "ADOC111"),
-    ("serve/server.py", 90, "ADOC115"),
+    ("serve/server.py", 102, "ADOC115"),
     ("transport/faults.py", 236, "ADOC111"),
     ("transport/faults.py", 295, "ADOC111"),
 }

@@ -82,6 +82,25 @@ def no_thread_leaks():
 
 
 @pytest.fixture
+def closing(no_thread_leaks):
+    """``closing(server)`` returns ``server`` and closes it at teardown.
+
+    For servers that own threads (a reactor loop, pool workers, splice
+    pumps): the thread-leak check then also proves that ``close()``
+    reaps all of them.
+    """
+    servers: list = []
+
+    def keep(server):
+        servers.append(server)
+        return server
+
+    yield keep
+    for server in reversed(servers):
+        server.close()
+
+
+@pytest.fixture
 def pipes():
     """A connected in-memory endpoint pair, closed on teardown."""
     a, b = pipe_pair()

@@ -14,7 +14,13 @@ import pytest
 from repro.core import AdocConfig
 from repro.data import ascii_data, incompressible_data
 from repro.depot import ByteArrayDepot, DepotClient, depot_registry
-from repro.middleware import AdocCommunicator, Agent, PlainCommunicator, RpcError, Server
+from repro.middleware import (
+    AdocCommunicator,
+    Agent,
+    PlainCommunicator,
+    ReactorRpcServer,
+    RpcError,
+)
 from repro.transport import pipe_pair
 
 SMALL_CFG = AdocConfig(
@@ -31,13 +37,26 @@ def adoc_comm(endpoint):
     return AdocCommunicator(endpoint, SMALL_CFG)
 
 
+@pytest.fixture
+def depot_agent(closing):
+    """``depot_agent(depot, mode)`` -> an agent with one depot server."""
+
+    def make(depot: ByteArrayDepot, mode: str = "adoc") -> Agent:
+        server = ReactorRpcServer(
+            "depot-1", depot_registry(depot), SMALL_CFG, mode, workers=2
+        )
+        agent = Agent()
+        agent.register(closing(server), pipe_pair)
+        return agent
+
+    return make
+
+
 @pytest.fixture(params=["plain", "adoc"])
-def stack(request):
+def stack(request, depot_agent):
     comm = PlainCommunicator if request.param == "plain" else adoc_comm
     depot = ByteArrayDepot(total_capacity=32 * 1024 * 1024)
-    agent = Agent()
-    server = Server("depot-1", registry=depot_registry(depot), communicator_factory=comm)
-    agent.register(server, pipe_pair)
+    agent = depot_agent(depot, request.param)
     return DepotClient(agent, communicator_factory=comm), depot
 
 
@@ -82,11 +101,9 @@ class TestRemoteOps:
 
 
 class TestAdocCompressionOnStorePath:
-    def test_compressible_store_shrinks_on_wire(self):
+    def test_compressible_store_shrinks_on_wire(self, depot_agent):
         depot = ByteArrayDepot()
-        agent = Agent()
-        server = Server("d", registry=depot_registry(depot), communicator_factory=adoc_comm)
-        agent.register(server, pipe_pair)
+        agent = depot_agent(depot)
         client = DepotClient(agent, communicator_factory=adoc_comm)
         _, read_cap, write_cap = client.allocate(400_000)
         blob = ascii_data(300_000, seed=2)
@@ -96,11 +113,9 @@ class TestAdocCompressionOnStorePath:
         assert res.compression_ratio > 1.15
         assert client.load(read_cap) == blob
 
-    def test_incompressible_store_not_inflated(self):
+    def test_incompressible_store_not_inflated(self, depot_agent):
         depot = ByteArrayDepot()
-        agent = Agent()
-        server = Server("d", registry=depot_registry(depot), communicator_factory=adoc_comm)
-        agent.register(server, pipe_pair)
+        agent = depot_agent(depot)
         client = DepotClient(agent, communicator_factory=adoc_comm)
         _, read_cap, write_cap = client.allocate(300_000)
         blob = incompressible_data(200_000, seed=3)
@@ -109,12 +124,10 @@ class TestAdocCompressionOnStorePath:
         assert client.load(read_cap) == blob
 
 
-def test_ibp_style_concurrent_movers():
+def test_ibp_style_concurrent_movers(depot_agent):
     """Many threads, one depot, AdOC communicators everywhere."""
     depot = ByteArrayDepot(total_capacity=64 * 1024 * 1024)
-    agent = Agent()
-    server = Server("d", registry=depot_registry(depot), communicator_factory=adoc_comm)
-    agent.register(server, pipe_pair)
+    agent = depot_agent(depot)
     errors: list[BaseException] = []
 
     def mover(i: int) -> None:

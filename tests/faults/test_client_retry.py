@@ -11,13 +11,21 @@ from repro.core import RetryPolicy
 from repro.data import dense_matrix
 from repro.depot import ByteArrayDepot, DepotClient, depot_registry
 from repro.gridftp import ControlConnectionLost, FileClient, FileServer, GridFtpError
-from repro.middleware import Agent, Client, RpcError, Server
+from repro.middleware import Agent, Client, ReactorRpcServer, RpcError
 from repro.middleware.client import RETRYABLE_RPC_ERRORS
 from repro.middleware.protocol import ConnectionLost
 from repro.transport import Fault, FaultyEndpoint, pipe_pair
 
 #: Fast, deterministic backoff for tests.
 FAST_RETRY = RetryPolicy(attempts=4, base_delay=0.005, jitter=0.0, seed=0)
+
+
+def rpc_server(closing, name: str, **kwargs) -> ReactorRpcServer:
+    return closing(ReactorRpcServer(name, workers=2, **kwargs))
+
+
+def file_server(closing, **kwargs) -> FileServer:
+    return closing(FileServer(pipe_pair, workers=2, **kwargs))
 
 
 def flaky_factory(failures: int, fault: Fault):
@@ -37,26 +45,26 @@ def flaky_factory(failures: int, fault: Fault):
 
 
 class TestMiddlewareRetry:
-    def test_call_succeeds_after_connection_reset(self):
+    def test_call_succeeds_after_connection_reset(self, closing):
         factory, count = flaky_factory(2, Fault("reset", at_byte=100))
         agent = Agent()
-        agent.register(Server("s1"), factory)
+        agent.register(rpc_server(closing, "s1"), factory)
         client = Client(agent, retry=FAST_RETRY)
         m = dense_matrix(12, seed=3)
         out = client.call("transpose", m)
         np.testing.assert_allclose(out, m.T)
         assert count[0] == 3  # two failed connections + the clean one
 
-    def test_no_retry_without_policy(self):
+    def test_no_retry_without_policy(self, closing):
         factory, count = flaky_factory(1, Fault("reset", at_byte=100))
         agent = Agent()
-        agent.register(Server("s1"), factory)
+        agent.register(rpc_server(closing, "s1"), factory)
         client = Client(agent)  # no retry policy
         with pytest.raises(Exception):
             client.call("transpose", dense_matrix(8, seed=1))
         assert count[0] == 1
 
-    def test_remote_refusal_is_not_retried(self):
+    def test_remote_refusal_is_not_retried(self, closing):
         connects = [0]
 
         def factory():
@@ -64,7 +72,7 @@ class TestMiddlewareRetry:
             return pipe_pair()
 
         agent = Agent()
-        agent.register(Server("s1"), factory)
+        agent.register(rpc_server(closing, "s1"), factory)
         client = Client(agent, retry=FAST_RETRY)
         with pytest.raises(RpcError):
             # transpose on garbage bytes fails remotely: the server
@@ -72,21 +80,21 @@ class TestMiddlewareRetry:
             client.call_raw("transpose", [b"not a matrix"])
         assert connects[0] == 1  # the refusal must not be replayed
 
-    def test_retries_exhausted_surfaces_error(self):
+    def test_retries_exhausted_surfaces_error(self, closing):
         factory, count = flaky_factory(99, Fault("reset", at_byte=50))
         agent = Agent()
-        agent.register(Server("s1"), factory)
+        agent.register(rpc_server(closing, "s1"), factory)
         client = Client(agent, retry=FAST_RETRY)
         with pytest.raises(RETRYABLE_RPC_ERRORS):
             client.call("transpose", dense_matrix(8, seed=1))
         assert count[0] == FAST_RETRY.attempts
 
-    def test_file_args_rewound_between_attempts(self):
+    def test_file_args_rewound_between_attempts(self, closing):
         """A streamed request that died mid-flight is replayed from the
         file's starting offset, not from wherever the stream broke."""
         factory, count = flaky_factory(1, Fault("reset", at_byte=200))
         agent = Agent()
-        agent.register(Server("echo", registry=_echo_registry()), factory)
+        agent.register(rpc_server(closing, "echo", registry=_echo_registry()), factory)
         client = Client(agent, retry=FAST_RETRY)
         blob = bytes(range(256)) * 8  # 2 KB
         f = io.BytesIO(blob)
@@ -109,8 +117,8 @@ def _echo_registry():
 
 
 class TestGridFtpRetry:
-    def test_store_retrieve_after_control_loss(self):
-        server = FileServer(pipe_pair, chunk_size=32 * 1024)
+    def test_store_retrieve_after_control_loss(self, closing):
+        server = file_server(closing, chunk_size=32 * 1024)
         client = FileClient(server, retry=FAST_RETRY)
         client.store("a.bin", b"alpha" * 1000)
         # Kill the control channel behind the client's back.
@@ -120,8 +128,8 @@ class TestGridFtpRetry:
         assert client.retrieve("b.bin") == b"beta" * 1000
         client.quit()
 
-    def test_reconnect_replays_session_state(self):
-        server = FileServer(pipe_pair, chunk_size=32 * 1024)
+    def test_reconnect_replays_session_state(self, closing):
+        server = file_server(closing, chunk_size=32 * 1024)
         client = FileClient(server, retry=FAST_RETRY)
         client.set_mode("ADOC")
         client.set_stripes(2)
@@ -134,15 +142,15 @@ class TestGridFtpRetry:
         assert client.retrieve("c.bin") == data
         client.quit()
 
-    def test_no_retry_without_policy(self):
-        server = FileServer(pipe_pair)
+    def test_no_retry_without_policy(self, closing):
+        server = file_server(closing)
         client = FileClient(server)
         client.control.close()
         with pytest.raises((GridFtpError, Exception)):
             client.store("d.bin", b"data")
 
-    def test_control_loss_error_type(self):
-        server = FileServer(pipe_pair)
+    def test_control_loss_error_type(self, closing):
+        server = file_server(closing)
         client = FileClient(server)
         # Half-close our sending side: the server sees EOF, tears the
         # session down, and the next reply read observes peer EOF.
@@ -152,11 +160,13 @@ class TestGridFtpRetry:
 
 
 class TestDepotRetry:
-    def test_store_load_after_reset(self):
+    def test_store_load_after_reset(self, closing):
         depot = ByteArrayDepot(total_capacity=1 << 20)
         factory, count = flaky_factory(1, Fault("reset", at_byte=150))
         agent = Agent()
-        agent.register(Server("depot", registry=depot_registry(depot)), factory)
+        agent.register(
+            rpc_server(closing, "depot", registry=depot_registry(depot)), factory
+        )
         client = DepotClient(agent, retry=FAST_RETRY)
         _handle, read_cap, write_cap = client.allocate(64 * 1024)
         blob = b"stored bytes " * 1000

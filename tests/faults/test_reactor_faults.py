@@ -1,6 +1,6 @@
 """Chaos for the reactor core: storms, mid-transfer resets, saturation.
 
-The thread-per-connection servers met faults one connection at a time;
+A thread-per-connection server meets faults one connection at a time;
 the reactor meets them all on one loop thread, so the failure modes
 worth testing are the *aggregate* ones — a storm of connections, RSTs
 landing while hundreds of other streams are mid-transfer, a codec pool

@@ -1,27 +1,19 @@
-"""gridFTP-lite end to end: STOR/RETR, modes, striping, errors."""
+"""gridFTP-lite end to end over in-memory links: STOR/RETR, modes, striping,
+errors.  Control pipes are spliced onto the server's reactor."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import AdocConfig
 from repro.data import ascii_data, incompressible_data, synthetic_tar_bytes
-from repro.gridftp import FileClient, FileServer, GridFtpError
-from repro.transport import pipe_pair
+from repro.gridftp import FileClient, GridFtpError
 
-CFG = AdocConfig(
-    buffer_size=16 * 1024,
-    packet_size=2 * 1024,
-    slice_size=2 * 1024,
-    small_message_threshold=8 * 1024,
-    probe_size=4 * 1024,
-    fast_network_bps=float("inf"),
-)
+from .conftest import CFG
 
 
 @pytest.fixture
-def server():
-    return FileServer(pipe_pair, config=CFG, chunk_size=96 * 1024)
+def server(make_server):
+    return make_server(chunk_size=96 * 1024)
 
 
 @pytest.fixture
@@ -149,7 +141,7 @@ def test_broker_tokens_single_use(server):
     ep = server.broker.redeem(tokens[0])
     with pytest.raises(KeyError):
         server.broker.redeem(tokens[0])
-    # Clean up: complete the transfer so the server thread exits.
+    # Clean up: complete the transfer so the pool worker is released.
     from repro.gridftp.transfer import send_data
 
     send_data([ep], data, "PLAIN", server.chunk_size, CFG)

@@ -1,32 +1,22 @@
-"""ReactorFileServer: the gridftp control plane on the reactor core."""
+"""FileServer over sockets: control sessions on the reactor, TCP listener."""
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import pytest
 
-from repro.core import AdocConfig
 from repro.data import ascii_data
-from repro.gridftp.client import FileClient
-from repro.gridftp.server import ReactorFileServer
-from repro.transport import socketpair_endpoints
+from repro.gridftp.client import FileClient, GridFtpError
+from repro.transport import FaultyEndpoint, pipe_pair, socketpair_endpoints
 
-CFG = AdocConfig(
-    buffer_size=16 * 1024,
-    packet_size=2 * 1024,
-    slice_size=2 * 1024,
-    small_message_threshold=8 * 1024,
-    probe_size=4 * 1024,
-    io_timeout_s=None,
-)
+from .conftest import CFG
 
 
 @pytest.fixture
-def server(no_thread_leaks):
-    srv = ReactorFileServer(socketpair_endpoints, config=CFG, workers=2)
-    yield srv
-    srv.close()
+def server(make_server):
+    return make_server(socketpair_endpoints)
 
 
 def test_store_and_retrieve_plain(server):
@@ -91,8 +81,6 @@ def test_mode_state_is_per_session(server):
 
 
 def test_unknown_command_gets_502(server):
-    from repro.gridftp.client import GridFtpError
-
     client = FileClient(server, config=CFG)
     with pytest.raises(GridFtpError, match="502"):
         client._command("NOPE")
@@ -101,18 +89,22 @@ def test_unknown_command_gets_502(server):
     client.quit()
 
 
-def test_tcp_listen_serves_the_same_protocol(no_thread_leaks):
-    import socket
+def test_tcp_listen_serves_the_same_protocol(server):
+    with socket.create_connection(server.listen("127.0.0.1", 0), timeout=10.0) as sock:
+        fh = sock.makefile("rb")
+        assert fh.readline().startswith(b"220")
+        sock.sendall(b"LIST\r\n")
+        assert fh.readline().startswith(b"200")
+        sock.sendall(b"QUIT\r\n")
+        assert fh.readline().startswith(b"221")
 
-    srv = ReactorFileServer(socketpair_endpoints, config=CFG, workers=2)
-    try:
-        address = srv.listen("127.0.0.1", 0)
-        with socket.create_connection(address, timeout=10.0) as sock:
-            fh = sock.makefile("rb")
-            assert fh.readline().startswith(b"220")
-            sock.sendall(b"LIST\r\n")
-            assert fh.readline().startswith(b"200")
-            sock.sendall(b"QUIT\r\n")
-            assert fh.readline().startswith(b"221")
-    finally:
-        srv.close()
+
+def test_fault_wrapped_control_pipe_is_spliced(make_server):
+    def factory():
+        client_end, server_end = pipe_pair()
+        return client_end, FaultyEndpoint(server_end)
+
+    client = FileClient(make_server(factory), config=CFG)
+    client.store("f.txt", b"spliced control")
+    assert client.retrieve("f.txt") == b"spliced control"
+    client.quit()

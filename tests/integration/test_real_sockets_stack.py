@@ -15,7 +15,7 @@ from repro.core import AdocConfig
 from repro.data import ascii_data, dense_matrix
 from repro.depot import ByteArrayDepot, DepotClient, depot_registry
 from repro.gridftp import FileClient, FileServer
-from repro.middleware import AdocCommunicator, Agent, Client, Server
+from repro.middleware import AdocCommunicator, Agent, Client, ReactorRpcServer
 from repro.transport import tcp_pair
 
 CFG = AdocConfig(
@@ -35,37 +35,50 @@ def adoc_comm(endpoint):
 class TestMiddlewareOverTcp:
     def test_dgemm(self):
         agent = Agent()
-        server = Server("tcp-server", communicator_factory=adoc_comm)
+        server = ReactorRpcServer("tcp-server", config=CFG, mode="adoc", workers=2)
         agent.register(server, tcp_pair)
-        client = Client(agent, communicator_factory=adoc_comm)
-        a, b = dense_matrix(24, seed=1), dense_matrix(24, seed=2)
-        c = client.call("dgemm", a, b)
-        np.testing.assert_allclose(c, a @ b, rtol=1e-9)
+        try:
+            client = Client(agent, communicator_factory=adoc_comm)
+            a, b = dense_matrix(24, seed=1), dense_matrix(24, seed=2)
+            c = client.call("dgemm", a, b)
+            np.testing.assert_allclose(c, a @ b, rtol=1e-9)
+        finally:
+            server.close()
 
 
 class TestDepotOverTcp:
     def test_store_load(self):
         depot = ByteArrayDepot()
         agent = Agent()
-        server = Server(
-            "tcp-depot", registry=depot_registry(depot), communicator_factory=adoc_comm
+        server = ReactorRpcServer(
+            "tcp-depot",
+            registry=depot_registry(depot),
+            config=CFG,
+            mode="adoc",
+            workers=2,
         )
         agent.register(server, tcp_pair)
-        client = DepotClient(agent, communicator_factory=adoc_comm)
-        blob = ascii_data(120_000, seed=3)
-        _, read_cap, write_cap = client.allocate(len(blob))
-        client.store(write_cap, blob)
-        assert client.load(read_cap) == blob
+        try:
+            client = DepotClient(agent, communicator_factory=adoc_comm)
+            blob = ascii_data(120_000, seed=3)
+            _, read_cap, write_cap = client.allocate(len(blob))
+            client.store(write_cap, blob)
+            assert client.load(read_cap) == blob
+        finally:
+            server.close()
 
 
 class TestGridFtpOverTcp:
     def test_store_retrieve_adoc_mode(self):
-        server = FileServer(tcp_pair, config=CFG, chunk_size=96 * 1024)
-        client = FileClient(server, config=CFG)
-        client.set_mode("ADOC")
-        client.set_stripes(2)
-        data = ascii_data(250_000, seed=4)
-        report = client.store("tcp.txt", data)
-        assert report.compression_ratio > 1.0
-        assert client.retrieve("tcp.txt") == data
-        client.quit()
+        server = FileServer(tcp_pair, config=CFG, chunk_size=96 * 1024, workers=2)
+        try:
+            client = FileClient(server, config=CFG)
+            client.set_mode("ADOC")
+            client.set_stripes(2)
+            data = ascii_data(250_000, seed=4)
+            report = client.store("tcp.txt", data)
+            assert report.compression_ratio > 1.0
+            assert client.retrieve("tcp.txt") == data
+            client.quit()
+        finally:
+            server.close()

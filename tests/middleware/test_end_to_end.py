@@ -1,42 +1,30 @@
-"""Agent + server + client end to end, plain and AdOC communicators."""
+"""Agent + server + client end to end, plain and AdOC, over in-memory links.
+
+The agent hands each in-memory pipe to the reactor server, which
+splices it onto a socketpair (see ``ReactorServer.adopt``).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import AdocConfig
 from repro.data import dense_matrix, sparse_matrix
-from repro.middleware import (
-    AdocCommunicator,
-    Agent,
-    Client,
-    PlainCommunicator,
-    RpcError,
-    Server,
-)
+from repro.middleware import AdocCommunicator, Agent, Client, PlainCommunicator, RpcError
 from repro.transport import pipe_pair
 
-#: AdOC config that exercises the pipeline even on tiny test matrices.
-SMALL_CFG = AdocConfig(
-    buffer_size=16 * 1024,
-    packet_size=2 * 1024,
-    slice_size=2 * 1024,
-    small_message_threshold=8 * 1024,
-    probe_size=4 * 1024,
-    fast_network_bps=float("inf"),
-)
+from .conftest import CFG
 
 
 def adoc_comm(endpoint):
-    return AdocCommunicator(endpoint, SMALL_CFG)
+    return AdocCommunicator(endpoint, CFG)
 
 
 @pytest.fixture(params=["plain", "adoc"])
-def stack(request):
+def stack(request, servers):
     comm = PlainCommunicator if request.param == "plain" else adoc_comm
     agent = Agent()
-    server = Server("s1", communicator_factory=comm)
+    server = servers("s1", mode=request.param)
     agent.register(server, pipe_pair)
     return Client(agent, communicator_factory=comm), agent, server
 
@@ -82,10 +70,10 @@ class TestRpc:
 
 
 class TestAgent:
-    def test_least_busy_round_robin(self):
+    def test_least_busy_round_robin(self, servers):
         agent = Agent()
-        s1 = Server("s1")
-        s2 = Server("s2")
+        s1 = servers("s1")
+        s2 = servers("s2")
         agent.register(s1, pipe_pair)
         agent.register(s2, pipe_pair)
         client = Client(agent)
@@ -95,14 +83,14 @@ class TestAgent:
         assert s1.stats.requests > 0
         assert s2.stats.requests > 0
 
-    def test_service_filtering(self):
+    def test_service_filtering(self, servers):
         from repro.middleware import ServiceRegistry
 
         agent = Agent()
         special = ServiceRegistry()
         special.register("only-here", lambda args: args)
-        s1 = Server("plain-server")
-        s2 = Server("special-server", registry=special)
+        s1 = servers("plain-server")
+        s2 = servers("special-server", registry=special)
         agent.register(s1, pipe_pair)
         agent.register(s2, pipe_pair)
         assert agent.servers_for("only-here") == [s2]
@@ -114,18 +102,18 @@ class TestAgent:
 
 
 class TestAdocActuallyCompresses:
-    def test_request_wire_smaller_for_sparse(self):
+    def test_request_wire_smaller_for_sparse(self, servers):
         agent = Agent()
-        server = Server("s1", communicator_factory=adoc_comm)
+        server = servers("s1", mode="adoc")
         agent.register(server, pipe_pair)
         client = Client(agent, communicator_factory=adoc_comm)
         s = sparse_matrix(96)  # ~184 KB ASCII: room for the level to climb
         _, info = client.call_timed("dgemm", s, s)
         assert info.compression_ratio > 1.5
 
-    def test_plain_never_compresses(self):
+    def test_plain_never_compresses(self, servers):
         agent = Agent()
-        server = Server("s1")
+        server = servers("s1")
         agent.register(server, pipe_pair)
         client = Client(agent)
         s = sparse_matrix(48)
@@ -140,9 +128,9 @@ class TestAsyncCalls:
         future = client.call_async("dgemm", a, b)
         np.testing.assert_allclose(future.result(timeout=30), a @ b, rtol=1e-9)
 
-    def test_parallel_requests_fan_out(self):
+    def test_parallel_requests_fan_out(self, servers):
         agent = Agent()
-        s1, s2 = Server("s1"), Server("s2")
+        s1, s2 = servers("s1"), servers("s2")
         agent.register(s1, pipe_pair)
         agent.register(s2, pipe_pair)
         client = Client(agent)

@@ -14,7 +14,28 @@ from repro.middleware import (
     read_message,
     write_message,
 )
+from repro.middleware.protocol import MessageAssembler, iter_message_segments
 from repro.transport import pipe_pair
+
+
+def capture(msg: RpcMessage) -> bytes:
+    """The bytes ``write_message`` writes for ``msg``."""
+    wire = bytearray()
+
+    class Sink:
+        def write(self, data):
+            wire.extend(data)
+
+    write_message(Sink(), msg)
+    return bytes(wire)
+
+
+def read_wire(wire: bytes) -> RpcMessage | None:
+    """``read_message`` over a plain pipe carrying ``wire``, then EOF."""
+    a, b = pipe_pair()
+    a.send(wire)
+    a.close()
+    return read_message(PlainCommunicator(b))
 
 
 def roundtrip(msg: RpcMessage) -> RpcMessage:
@@ -104,18 +125,29 @@ class TestErrors:
         assert read_message(PlainCommunicator(b)) is None
 
     def test_bad_magic_raises(self):
-        a, b = pipe_pair()
-        a.send(b"XX\x01\x00")
-        a.close()
         with pytest.raises(RpcError):
-            read_message(PlainCommunicator(b))
+            read_wire(b"XX\x01\x00")
 
     def test_truncated_header_raises(self):
-        a, b = pipe_pair()
-        a.send(b"NS")  # half a header
-        a.close()
         with pytest.raises(RpcError):
-            read_message(PlainCommunicator(b))
+            read_wire(b"NS")  # half a header
+
+    def test_oversized_length_prefix_raises_before_reading(self):
+        # One argument claiming a terabyte: refused at the prefix, not
+        # buffered until the peer hangs up.
+        header = capture(RpcMessage(MsgType.REQUEST, "svc", []))[:-2]
+        with pytest.raises(RpcError, match="exceeds"):
+            read_wire(header + b"\x00\x01" + (1 << 40).to_bytes(8, "big"))
+
+    def test_next_message_stays_unread(self):
+        first = RpcMessage(MsgType.REQUEST, "one", [b"1"])
+        second = RpcMessage(MsgType.REQUEST, "two", [])
+        a, b = pipe_pair()
+        a.send(capture(first) + capture(second))
+        a.close()
+        rx = PlainCommunicator(b)
+        assert [read_message(rx).name, read_message(rx).name] == ["one", "two"]
+        assert read_message(rx) is None
 
 
 @settings(max_examples=50, deadline=None)
@@ -157,9 +189,7 @@ class TestTracedHeader:
         assert got.trace_id is None and got.span_id is None
 
     def test_invalid_trace_hex_raises(self):
-        from repro.transport import pipe_pair as _pp
-
-        a, _b = _pp()
+        a, _b = pipe_pair()
         tx = PlainCommunicator(a)
         with pytest.raises(RpcError, match="hex"):
             write_message(
@@ -172,39 +202,17 @@ class TestTracedHeader:
         tx.close()
 
     def test_unsupported_traced_version_raises(self):
-        a, b = pipe_pair()
-        wire = bytearray()
-
-        class Sink:
-            def write(self, data):
-                wire.extend(data)
-
-        write_message(
-            Sink(), RpcMessage(MsgType.REQUEST, "x", [], trace_id=TRACE)
-        )
+        wire = bytearray(capture(RpcMessage(MsgType.REQUEST, "x", [], trace_id=TRACE)))
         wire[2] = 99  # the version byte after b"NT"
-        a.send(bytes(wire))
-        a.close()
         with pytest.raises(RpcError, match="version"):
-            read_message(PlainCommunicator(b))
+            read_wire(bytes(wire))
 
 
 class TestGoldenHeaderBytes:
     """The two header forms are frozen byte layouts (wire compatibility)."""
 
-    @staticmethod
-    def capture(msg: RpcMessage) -> bytes:
-        wire = bytearray()
-
-        class Sink:
-            def write(self, data):
-                wire.extend(data)
-
-        write_message(Sink(), msg)
-        return bytes(wire)
-
     def test_legacy_message_bytes_are_pinned(self):
-        wire = self.capture(RpcMessage(MsgType.REQUEST, "svc", [b"hi"]))
+        wire = capture(RpcMessage(MsgType.REQUEST, "svc", [b"hi"]))
         assert wire == (
             b"NS"            # magic
             b"\x01"          # type = REQUEST
@@ -215,8 +223,8 @@ class TestGoldenHeaderBytes:
         )
 
     def test_absent_trace_is_byte_identical_to_legacy(self):
-        plain = self.capture(RpcMessage(MsgType.REQUEST, "svc", [b"hi"]))
-        defaulted = self.capture(
+        plain = capture(RpcMessage(MsgType.REQUEST, "svc", [b"hi"]))
+        defaulted = capture(
             RpcMessage(
                 MsgType.REQUEST, "svc", [b"hi"], trace_id=None, span_id=None
             )
@@ -224,7 +232,7 @@ class TestGoldenHeaderBytes:
         assert plain == defaulted
 
     def test_traced_message_bytes_are_pinned(self):
-        wire = self.capture(
+        wire = capture(
             RpcMessage(
                 MsgType.REQUEST, "svc", [b"hi"], trace_id=TRACE, span_id=SPAN
             )
@@ -242,7 +250,7 @@ class TestGoldenHeaderBytes:
         )
 
     def test_traced_without_span_pins_zero_span(self):
-        wire = self.capture(
+        wire = capture(
             RpcMessage(MsgType.REQUEST, "s", [], trace_id=TRACE)
         )
         assert bytes.fromhex(TRACE) in wire
@@ -251,11 +259,6 @@ class TestGoldenHeaderBytes:
 
 class TestAssemblerTraced:
     def test_mixed_legacy_and_traced_stream(self):
-        from repro.middleware.protocol import (
-            MessageAssembler,
-            iter_message_segments,
-        )
-
         msgs = [
             RpcMessage(MsgType.REQUEST, "plain", [b"x"]),
             RpcMessage(
@@ -276,11 +279,6 @@ class TestAssemblerTraced:
         assert not asm.mid_message
 
     def test_assembler_rejects_bad_traced_version(self):
-        from repro.middleware.protocol import (
-            MessageAssembler,
-            iter_message_segments,
-        )
-
         wire = bytearray(
             b"".join(
                 iter_message_segments(

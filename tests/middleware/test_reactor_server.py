@@ -1,153 +1,84 @@
-"""ReactorRpcServer: the RPC stack on the shared reactor core."""
+"""ReactorRpcServer on the wire: TCP listeners and spliced in-memory links."""
 
 from __future__ import annotations
-
-import socket
 
 import numpy as np
 import pytest
 
-from repro.core import AdocConfig
-from repro.data import dense_matrix
+from repro.data import decode_matrix_ascii, dense_matrix, encode_matrix_ascii, sparse_matrix
+from repro.middleware import ReactorRpcServer
 from repro.middleware.communicator import AdocCommunicator, PlainCommunicator
-from repro.middleware.protocol import (
-    MsgType,
-    RpcMessage,
-    read_message,
-    write_message,
-)
-from repro.middleware.server import ReactorRpcServer
-from repro.data import decode_matrix_ascii, encode_matrix_ascii
-from repro.transport import SocketEndpoint
+from repro.middleware.protocol import MsgType, RpcMessage, read_message, write_message
+from repro.obs import Telemetry
+from repro.transport import LAN100, pipe_pair, socketpair_endpoints
 
-CFG = AdocConfig(
-    buffer_size=16 * 1024,
-    packet_size=2 * 1024,
-    slice_size=2 * 1024,
-    small_message_threshold=8 * 1024,
-    probe_size=4 * 1024,
-    io_timeout_s=None,
-)
+from .conftest import CFG, call, connect
 
 
 @pytest.fixture(params=["plain", "adoc"])
-def served(request, no_thread_leaks):
-    server = ReactorRpcServer(
-        "rx-test", config=CFG, mode=request.param, workers=2
-    )
+def served(request, servers, closing):
+    """(server, dial): ``dial()`` opens a connection closed at teardown."""
+    server = servers("rx-test", mode=request.param)
     address = server.listen()
-    yield server, address, request.param
-    server.close()
-
-
-def connect(address, mode):
-    sock = socket.create_connection(address, timeout=10.0)
-    endpoint = SocketEndpoint(sock)
-    if mode == "adoc":
-        return AdocCommunicator(endpoint, CFG)
-    return PlainCommunicator(endpoint)
-
-
-def call(comm, name, args):
-    write_message(comm, RpcMessage(MsgType.REQUEST, name, args))
-    reply = read_message(comm)
-    assert reply is not None
-    return reply
+    return server, lambda: closing(connect(address, request.param))
 
 
 def test_echo_roundtrip(served):
-    server, address, mode = served
-    comm = connect(address, mode)
-    try:
-        reply = call(comm, "echo", [b"hello", b"world"])
-        assert reply.type == MsgType.RESPONSE
-        assert reply.args == [b"hello", b"world"]
-    finally:
-        comm.close()
+    _, dial = served
+    reply = call(dial(), "echo", [b"hello", b"world"])
+    assert reply.type == MsgType.RESPONSE
+    assert reply.args == [b"hello", b"world"]
 
 
 def test_dgemm_roundtrip(served):
-    server, address, mode = served
-    comm = connect(address, mode)
-    try:
-        a, b = dense_matrix(24, seed=1), dense_matrix(24, seed=2)
-        reply = call(comm, "dgemm", [encode_matrix_ascii(a), encode_matrix_ascii(b)])
-        assert reply.type == MsgType.RESPONSE
-        np.testing.assert_allclose(
-            decode_matrix_ascii(reply.args[0]), a @ b, rtol=1e-9
-        )
-    finally:
-        comm.close()
+    _, dial = served
+    a, b = dense_matrix(24, seed=1), dense_matrix(24, seed=2)
+    reply = call(dial(), "dgemm", [encode_matrix_ascii(a), encode_matrix_ascii(b)])
+    assert reply.type == MsgType.RESPONSE
+    np.testing.assert_allclose(decode_matrix_ascii(reply.args[0]), a @ b, rtol=1e-9)
 
 
 def test_unknown_service_returns_error_not_disconnect(served):
-    server, address, mode = served
-    comm = connect(address, mode)
-    try:
-        reply = call(comm, "no-such-service", [])
-        assert reply.type == MsgType.ERROR
-        # The connection survives the refusal.
-        again = call(comm, "echo", [b"still here"])
-        assert again.args == [b"still here"]
-    finally:
-        comm.close()
+    _, dial = served
+    comm = dial()
+    assert call(comm, "no-such-service", []).type == MsgType.ERROR
+    # The connection survives the refusal.
+    assert call(comm, "echo", [b"still here"]).args == [b"still here"]
 
 
 def test_stats_count_requests_and_errors(served):
-    server, address, mode = served
-    comm = connect(address, mode)
-    try:
-        call(comm, "echo", [b"1"])
-        call(comm, "echo", [b"2"])
-        call(comm, "boom", [])
-        assert server.stats.requests == 3
-        assert server.stats.errors == 1
-    finally:
-        comm.close()
+    server, dial = served
+    comm = dial()
+    call(comm, "echo", [b"1"])
+    call(comm, "echo", [b"2"])
+    call(comm, "boom", [])
+    assert server.stats.requests == 3
+    assert server.stats.errors == 1
 
 
 def test_many_connections_one_loop_thread(served):
-    server, address, mode = served
-    comms = [connect(address, mode) for _ in range(16)]
-    try:
-        for i, comm in enumerate(comms):
-            write_message(
-                comm,
-                RpcMessage(MsgType.REQUEST, "echo", [f"c{i}".encode()]),
-            )
-        for i, comm in enumerate(comms):
-            reply = read_message(comm)
-            assert reply.args == [f"c{i}".encode()]
-        assert server.connection_count == 16
-    finally:
-        for comm in comms:
-            comm.close()
+    server, dial = served
+    comms = [dial() for _ in range(16)]
+    for i, comm in enumerate(comms):
+        write_message(comm, RpcMessage(MsgType.REQUEST, "echo", [f"c{i}".encode()]))
+    for i, comm in enumerate(comms):
+        assert read_message(comm).args == [f"c{i}".encode()]
+    assert server.connection_count == 16
 
 
-def test_inline_dispatch_mode(no_thread_leaks):
-    server = ReactorRpcServer(
-        "inline-test", config=CFG, dispatch="inline", workers=2
-    )
-    address = server.listen()
-    comm = connect(address, "plain")
-    try:
-        reply = call(comm, "echo", [b"inline"])
-        assert reply.args == [b"inline"]
-    finally:
-        comm.close()
-        server.close()
+def test_inline_dispatch_mode(servers, closing):
+    server = servers("inline-test", dispatch="inline")
+    comm = closing(connect(server.listen(), "plain"))
+    assert call(comm, "echo", [b"inline"]).args == [b"inline"]
 
 
 def test_sequential_requests_on_one_connection(served):
-    server, address, mode = served
-    comm = connect(address, mode)
-    try:
-        for i in range(5):
-            m = dense_matrix(10, seed=i)
-            reply = call(comm, "transpose", [encode_matrix_ascii(m)])
-            np.testing.assert_allclose(decode_matrix_ascii(reply.args[0]), m.T)
-    finally:
-        comm.close()
+    _, dial = served
+    comm = dial()
+    for i in range(5):
+        m = dense_matrix(10, seed=i)
+        reply = call(comm, "transpose", [encode_matrix_ascii(m)])
+        np.testing.assert_allclose(decode_matrix_ascii(reply.args[0]), m.T)
 
 
 def test_invalid_mode_and_dispatch_rejected():
@@ -155,3 +86,56 @@ def test_invalid_mode_and_dispatch_rejected():
         ReactorRpcServer("bad", mode="zip")
     with pytest.raises(ValueError):
         ReactorRpcServer("bad", dispatch="sideways")
+
+
+# -- links without a socket: spliced onto a socketpair ----------------------
+
+
+class RecordingCommunicator(PlainCommunicator):
+    """Plain communicator that keeps every byte it reads."""
+
+    def __init__(self, endpoint) -> None:
+        super().__init__(endpoint)
+        self.seen = bytearray()
+
+    def read(self, n: int) -> bytes:
+        data = super().read(n)
+        self.seen += data
+        return data
+
+
+def test_spliced_pipe_reply_bytes_equal_socketpair_reply_bytes(servers):
+    server = servers("splice-wire")
+    a, b = dense_matrix(24, seed=1), dense_matrix(24, seed=2)
+    args = [encode_matrix_ascii(a), encode_matrix_ascii(b)]
+    replies = []
+    for factory in (pipe_pair, socketpair_endpoints):
+        client_end, server_end = factory()
+        server.serve(server_end)
+        comm = RecordingCommunicator(client_end)
+        try:
+            reply = call(comm, "dgemm", args)
+        finally:
+            comm.close()
+        np.testing.assert_allclose(decode_matrix_ascii(reply.args[0]), a @ b, rtol=1e-9)
+        replies.append(bytes(comm.seen))
+    assert replies[0] == replies[1]
+
+
+def test_adoc_replies_adapt_over_a_spliced_lan_link(servers):
+    """Fig. 8's link: the reply's write backlog is felt through the splice."""
+    tele = Telemetry(enabled=True)
+    server = servers("splice-lan", mode="adoc", telemetry=tele)
+    client_end, server_end = LAN100.make_pair(seed=21)
+    server.serve(server_end)
+    comm = AdocCommunicator(client_end, CFG)
+    try:
+        s = encode_matrix_ascii(sparse_matrix(180))
+        reply = call(comm, "dgemm", [s, s])
+    finally:
+        comm.close()
+    assert not decode_matrix_ascii(reply.args[0]).any()
+    decisions = tele.tracer.events("level")
+    assert decisions, "the reply made no level decisions"
+    assert max(e.args["n"] for e in decisions) > 0
+    assert max(e.args["new_level"] for e in decisions) > 0

@@ -1,4 +1,4 @@
-"""Listener + ReactorServer: accept path, socket options, teardown."""
+"""Listener + ReactorServer: accept path, adopt/splice, socket options, teardown."""
 
 from __future__ import annotations
 
@@ -8,9 +8,12 @@ import threading
 import pytest
 
 from repro.core.config import AdocConfig
+from repro.core.deadlines import TransferError
 from repro.serve.channel import PlainChannel
 from repro.serve.reactor import Reactor
 from repro.serve.server import DEFAULT_BACKLOG, Listener, ReactorServer
+from repro.transport import FaultyEndpoint, pipe_pair, socketpair_endpoints
+from repro.transport.base import recv_exact, sendall
 
 CFG = AdocConfig(io_timeout_s=None)
 
@@ -181,3 +184,113 @@ def test_shared_reactor_and_pool_are_not_closed(no_thread_leaks):
     finally:
         pool.close()
         reactor.close()
+
+
+# -- adopt(): connections made elsewhere, spliced when not selectable ------
+
+
+def splice_pumps() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if "-splice-" in t.name]
+
+
+def test_adopt_hands_a_socket_straight_to_the_loop(server):
+    client, server_end = socketpair_endpoints()
+    try:
+        server.adopt(server_end, echo_factory(server))
+        sendall(client, b"ping")
+        assert recv_exact(client, 4) == b"ping"
+        assert splice_pumps() == []
+    finally:
+        client.close()
+
+
+def test_adopt_splices_a_pipe_and_client_close_ends_the_pumps(server):
+    client, server_end = pipe_pair()
+    server.adopt(server_end, echo_factory(server))
+    pumps = splice_pumps()
+    assert sorted(t.name for t in pumps) == [
+        "test-server-splice-in",
+        "test-server-splice-out",
+    ]
+    sendall(client, b"ping")
+    assert recv_exact(client, 4) == b"ping"
+    client.close()
+    for t in pumps:
+        t.join(5.0)
+        assert not t.is_alive(), f"{t.name} outlived the client close"
+
+
+def test_server_close_reaps_pumps_of_a_peer_that_stopped_reading(
+    no_thread_leaks,
+):
+    srv = ReactorServer(name="stuck-peer", config=CFG, workers=2)
+    client, server_end = pipe_pair(capacity=4096)
+    srv.adopt(server_end, echo_factory(srv))
+    # Echo far more than the pipe holds while never reading: the
+    # outbound pump ends up blocked on the full pipe.
+    sendall(client, b"x" * 64 * 1024)
+    srv.close()
+    assert splice_pumps() == []
+    client.close()
+
+
+def test_fault_wrapped_pipe_is_spliced_not_rejected(server):
+    client, server_end = pipe_pair()
+    wrapped = FaultyEndpoint(server_end)
+    # The wrapper has the attribute, but there is no fd behind it.
+    assert hasattr(wrapped, "fileno")
+    with pytest.raises(AttributeError):
+        wrapped.fileno()
+    server.adopt(wrapped, echo_factory(server))
+    sendall(client, b"ping")
+    assert recv_exact(client, 4) == b"ping"
+    client.close()
+
+
+def test_adopt_after_close_is_refused(no_thread_leaks):
+    srv = ReactorServer(name="closed-adopt", config=CFG, workers=2)
+    srv.close()
+    client, server_end = pipe_pair()
+    with pytest.raises(TransferError, match="closed"):
+        srv.adopt(server_end, echo_factory(srv))
+    assert splice_pumps() == []
+
+
+def test_close_during_splice_refuses_and_reaps_the_pumps(no_thread_leaks, monkeypatch):
+    import repro.serve.server as server_mod
+
+    srv = ReactorServer(name="close-mid-adopt", config=CFG, workers=2)
+    real_splice = server_mod.splice
+
+    def splice_then_close(endpoint, name):
+        spliced = real_splice(endpoint, name=name)
+        srv.close()  # lands between the splice and the bookkeeping
+        return spliced
+
+    monkeypatch.setattr(server_mod, "splice", splice_then_close)
+    client, server_end = pipe_pair()
+    with pytest.raises(TransferError, match="closed"):
+        srv.adopt(server_end, echo_factory(srv))
+    assert splice_pumps() == []
+    client.close()
+
+
+def test_close_before_the_loop_opens_the_channel_reaps_everything(no_thread_leaks):
+    srv = ReactorServer(name="close-mid-setup", config=CFG, workers=2)
+    closer = threading.Thread(target=srv.close, name="closer")
+
+    def factory(endpoint, addr):
+        # close() runs while the loop is inside the factory: the channel
+        # built here must not be tracked by a server already torn down.
+        closer.start()
+        while not srv._closed:
+            closer.join(0.01)
+        return echo_factory(srv)(endpoint, addr)
+
+    client, server_end = pipe_pair()
+    with pytest.raises(TransferError, match="closed"):
+        srv.adopt(server_end, factory)
+    closer.join(10.0)
+    assert not closer.is_alive()
+    assert splice_pumps() == []
+    client.close()
