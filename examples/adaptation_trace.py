@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 
 from repro import ALL_PROFILES
-from repro.core.adaptation import LevelAdapter
 from repro.simulator import profile_by_name, simulate_adoc_message, simulate_posix_message
 
 MB = 1024 * 1024
@@ -34,24 +33,15 @@ def main() -> None:
 
     profile = ALL_PROFILES[args.network]
     data = profile_by_name(args.data)
-    adapters: list[LevelAdapter] = []
-
-    def factory(cfg, div, inc):
-        adapter = LevelAdapter(cfg, div, inc)
-        adapters.append(adapter)
-        return adapter
-
-    result = simulate_adoc_message(
-        args.size_mb * MB, data, profile, seed=7, adapter_factory=factory
-    )
+    result = simulate_adoc_message(args.size_mb * MB, data, profile, seed=7)
     base = simulate_posix_message(args.size_mb * MB, profile, seed=7)
 
     print(f"{args.size_mb} MB of {args.data} data over {args.network}:")
-    if not adapters:
+    if not result.decisions:
         print("  (pipeline never started: small message or fast network)")
     else:
         print(f"  {'buf':>4} {'queue':>5} {'delta':>5} {'fig2':>4} {'used':>4}  bar")
-        for i, t in enumerate(adapters[0].history):
+        for i, t in enumerate(result.decisions):
             flags = "D" if t.forbidden else ("G" if t.holdoff else " ")
             bar = "#" * t.level
             print(

@@ -282,29 +282,20 @@ def _cmd_trace_merge(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     if getattr(args, "trace_cmd", None) == "merge":
         return _cmd_trace_merge(args)
-    from .core.adaptation import LevelAdapter
     from .simulator import profile_by_name, simulate_adoc_message
     from .transport import ALL_PROFILES
 
     profile = ALL_PROFILES[args.network]
     data = profile_by_name(args.data)
-    adapters: list[LevelAdapter] = []
-
-    def factory(cfg, div, inc):
-        adapter = LevelAdapter(cfg, div, inc)
-        adapters.append(adapter)
-        return adapter
-
     result = simulate_adoc_message(
-        args.size_mb * 1024 * 1024, data, profile, seed=args.seed,
-        adapter_factory=factory,
+        args.size_mb * 1024 * 1024, data, profile, seed=args.seed
     )
-    if not adapters:
+    history = result.decisions
+    if not history:
         print("(pipeline never started: small message or fast network)")
     else:
         from .bench.charts import sparkline
 
-        history = adapters[0].history
         print(f"{'buf':>4} {'queue':>5} {'delta':>5} {'fig2':>4} {'used':>4}")
         for i, t in enumerate(history):
             print(f"{i:>4} {t.queue_size:>5} {t.delta:>+5} {t.raw_level:>4} {t.level:>4}")

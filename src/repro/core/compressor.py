@@ -35,7 +35,7 @@ __all__ = ["compress_buffer"]
 #: zlib buffers input internally; the running-ratio check is meaningless
 #: until enough output has been forced out, so the guard is consulted
 #: only after this many bytes have been consumed from the buffer.
-_MIN_CONSUMED_FOR_GUARD = 16 * 1024
+MIN_CONSUMED_FOR_GUARD = 16 * 1024
 
 
 def compress_buffer(
@@ -118,7 +118,7 @@ def _compress_zlib(
         consumed += len(chunk)
         if (
             guard is not None
-            and consumed >= _MIN_CONSUMED_FOR_GUARD
+            and consumed >= MIN_CONSUMED_FOR_GUARD
             and produced_len > 0
             and guard.check_packet(consumed, produced_len)
         ):

@@ -1,14 +1,17 @@
-"""The send planner: one message's Figure-2 adaptation, without I/O.
+"""The send planner: one message's section-5 ladder and Figure-2 adaptation.
 
 Paper section 3.3: before compressing each 200 KB buffer the sender
 reads the emission FIFO length ``n`` and its change ``delta`` and moves
 the compression level (Figure 2).  This module is that step, written
-once for both send drivers — the blocking dispatcher in
-:mod:`repro.core.sender` and the reactor's
-:class:`~repro.serve.channel.AdocChannel`.  It owns no thread, socket or
-pool and never reads a clock: drivers pass the queued-packet reading and
-``now`` in, run the codec wherever they like, hand the outcomes back in
-submission order and move the packets they get out.  Per message::
+once for all three send drivers — the blocking dispatcher in
+:mod:`repro.core.sender`, the reactor's
+:class:`~repro.serve.channel.AdocChannel` and the virtual-clock
+simulator in :mod:`repro.simulator.pipeline`.  It owns no thread, socket
+or pool and never reads a clock: drivers pass the queued-packet reading
+and ``now`` in, run (or model) the codec, hand the outcomes back in
+submission order and move the packets they get out.  Per message,
+:func:`message_route` picks the section-5 path (only the probe's timing
+is the driver's), then::
 
     while buffers remain or plan.inflight:
         while buffers remain and plan.can_submit():
@@ -17,7 +20,7 @@ submission order and move the packets they get out.  Per message::
         for pkt in plan.complete(outcome, error):      # oldest job done
             put pkt on the wire queue
 
-Three properties the paper's adaptation depends on hold on both drivers:
+Three properties the paper's adaptation depends on hold on every driver:
 
 * **The signal counts in-flight work.**  The paper's queue length
   counts everything committed to the wire that the network has not yet
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ..obs.telemetry import Telemetry
 from .adaptation import LevelAdapter
@@ -51,9 +54,59 @@ from .fifo import QueuedPacket
 from .guards import IncompressibleGuard
 from .packets import Record
 
-__all__ = ["SendPlanner", "EmissionWindows", "record_packets"]
+__all__ = [
+    "BYPASS", "PROBE", "FAST_PATH", "PIPELINE", "message_route",
+    "observe_probe", "SendPlanner", "EmissionWindows", "record_packets",
+]
 
 _log = logging.getLogger("repro.core.planner")
+
+#: :func:`message_route` verdicts, in ladder order.
+BYPASS, PROBE, FAST_PATH, PIPELINE = "bypass", "probe", "fast_path", "pipeline"
+
+
+def message_route(
+    total: int | None, config: AdocConfig, probe_bps: float | None = None
+) -> str:
+    """The section-5 decision ladder for one message of ``total`` bytes.
+
+    :data:`BYPASS`: compression disabled, or a small message with
+    compression not forced — ship it raw inline.  :data:`PROBE`: time
+    the first ``probe_size`` bytes raw, then ask again with
+    ``probe_bps``, which yields :data:`FAST_PATH` (a link faster than
+    ``fast_network_bps``: the rest goes raw) or :data:`PIPELINE`.
+    Unknown-length streams (``total=None``) have nothing to slice a
+    probe from and always take the pipeline; a driver without a probe
+    takes :data:`PROBE` as :data:`PIPELINE`.
+    """
+    if total is None:
+        return PIPELINE
+    if config.compression_disabled:
+        return BYPASS
+    if config.compression_forced:
+        return PIPELINE
+    if total < config.small_message_threshold:
+        return BYPASS
+    if probe_bps is None:
+        return PROBE
+    return FAST_PATH if probe_bps > config.fast_network_bps else PIPELINE
+
+
+def observe_probe(
+    divergence: DivergenceGuard | None, nbytes: int, elapsed: float
+) -> float:
+    """Feed a raw probe to the divergence guard; return its bit rate.
+
+    The probe is a measured level-0 transfer, recorded as two windows
+    so raw throughput has a trusted record (``MIN_SAMPLES``) even when
+    the queue never empties — a slow receiver keeps it full, and without
+    level-0 evidence the guard could never fall back to raw.
+    """
+    elapsed = max(elapsed, 1e-9)
+    if divergence is not None:
+        divergence.observe(0, nbytes // 2, elapsed / 2)
+        divergence.observe(0, nbytes - nbytes // 2, elapsed / 2)
+    return nbytes * 8.0 / elapsed
 
 
 def record_packets(
@@ -92,20 +145,29 @@ class SendPlanner:
     :func:`~repro.core.compressor.compress_buffer` so codec jobs can trip
     it, and the planner counts the holdoff down per emitted packet.
     ``adapter.history`` is the message's Figure-2 trace.
+
+    ``divergence=None`` runs without the divergence guard, and
+    ``adapter_factory(config, divergence, guard)`` substitutes another
+    level controller (:mod:`repro.core.policies`); both are ablation
+    hooks the simulator exposes.
     """
 
     def __init__(
         self,
         config: AdocConfig,
-        divergence: DivergenceGuard,
+        divergence: DivergenceGuard | None,
         telemetry: Telemetry,
         workers: int = 0,
+        adapter_factory: Callable[..., LevelAdapter] | None = None,
     ) -> None:
         self.config = config
         self.guard = IncompressibleGuard(
             config.incompressible_ratio, config.incompressible_holdoff
         )
-        self.adapter = LevelAdapter(config, divergence, self.guard, telemetry)
+        if adapter_factory is None:
+            self.adapter = LevelAdapter(config, divergence, self.guard, telemetry)
+        else:
+            self.adapter = adapter_factory(config, divergence, self.guard)
         self.window_cap = max(2, 2 * workers) if workers else 1
         self.window = 1
         #: True once a codec failure pinned the message to level 0.
@@ -222,7 +284,7 @@ class EmissionWindows:
     sustained pipeline rate at that level.
     """
 
-    def __init__(self, divergence: DivergenceGuard) -> None:
+    def __init__(self, divergence: DivergenceGuard | None) -> None:
         self._divergence = divergence
         self._key: tuple[int, int] | None = None
         self._orig = 0
@@ -251,6 +313,6 @@ class EmissionWindows:
         self._start = None
 
     def _observe(self, now: float) -> None:
-        if self._orig > 0:
+        if self._orig > 0 and self._divergence is not None:
             self._divergence.observe(self._key[1], self._orig, now - self._start)
         self._orig = 0

@@ -2,7 +2,8 @@
 
 This is the sending half of Figure 1 of the paper.  One ``adoc_write``
 (or ``adoc_send_file``) call maps to one *message* on the wire and runs
-the following decision ladder (sections 3 and 5):
+the following decision ladder (sections 3 and 5), which
+:func:`~repro.core.planner.message_route` decides for every send driver:
 
 1. **Small messages** (< 512 KB, compression not forced): written raw,
    inline, without starting any thread — latency equals plain write.
@@ -70,7 +71,8 @@ from .deadlines import DeadlineExceeded, TransferError
 from .divergence import DivergenceGuard
 from .fifo import PacketQueue, QueueClosed, QueuedPacket
 from .packets import Record, end_record_bytes, pack_message_header
-from .planner import EmissionWindows, SendPlanner
+from .planner import BYPASS, FAST_PATH, PROBE, EmissionWindows, SendPlanner
+from .planner import message_route, observe_probe
 from .sources import BytesSource, ChunkSource, source_for_stream
 from .stats import ConnectionStats
 
@@ -283,17 +285,18 @@ class MessageSender:
             return result
 
         header = pack_message_header(total, length_known=True)
-        if self._should_bypass(total, cfg):
+        route = message_route(total, cfg)
+        if route == BYPASS:
             wire = self._send_raw(header, source, total, cfg)
             return SendResult(total, wire, self.clock() - start)
 
         wire_bytes = len(header)
         sendall(self.endpoint, header)
         probe_bps: float | None = None
-        if not cfg.compression_forced:
+        if route == PROBE:
             probe_bps, probe_wire = self._probe(source, total, cfg)
             wire_bytes += probe_wire
-            if probe_bps > cfg.fast_network_bps:
+            if message_route(total, cfg, probe_bps) == FAST_PATH:
                 # Very fast network: ship the rest raw.
                 wire_bytes += self._send_raw_records(source, cfg)
                 return SendResult(
@@ -313,13 +316,6 @@ class MessageSender:
 
     # -- fast paths ----------------------------------------------------------
 
-    def _should_bypass(self, total: int, cfg: AdocConfig) -> bool:
-        if cfg.compression_disabled:
-            return True
-        if cfg.compression_forced:
-            return False
-        return total < cfg.small_message_threshold
-
     def _send_raw(self, header: bytes, source: ChunkSource, total: int, cfg: AdocConfig) -> int:
         """Inline raw send of a whole message (no threads).
 
@@ -329,24 +325,10 @@ class MessageSender:
         memory stays bounded — protocol-equivalent, since records simply
         sum to ``total``.
         """
-        if total == 0:
-            sendall(self.endpoint, header)
-            return len(header)
         if source.zero_copy:
-            payload = source.read(total)
-            rec = Record(0, total, payload)
-            return sendall_vectors(
-                self.endpoint, [header, rec.header_bytes(), payload]
-            )
-        wire = len(header)
+            return sendall_vectors(self.endpoint, raw_message_vectors(source.read(total)))
         sendall(self.endpoint, header)
-        while True:
-            chunk = source.read(cfg.buffer_size)
-            if not len(chunk):
-                break
-            rec = Record(0, len(chunk), chunk)
-            wire += sendall_vectors(self.endpoint, [rec.header_bytes(), chunk])
-        return wire
+        return len(header) + self._send_raw_records(source, cfg)
 
     def _probe(self, source: ChunkSource, total: int, cfg: AdocConfig) -> tuple[float, int]:
         """Send the first ``probe_size`` bytes raw, timing them.
@@ -358,22 +340,15 @@ class MessageSender:
         """
         probe = source.read_exact(min(cfg.probe_size, total))
         t0 = self.clock()
-        wire = self._emit_raw_chunked(probe, cfg)
-        elapsed = max(self.clock() - t0, 1e-9)
-        # The probe is itself a measured level-0 transfer: feed it to
-        # the divergence guard as two windows so raw throughput has a
-        # trusted record even when the queue never empties (a slow
-        # receiver keeps it full, and without level-0 evidence the
-        # guard could never fall back to "stop compressing").
-        self.divergence.observe(0, len(probe) // 2, elapsed / 2)
-        self.divergence.observe(0, len(probe) - len(probe) // 2, elapsed / 2)
-        return len(probe) * 8.0 / elapsed, wire
+        wire = self._send_raw_records(BytesSource(probe), cfg)
+        return observe_probe(self.divergence, len(probe), self.clock() - t0), wire
 
     def _send_raw_records(self, source: ChunkSource, cfg: AdocConfig) -> int:
-        """Fast path: stream the rest of the source as raw records.
+        """Stream the rest of the source as raw ``buffer_size`` records.
 
-        Record boundaries continue sequentially from the source cursor
-        (the probe offset), exactly as the resident-buffer sender
+        The probe, the fast path and chunked bypasses all emit raw this
+        way.  Record boundaries continue sequentially from the source
+        cursor (the probe offset), exactly as the resident-buffer sender
         chunked ``data[offset:]`` — intentionally not re-aligned to a
         global buffer grid.
         """
@@ -382,15 +357,6 @@ class MessageSender:
             chunk = source.read(cfg.buffer_size)
             if not len(chunk):
                 break
-            rec = Record(0, len(chunk), chunk)
-            wire += sendall_vectors(self.endpoint, [rec.header_bytes(), chunk])
-        return wire
-
-    def _emit_raw_chunked(self, data: bytes | memoryview, cfg: AdocConfig) -> int:
-        """Emit one resident span as raw records chunked at buffer size."""
-        wire = 0
-        for off in range(0, len(data), cfg.buffer_size):
-            chunk = data[off : off + cfg.buffer_size]
             rec = Record(0, len(chunk), chunk)
             wire += sendall_vectors(self.endpoint, [rec.header_bytes(), chunk])
         return wire

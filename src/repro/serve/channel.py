@@ -50,7 +50,7 @@ from ..core.deadlines import DeadlineExceeded, TransferError
 from ..core.divergence import DivergenceGuard
 from ..core.fifo import QueuedPacket
 from ..core.packets import END_LEVEL, ProtocolError, pack_message_header
-from ..core.planner import EmissionWindows, SendPlanner
+from ..core.planner import BYPASS, EmissionWindows, SendPlanner, message_route
 from ..core.receiver import StreamingParser
 from ..core.sender import raw_message_vectors
 from ..core.sources import BytesSource
@@ -389,10 +389,11 @@ class AdocChannel(_ChannelBase):
     """AdOC framing over a non-blocking socket, codec work pooled.
 
     One ``send_message`` call is one message on the wire, exactly as one
-    ``adoc_write`` is in the blocking engine.  Small messages (below
-    ``small_message_threshold``, compression not forced) are framed raw
-    inline; large ones are cut into ``buffer_size`` buffers and driven
-    through a :class:`~repro.core.planner.SendPlanner` — the same
+    ``adoc_write`` is in the blocking engine.  Messages the shared
+    ladder (:func:`~repro.core.planner.message_route`) bypasses are
+    framed raw inline; the channel has no probe, so every other message
+    is cut into ``buffer_size`` buffers and driven through a
+    :class:`~repro.core.planner.SendPlanner` — the same
     Figure-2 decisions, slow-start window and codec-failure rule as the
     blocking dispatcher — with the codec jobs on the worker pool and
     their packets enqueued in buffer order (the pool's per-key FIFO
@@ -449,8 +450,7 @@ class AdocChannel(_ChannelBase):
             data = self._tx_msgq.popleft()
             total = len(data)
             self.messages_out += 1
-            small = not cfg.compression_forced and total < cfg.small_message_threshold
-            if cfg.compression_disabled or small:
+            if message_route(total, cfg) == BYPASS:
                 self._enqueue(raw_message_vectors(data))
                 continue
             self._enqueue([pack_message_header(total, length_known=True)])

@@ -1,9 +1,12 @@
 """Discrete-event simulator of the AdOC pipeline.
 
-Reproduces the paper's timing experiments deterministically: the same
-control logic as the live library (Figure-2 adapter, guards, probe) on
-a virtual clock, with codec costs calibrated from Table 1 and network
-shapes from :mod:`repro.transport.profiles`.
+Reproduces the paper's timing experiments deterministically.  The
+simulator is a third thin driver over the live send core
+(:mod:`repro.core.planner`: the section-5 ladder, ``SendPlanner`` with
+its Figure-2 adapter and guards, ``EmissionWindows``) on a virtual
+clock; only the codec (its record shapes kept, its costs calibrated from
+Table 1) and the network (shapes from :mod:`repro.transport.profiles`)
+are modelled.
 """
 
 from .costmodel import PROFILES, DataProfile, LevelCost, profile_by_name

@@ -1,27 +1,31 @@
 """Simulated AdOC transfer: the Figure-1 pipeline on a virtual clock.
 
-The model reuses the *live* control logic — the Figure-2
-:class:`~repro.core.adaptation.LevelAdapter`, the
-:class:`~repro.core.divergence.DivergenceGuard` and the
-:class:`~repro.core.guards.IncompressibleGuard` are the same objects the
-threaded library runs; only the costs (compression time, wire time) come
-from the calibrated model instead of real execution.  What is simulated:
+The simulator is the third thin driver over :mod:`repro.core.planner`,
+beside the blocking :class:`~repro.core.sender.MessageSender` and the
+reactor's :class:`~repro.serve.channel.AdocChannel`.  The section-5
+ladder (:func:`~repro.core.planner.message_route`), the probe's level-0
+evidence, the Figure-2 decisions and both guards
+(:class:`~repro.core.planner.SendPlanner`), packetisation and the
+emission windows (:class:`~repro.core.planner.EmissionWindows`) are the
+live code; only the costs — codec time and ratio, wire time — come from
+the calibrated model instead of real execution.  What is simulated:
 
-* **compression process** — consumes the message in 200 KB buffers,
-  re-evaluating the level per buffer; emits framed packets into the
-  FIFO queue *incrementally* (one packet's worth of input per timeout),
-  so queue dynamics match the live thread;
+* **compression process** — the probe goes raw straight into the socket
+  buffer and is timed on the virtual clock; down the pipeline a
+  ``SendPlanner`` decides each 200 KB buffer's level and a modelled
+  codec returns the records :func:`~repro.core.compressor.compress_buffer`
+  would (one per LZF slice, one per zlib buffer, the raw remainder after
+  a guard trip); each compressed packet waits its share of the codec's
+  CPU time before entering the FIFO, so queue dynamics match the live
+  thread;
 * **emission process** — drains packets into a byte-bounded "socket
-  buffer" store and feeds per-level bandwidth observations to the
-  divergence guard;
+  buffer" store, timing ``EmissionWindows`` for the divergence guard;
 * **link process** — serializes socket-buffer chunks at the profile's
   bandwidth (with jitter and Markov congestion), pays propagation
   latency once per stream, and respects receiver-window backpressure;
 * **reception + decompression processes** — the receiving half of
   Figure 1; decompression speed comes from the cost model scaled by the
-  profile's ``receiver_cpu_scale``;
-* the **probe / small-message / forced-compression** ladder of
-  section 5, identical in structure to the live ``MessageSender``.
+  profile's ``receiver_cpu_scale``.
 
 Fixed CPU overheads are calibrated against Table 2 of the paper (see
 :data:`ADOC_FRAMING_S`, :data:`THREAD_STARTUP_S`,
@@ -33,13 +37,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..core.adaptation import LevelAdapter
+from ..core.adaptation import AdaptationTrace
+from ..core.compressor import MIN_CONSUMED_FOR_GUARD
 from ..core.config import AdocConfig, DEFAULT_CONFIG
 from ..core.divergence import DivergenceGuard
 from ..core.guards import IncompressibleGuard
-from ..core.packets import MESSAGE_HEADER_SIZE, RECORD_HEADER_SIZE
+from ..core.packets import MESSAGE_HEADER_SIZE, RECORD_HEADER_SIZE, Record
+from ..core.planner import BYPASS, FAST_PATH, PROBE, EmissionWindows, SendPlanner
+from ..core.planner import message_route, observe_probe, record_packets
+from ..obs.telemetry import NULL_TELEMETRY
 from ..transport.profiles import NetworkProfile
-from .costmodel import DataProfile
+from .costmodel import DataProfile, LevelCost
 from .engine import Environment, Store, Timeout
 
 __all__ = [
@@ -84,6 +92,9 @@ class SimTransferResult:
     levels_used: dict[int, int] = field(default_factory=dict)
     guard_trips: int = 0
     queue_peak: int = 0
+    #: The planner's Figure-2 trace (``adapter.history``), one entry per
+    #: pipelined buffer; empty when the pipeline never started.
+    decisions: list[AdaptationTrace] = field(default_factory=list)
 
     @property
     def app_bandwidth_bps(self) -> float:
@@ -106,12 +117,7 @@ class _Link:
     the transfer and the level must follow).
     """
 
-    def __init__(
-        self,
-        profile: NetworkProfile,
-        rng: random.Random,
-        rate_schedule=None,
-    ) -> None:
+    def __init__(self, profile: NetworkProfile, rng: random.Random, rate_schedule=None) -> None:
         self.rate = profile.bandwidth_bps / 8.0
         self.latency = profile.latency_s
         self.jitter = profile.jitter
@@ -158,6 +164,44 @@ def simulate_posix_message(
     return SimTransferResult(size, size, elapsed)
 
 
+def _modelled_codec(
+    buf: memoryview, level: int, cost: LevelCost, guard: IncompressibleGuard, cfg: AdocConfig
+) -> tuple[tuple[list[Record], bool], int]:
+    """What :func:`~repro.core.compressor.compress_buffer` would return.
+
+    Record shapes, guard checks and trip points follow the live codec;
+    compressed sizes follow ``cost.ratio``, and payloads are zero-copy
+    slices of ``buf``.  Also returns how many bytes the codec worked on:
+    the CPU charge (a tripped buffer's raw remainder costs none).
+    """
+    n, done, tripped = len(buf), 0, False
+    if level == 0:
+        return ([Record(0, n, buf)], False), 0
+    records: list[Record] = []
+    while done < n and not tripped:
+        k = min(cfg.slice_size, n - done)
+        done += k
+        if level == 1:
+            # LZF: one record per slice, the guard checked after each.
+            out = max(1, int(k / cost.ratio))
+            records.append(Record(1, k, buf[:out]) if out < k else Record(0, k, buf[:k]))
+            tripped = guard.check_packet(k, out)
+        elif done >= MIN_CONSUMED_FOR_GUARD:
+            # zlib: the stream's running ratio, once enough input is in.
+            tripped = guard.check_packet(done, max(1, int(done / cost.ratio)))
+    if level > 1:
+        # One zlib record, closed at the consumed prefix; raw if no gain.
+        out = max(1, int(done / cost.ratio))
+        if out < done:
+            records.append(Record(level, done, buf[:out]))
+        else:
+            records.append(Record(0, done, buf[:done]))
+            tripped = tripped or guard.check_packet(done, out)
+    if done < n:
+        records.append(Record(0, n - done, buf[done:]))
+    return (records, tripped), done
+
+
 def simulate_adoc_message(
     size: int,
     data: DataProfile,
@@ -175,20 +219,17 @@ def simulate_adoc_message(
     persistence of the bandwidth records (as the live library does).
     ``use_divergence=False`` removes the guard entirely (ablation);
     ``adapter_factory(config, divergence, inc_guard)`` may substitute a
-    different level controller (adaptation-policy ablation).
+    different level controller (adaptation-policy ablation).  Both are
+    handed to the :class:`~repro.core.planner.SendPlanner`.
     """
     cfg = config
     rng = random.Random(seed)
     link = _Link(profile, rng, rate_schedule)
     result = SimTransferResult(size, 0, 0.0)
 
-    header_wire = MESSAGE_HEADER_SIZE
-
-    # --- decision ladder (mirrors MessageSender.send) ---------------------
-    if cfg.compression_disabled or (
-        not cfg.compression_forced and size < cfg.small_message_threshold
-    ):
-        wire = header_wire + (RECORD_HEADER_SIZE if size else 0) + size
+    route = message_route(size, cfg)
+    if route == BYPASS:
+        wire = MESSAGE_HEADER_SIZE + (RECORD_HEADER_SIZE if size else 0) + size
         base = simulate_posix_message(wire, profile, seed, rate_schedule)
         result.wire_bytes = wire
         result.elapsed_s = base.elapsed_s + ADOC_FRAMING_S
@@ -204,175 +245,95 @@ def simulate_adoc_message(
         divergence = divergence or DivergenceGuard(cfg.divergence_forbid_s)
     else:
         divergence = None
-    inc_guard = IncompressibleGuard(
-        cfg.incompressible_ratio, cfg.incompressible_holdoff
-    )
-    if adapter_factory is not None:
-        adapter = adapter_factory(cfg, divergence, inc_guard)
-    else:
-        adapter = LevelAdapter(cfg, divergence, inc_guard)
+    plan = SendPlanner(cfg, divergence, NULL_TELEMETRY, adapter_factory=adapter_factory)
+    windows = EmissionWindows(divergence)
+    # Every modelled payload is a view of this one buffer.
+    zeros = memoryview(bytes(cfg.buffer_size))
+    result.wire_bytes = MESSAGE_HEADER_SIZE
+    state = {"done_at": None, "delivered": 0}
 
-    state = {
-        "wire": header_wire,
-        "probe_bps": None,
-        "fast": False,
-        "done_at": None,
-        "delivered": 0,
-    }
-
-    sender_cpu = profile.sender_cpu_scale
-    recv_cpu = profile.receiver_cpu_scale
+    def send_raw(nbytes: int):
+        # Raw records of up to buffer_size, straight into the socket
+        # buffer: the live code sends the probe and the fast path
+        # inline, before any thread exists.
+        for off in range(0, nbytes, cfg.buffer_size):
+            k = min(cfg.buffer_size, nbytes - off)
+            for pkt in record_packets(Record(0, k, zeros[:k]), cfg.packet_size):
+                yield sock.put(pkt, weight=pkt.wire_length)
 
     def compression_proc():
         offset = 0
-        # Forced compression pays the thread start-up immediately; the
-        # probe path pays it only if it decides to adapt.
-        if cfg.compression_forced:
-            yield Timeout(THREAD_STARTUP_S)
-        else:
-            # Probe: the first 256 KB go raw *directly* into the socket
-            # buffer (the live code sends them inline, before any thread
-            # exists), so the enqueue time feels the link drain rate.
+        if route == PROBE:
             probe = min(cfg.probe_size, size)
             t0 = env.now
-            for off in range(0, probe, cfg.packet_size):
-                n = min(cfg.packet_size, probe - off)
-                wire_n = n + (RECORD_HEADER_SIZE if off == 0 else 0)
-                state["wire"] += wire_n
-                yield sock.put(("chunk", wire_n, 0, n), weight=wire_n)
-            elapsed = max(env.now - t0, 1e-9)
-            bps = probe * 8.0 / elapsed
-            state["probe_bps"] = bps
-            if divergence is not None:
-                # The probe doubles as the level-0 bandwidth record
-                # (mirrors MessageSender._probe).
-                divergence.observe(0, probe // 2, elapsed / 2)
-                divergence.observe(0, probe - probe // 2, elapsed / 2)
+            yield from send_raw(probe)
+            result.probe_bps = observe_probe(divergence, probe, env.now - t0)
             offset = probe
-            if bps > cfg.fast_network_bps:
-                # Very fast network: the rest is sent raw inline too.
-                state["fast"] = True
-                while offset < size:
-                    n = min(cfg.buffer_size, size - offset)
-                    state["wire"] += n + RECORD_HEADER_SIZE
-                    for o2 in range(0, n, cfg.packet_size):
-                        k = min(cfg.packet_size, n - o2)
-                        extra = RECORD_HEADER_SIZE if o2 == 0 else 0
-                        yield sock.put(("chunk", k + extra, 0, k), weight=k + extra)
-                    offset += n
+            if message_route(size, cfg, result.probe_bps) == FAST_PATH:
+                result.fast_path = True
+                yield from send_raw(size - offset)
                 queue.close()
                 return
-            yield Timeout(THREAD_STARTUP_S)
-
-        buffer_id = 0
+        yield Timeout(THREAD_STARTUP_S)
+        windows.open(env.now)
         while offset < size:
-            level = adapter.next_level(queue.size(), env.now)
-            buf = min(cfg.buffer_size, size - offset)
+            level = plan.decide(queue.size(), env.now)
+            buf = zeros[: min(cfg.buffer_size, size - offset)]
+            plan.submit(buf, level)
             cost = data.cost(level)
-            if level == 0:
-                # No compression: raw record, no CPU time.
-                state["wire"] += buf + RECORD_HEADER_SIZE
-                for o2 in range(0, buf, cfg.packet_size):
-                    k = min(cfg.packet_size, buf - o2)
-                    extra = RECORD_HEADER_SIZE if o2 == 0 else 0
-                    yield queue.put((buffer_id, k + extra, 0, k))
-                    inc_guard.note_packet_emitted()
-            else:
-                # Compress incrementally: each produced packet covers
-                # ratio * packet_size input bytes.
-                per_packet_input = cfg.packet_size * cost.ratio
-                produced = 0.0
-                consumed = 0
-                tripped = False
-                while consumed < buf:
-                    step = int(min(per_packet_input, buf - consumed))
-                    step = max(step, 1)
-                    yield Timeout(step / (cost.compress_bps * sender_cpu))
-                    out = step / cost.ratio
-                    consumed += step
-                    produced += out
-                    wire_n = int(out) + RECORD_HEADER_SIZE
-                    state["wire"] += wire_n
-                    yield queue.put((buffer_id, wire_n, level, step))
-                    inc_guard.note_packet_emitted()
-                    if inc_guard.check_packet(step, int(out)):
-                        tripped = True
-                        result.guard_trips += 1
-                        break
-                if tripped and consumed < buf:
-                    rest = buf - consumed
-                    state["wire"] += rest + RECORD_HEADER_SIZE
-                    for o2 in range(0, rest, cfg.packet_size):
-                        k = min(cfg.packet_size, rest - o2)
-                        extra = RECORD_HEADER_SIZE if o2 == 0 else 0
-                        yield queue.put((buffer_id, k + extra, 0, k))
-                        inc_guard.note_packet_emitted()
-            offset += buf
-            buffer_id += 1
+            outcome, charged = _modelled_codec(buf, level, cost, plan.guard, cfg)
+            cpu_bps = cost.compress_bps * profile.sender_cpu_scale
+            for pkt in plan.complete(outcome, None):
+                if charged > 0:
+                    # The codec's CPU time, paid packet by packet.
+                    yield Timeout(pkt.original_bytes / cpu_bps)
+                    charged -= pkt.original_bytes
+                yield queue.put(pkt)
+            offset += len(buf)
         queue.close()
 
     def emission_proc():
-        # Visible bandwidth is aggregated over (buffer, level) windows,
-        # exactly as the live emission loop does: per-packet gaps are
-        # distorted by socket-buffer absorption.
-        window_key = None
-        window_start = env.now
-        window_orig = 0
         while True:
-            item = yield queue.get()
-            if item is None:
+            pkt = yield queue.get()
+            if pkt is None:
                 break
-            buffer_id, wire_n, level, orig_n = item
-            key = (buffer_id, level)
-            if window_key is not None and key != window_key:
-                if window_orig > 0 and divergence is not None:
-                    divergence.observe(
-                        window_key[1], window_orig, max(env.now - window_start, 1e-9)
-                    )
-                window_start = env.now
-                window_orig = 0
-            window_key = key
-            yield sock.put(("chunk", wire_n, level, orig_n), weight=wire_n)
-            window_orig += orig_n
-            result.levels_used[level] = result.levels_used.get(level, 0) + 1
-        if window_key is not None and window_orig > 0 and divergence is not None:
-            divergence.observe(
-                window_key[1], window_orig, max(env.now - window_start, 1e-9)
-            )
+            windows.leaving(pkt, env.now)
+            yield sock.put(pkt, weight=pkt.wire_length)
+            result.levels_used[pkt.level] = result.levels_used.get(pkt.level, 0) + 1
+        windows.close(env.now)
         sock.close()
 
     def link_proc():
         first = True
         while True:
-            item = yield sock.get()
-            if item is None:
+            pkt = yield sock.get()
+            if pkt is None:
                 break
-            _, wire_n, level, orig_n = item
-            yield Timeout(link.ser_time(wire_n, env.now))
+            result.wire_bytes += pkt.wire_length
+            yield Timeout(link.ser_time(pkt.wire_length, env.now))
             if first:
                 yield Timeout(link.latency)
                 first = False
-            yield recv_sock.put(item, weight=wire_n)
+            yield recv_sock.put(pkt, weight=pkt.wire_length)
         recv_sock.close()
 
     def reception_proc():
         while True:
-            item = yield recv_sock.get()
-            if item is None:
+            pkt = yield recv_sock.get()
+            if pkt is None:
                 break
-            yield recv_queue.put(item)
+            yield recv_queue.put(pkt)
         recv_queue.close()
 
     def decompression_proc():
         while True:
-            item = yield recv_queue.get()
-            if item is None:
+            pkt = yield recv_queue.get()
+            if pkt is None:
                 break
-            _, wire_n, level, orig_n = item
-            if level > 0 and orig_n > 0:
-                cost = data.cost(level)
-                yield Timeout(orig_n / (cost.decompress_bps * recv_cpu))
-            state["delivered"] += orig_n
+            if pkt.level > 0:
+                cpu_bps = data.cost(pkt.level).decompress_bps * profile.receiver_cpu_scale
+                yield Timeout(pkt.original_bytes / cpu_bps)
+            state["delivered"] += pkt.original_bytes
             state["done_at"] = env.now
 
     env.process(compression_proc(), "compress")
@@ -389,14 +350,13 @@ def simulate_adoc_message(
 
     elapsed = state["done_at"] if state["done_at"] is not None else env.now
     elapsed += ADOC_FRAMING_S
-    if not state["fast"]:
+    if not result.fast_path:
         # The pipelined wire pattern loses a fraction of an RTT to
         # transport stalls (Table 2 calibration).
         elapsed += PIPELINE_STALL_RTTS * profile.rtt_s
-    result.wire_bytes = state["wire"]
     result.elapsed_s = elapsed
-    result.pipeline_used = not state["fast"]
-    result.fast_path = state["fast"]
-    result.probe_bps = state["probe_bps"]
+    result.pipeline_used = not result.fast_path
+    result.guard_trips = plan.guard.trips
+    result.decisions = getattr(plan.adapter, "history", [])
     result.queue_peak = queue.peak_size
     return result

@@ -123,8 +123,8 @@ def flow_snapshot(result: SimTransferResult, method: str) -> dict:
         "adoc_queue_depth", "FIFO queue depth", ("queue",)
     ).set(float(result.queue_peak), queue="sim")
     reg.counter(
-        "adoc_level_decisions_total", "Figure-2 adapter decisions"
-    ).inc(sum(levels.values()))
+        "adoc_level_decisions_total", "Figure-2 controller updates"
+    ).inc(len(result.decisions))
     reg.counter(
         "adoc_messages_total", "messages transferred"
     ).inc()
@@ -143,8 +143,8 @@ def flow_snapshot(result: SimTransferResult, method: str) -> dict:
         "adoc_degraded_streams_total", "streams degraded to raw"
     ).inc(0)
     reg.counter(
-        "adoc_guard_trips_total", "incompressible-guard trips"
-    ).inc(result.guard_trips)
+        "adoc_guard_trips_total", "adaptation guard activations", ("guard",)
+    ).inc(result.guard_trips, guard="incompressible")
     reg.gauge(
         "adoc_sim_bandwidth_bps", "simulated application bandwidth", ("method",)
     ).set(result.app_bandwidth_bps, method=method)

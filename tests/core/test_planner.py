@@ -13,7 +13,17 @@ from repro.core import AdocConfig
 from repro.core.divergence import DivergenceGuard
 from repro.core.fifo import QueuedPacket
 from repro.core.packets import Record
-from repro.core.planner import EmissionWindows, SendPlanner, record_packets
+from repro.core.planner import (
+    BYPASS,
+    FAST_PATH,
+    PIPELINE,
+    PROBE,
+    EmissionWindows,
+    SendPlanner,
+    message_route,
+    observe_probe,
+    record_packets,
+)
 from repro.obs.telemetry import NULL_TELEMETRY
 
 #: 8 KB buffers of 2 KB packets: every buffer is four raw packets.
@@ -126,6 +136,35 @@ class TestScriptedMessage:
         cfg = CFG.with_levels(0, 0)
         plan = SendPlanner(cfg, DivergenceGuard(), NULL_TELEMETRY)
         assert plan.decide(50, 0.0) == 0
+
+
+class TestMessageRoute:
+    def test_ladder_order(self):
+        big = CFG.small_message_threshold
+        assert message_route(big - 1, CFG) == BYPASS
+        assert message_route(big, CFG) == PROBE
+        assert message_route(0, CFG.with_levels(1, 10)) == PIPELINE
+        assert message_route(10**9, CFG.with_levels(0, 0)) == BYPASS
+
+    def test_probe_verdict_at_the_fast_network_threshold(self):
+        big = CFG.small_message_threshold
+        fast = CFG.fast_network_bps
+        assert message_route(big, CFG, fast + 1) == FAST_PATH
+        assert message_route(big, CFG, fast) == PIPELINE
+        assert message_route(big, CFG, fast - 1) == PIPELINE
+
+    def test_unknown_length_always_takes_the_pipeline(self):
+        assert message_route(None, CFG) == PIPELINE
+        assert message_route(None, CFG.with_levels(0, 0)) == PIPELINE
+
+    def test_probe_is_two_level0_windows(self):
+        guard = DivergenceGuard()
+        assert observe_probe(guard, 1001, 0.5) == 1001 * 8 / 0.5
+        assert guard._records[0].samples == 2
+        assert guard.recorded_bandwidth(0) == pytest.approx(1001 / 0.5, rel=1e-3)
+        # No guard (the ablation) still yields the rate; no clock tick
+        # counts as a nanosecond.
+        assert observe_probe(None, 1000, 0.0) == 1000 * 8 / 1e-9
 
 
 class TestRecordPackets:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import AdocConfig, MessageSender, SendResult
 from repro.core.divergence import DivergenceGuard
+from repro.core.planner import BYPASS, PIPELINE, PROBE, message_route
 from repro.data import ascii_data
 from repro.serve.pool import shutdown_shared_pool
 from repro.core.sources import stream_size
@@ -68,20 +69,21 @@ class TestProbe:
 
 
 class TestBypassLadder:
+    """The sender's first rung is the planner's shared ladder."""
+
     def test_small_message_bypass(self):
-        sender = MessageSender(_NullEndpoint(), CFG)
-        assert sender._should_bypass(100, CFG)
-        assert not sender._should_bypass(100_000, CFG)
+        assert message_route(100, CFG) == BYPASS
+        assert message_route(100_000, CFG) == PROBE
 
     def test_forced_never_bypasses(self):
-        cfg = CFG.with_levels(1, 10)
-        sender = MessageSender(_NullEndpoint(), cfg)
-        assert not sender._should_bypass(1, cfg)
+        assert message_route(1, CFG.with_levels(1, 10)) == PIPELINE
 
     def test_disabled_always_bypasses(self):
         cfg = CFG.with_levels(0, 0)
+        assert message_route(10**9, cfg) == BYPASS
         sender = MessageSender(_NullEndpoint(), cfg)
-        assert sender._should_bypass(10**9, cfg)
+        result = sender.send(b"z" * 100_000)
+        assert not result.pipeline_used and result.probe_bps is None
 
 
 class TestStreamSize:

@@ -1,4 +1,4 @@
-"""Both send drivers over one planner: the same decisions, guards, levels.
+"""The send drivers over one planner: the same ladder, decisions, guards.
 
 The blocking dispatcher (:class:`~repro.core.sender.MessageSender`) and
 the reactor's :class:`~repro.serve.channel.AdocChannel` each drive a
@@ -7,6 +7,8 @@ reading scripted and the divergence veto stubbed out, timing cannot
 reach a decision, so the drivers must produce identical Figure-2
 traces; the guard tests pin the codec-failure and incompressible rules
 on the reactor path, and the slow-reader test shows it adapts for real.
+The ladder test adds the third driver, the simulator: all three take
+the planner's bypass verdict.
 """
 
 from __future__ import annotations
@@ -25,14 +27,15 @@ from repro.core import sender as sender_mod
 from repro.core.compressor import compress_buffer
 from repro.core.divergence import DivergenceGuard
 from repro.core.packets import END_LEVEL
-from repro.core.planner import SendPlanner
+from repro.core.planner import BYPASS, SendPlanner, message_route
 from repro.core.receiver import StreamingParser
 from repro.data import ascii_data
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.serve import channel as channel_mod
 from repro.serve.channel import AdocChannel
 from repro.serve.pool import WorkerPool, shutdown_shared_pool
-from repro.transport import socketpair_endpoints
+from repro.simulator import profile_by_name, simulate_adoc_message
+from repro.transport import LAN100, socketpair_endpoints
 from repro.transport.socket_transport import SocketEndpoint
 
 from .test_channel import Collector
@@ -192,6 +195,34 @@ class TestDriverParity:
             plan.submit(buf, level)
             list(plan.complete(compress_buffer(buf, level, plan.guard, FORCED), None))
         assert trace(blocking) == trace(plan)
+
+
+LADDER = [
+    pytest.param(CFG, 0, True, id="empty"),
+    pytest.param(CFG, CFG.small_message_threshold - 1, True, id="threshold-1"),
+    pytest.param(CFG, CFG.small_message_threshold, False, id="threshold"),
+    pytest.param(FORCED, 0, False, id="forced-empty"),
+    pytest.param(CFG.with_levels(0, 0), 32 * 1024 * 1024, True, id="disabled-32MB"),
+]
+
+
+class TestLadderParity:
+    @pytest.mark.parametrize("cfg,size,bypass", LADDER)
+    def test_three_drivers_share_the_bypass_verdict(
+        self, loop, planners, cfg, size, bypass
+    ):
+        data = bytes(size)
+        assert (message_route(size, cfg) == BYPASS) is bypass
+
+        blocking = MessageSender(CollectEndpoint(), cfg).send(data)
+        assert (not blocking.pipeline_used and blocking.probe_bps is None) is bypass
+
+        built = len(planners)
+        channel_send(loop, cfg, data)
+        assert (len(planners) == built) is bypass  # no planner: framed raw
+
+        sim = simulate_adoc_message(size, profile_by_name("ascii"), LAN100, cfg)
+        assert (not sim.pipeline_used and sim.probe_bps is None) is bypass
 
 
 BUFFERS = [

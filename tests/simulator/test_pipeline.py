@@ -7,14 +7,18 @@ import dataclasses
 import pytest
 
 from repro.core import AdocConfig, DEFAULT_CONFIG
+from repro.core.divergence import DivergenceGuard
+from repro.core.planner import SendPlanner
 from repro.simulator import (
     profile_by_name,
     simulate_adoc_message,
     simulate_posix_message,
 )
+from repro.simulator import pipeline as pipeline_mod
 from repro.transport import GBIT, INTERNET, LAN100, RENATER
 
-MB = 1024 * 1024
+KB = 1024
+MB = 1024 * KB
 ASCII = profile_by_name("ascii")
 BINARY = profile_by_name("binary")
 INCOMPRESSIBLE = profile_by_name("incompressible")
@@ -184,3 +188,56 @@ class TestAdapterFactoryHook:
         )
         assert calls, "custom adapter must be consulted"
         assert set(r.levels_used) <= {0, 5}
+
+
+class TestPlannerDriven:
+    """The simulator drives the live planner: its guard, trace and windows."""
+
+    def test_decisions_after_a_trip_are_held_off(self, monkeypatch):
+        """Incompressible data trips the guard; the next decision is held.
+
+        Four-packet buffers leave most of the 10-packet holdoff for the
+        next buffer, so the decision after a tripped buffer must carry
+        ``holdoff`` (with 25-packet buffers the trip's own packets drain
+        it, live and simulated alike).
+        """
+        made: list[SendPlanner] = []
+
+        class Recording(SendPlanner):
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
+                self.tripped: list[bool] = []
+                made.append(self)
+
+            def complete(self, outcome, error):
+                self.tripped.append(outcome[1])
+                return super().complete(outcome, error)
+
+        monkeypatch.setattr(pipeline_mod, "SendPlanner", Recording)
+        cfg = AdocConfig(buffer_size=32 * KB)
+        r = simulate_adoc_message(4 * MB, INCOMPRESSIBLE, LAN100, config=cfg, seed=1)
+        (plan,) = made
+        assert r.guard_trips == plan.guard.trips > 0
+        assert len(r.decisions) == len(plan.tripped)
+        after = [i + 1 for i, hit in enumerate(plan.tripped[:-1]) if hit]
+        assert after and all(r.decisions[i].holdoff for i in after)
+
+    def test_shared_divergence_keeps_the_probe_samples(self):
+        """The probe's two level-0 halves land in a shared guard per call."""
+        half = DEFAULT_CONFIG.probe_size // 2
+
+        class Spy(DivergenceGuard):
+            def __init__(self) -> None:
+                super().__init__(DEFAULT_CONFIG.divergence_forbid_s)
+                self.seen: list[tuple[int, int]] = []
+
+            def observe(self, level, payload_bytes, elapsed):
+                self.seen.append((level, payload_bytes))
+                super().observe(level, payload_bytes, elapsed)
+
+        guard = Spy()
+        for calls, seed in enumerate((1, 2), start=1):
+            r = simulate_adoc_message(2 * MB, ASCII, RENATER, seed=seed, divergence=guard)
+            assert r.probe_bps is not None and r.pipeline_used
+            assert guard.seen.count((0, half)) >= 2 * calls
+            assert guard._records[0].samples >= 2 * calls

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.simulator import pingpong_latency, sweep, transfer_bandwidth
+from repro.core import DEFAULT_CONFIG, AdocConfig, MessageSender
+from repro.obs.telemetry import Telemetry
+from repro.simulator import flow_snapshot, pingpong_latency, sweep, transfer_bandwidth
 from repro.transport import GBIT, INTERNET, LAN100, RENATER
 
 MB = 1024 * 1024
@@ -98,3 +102,43 @@ class TestTable2:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             pingpong_latency(LAN100, "weird")
+
+
+class _Sink:
+    def send(self, data) -> int:
+        return len(data)
+
+    def recv(self, n: int) -> bytes:
+        return b""
+
+    def close(self) -> None:
+        pass
+
+
+class TestFlowSnapshot:
+    """A simulated flow publishes the live pipeline's series and labels."""
+
+    def test_one_decision_per_pipelined_buffer(self):
+        size = 32 * MB
+        r = transfer_bandwidth(size, "ascii", LAN100, seed=1)
+        snap = flow_snapshot(r, "ascii")
+        (series,) = snap["adoc_level_decisions_total"]["series"]
+        cfg = DEFAULT_CONFIG
+        buffers = -(-(size - cfg.probe_size) // cfg.buffer_size)
+        assert series["value"] == len(r.decisions) == buffers
+
+    def test_guard_trips_carry_the_live_label(self):
+        r = transfer_bandwidth(8 * MB, "incompressible", RENATER, seed=1)
+        assert r.guard_trips > 0
+        (sim,) = flow_snapshot(r, "incompressible")["adoc_guard_trips_total"]["series"]
+        assert sim["value"] == r.guard_trips
+
+        # A live send of random bytes at forced levels trips the same guard.
+        tele = Telemetry(enabled=True)
+        cfg = AdocConfig(telemetry=tele, compress_workers=0).with_levels(1, 10)
+        live = MessageSender(_Sink(), cfg)
+        assert live.send(random.Random(5).randbytes(MB)).guard_trips > 0
+        live_labels = [
+            s["labels"] for s in tele.metrics.to_json()["adoc_guard_trips_total"]["series"]
+        ]
+        assert sim["labels"] in live_labels
