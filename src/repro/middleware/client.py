@@ -197,13 +197,7 @@ class Client:
 
     def call(self, service: str, *matrices: np.ndarray) -> np.ndarray:
         """One RPC over numpy matrices; returns the (single) result."""
-        args = [encode_matrix_ascii(m) for m in matrices]
-        result = self.call_raw(service, args)
-        if len(result.results) != 1:
-            raise RpcError(
-                f"{service!r} returned {len(result.results)} payloads, expected 1"
-            )
-        return decode_matrix_ascii(result.results[0])
+        return self.call_timed(service, *matrices)[0]
 
     def call_timed(self, service: str, *matrices: np.ndarray) -> tuple[np.ndarray, CallResult]:
         """Like :meth:`call` but also returns the timing/accounting."""
