@@ -51,6 +51,24 @@ __all__ = [
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
+#: Transport operations that block on a peer, whatever the receiver
+#: (module-level helpers count too: ``sendall(ep, ...)``).
+_TRANSPORT_OPS = frozenset(
+    {
+        "send",
+        "sendall",
+        "sendto",
+        "sendmsg",
+        "send_vectors",
+        "sendall_vectors",
+        "recv",
+        "recv_into",
+        "recv_exact",
+        "accept",
+        "connect",
+    }
+)
+
 
 def module_name_for_path(path: str) -> str:
     """Dotted module name for a file path.
@@ -483,8 +501,10 @@ class _CallCollector:
                     return (meth,)
                 return ()
             # Unique-method-name fallback: unambiguous across the program.
+            # Never for a transport op: one in-tree ``accept`` method
+            # must not turn every bare ``sock.accept()`` into its call.
             owners = self.graph.methods_by_name.get(func.attr, [])
-            if len(owners) == 1:
+            if len(owners) == 1 and func.attr not in _TRANSPORT_OPS:
                 return (self.graph.classes[owners[0]].methods[func.attr],)
             return ()
         if isinstance(func, ast.Name):

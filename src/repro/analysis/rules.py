@@ -30,28 +30,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .callgraph import _FUNC_NODES, _dotted, _is_thread_ctor, _last_name
+from .callgraph import _FUNC_NODES, _TRANSPORT_OPS, _dotted, _is_thread_ctor, _last_name
 from .findings import Finding
 
 __all__ = ["check_file"]
-
-#: Transport operations that block on a peer, whatever the receiver
-#: (module-level helpers count too: ``sendall(ep, ...)``).
-_TRANSPORT_OPS = frozenset(
-    {
-        "send",
-        "sendall",
-        "sendto",
-        "sendmsg",
-        "send_vectors",
-        "sendall_vectors",
-        "recv",
-        "recv_into",
-        "recv_exact",
-        "accept",
-        "connect",
-    }
-)
 
 #: Sleeps and codec work: bounded, but they park whatever thread (and
 #: hold whatever lock) they run under.

@@ -34,12 +34,25 @@ class ZlibCodec(Codec):
         return zlib.compress(data, self.level)
 
     def decompress(self, data: bytes, expected_size: int | None = None) -> bytes:
+        """Inflate ``data``; with ``expected_size``, never past it.
+
+        A record header's size bounds the output: a stream that would
+        inflate further stops one byte over and is rejected, so a small
+        hostile record cannot make the receiver allocate its full
+        expansion.  A truncated stream and a size mismatch raise
+        :exc:`CodecError`; bytes after the stream end are ignored.
+        """
         try:
-            out = zlib.decompress(data)
+            if expected_size is None:
+                return zlib.decompress(data)
+            inflater = zlib.decompressobj()
+            out = inflater.decompress(data, expected_size + 1)
         except zlib.error as exc:
             raise CodecError(f"zlib decode failed: {exc}") from exc
-        if expected_size is not None and len(out) != expected_size:
+        if len(out) != expected_size:
             raise CodecError(
                 f"zlib output size {len(out)} != expected {expected_size}"
             )
+        if not inflater.eof:
+            raise CodecError("zlib decode failed: incomplete or truncated stream")
         return out

@@ -32,7 +32,7 @@ followed by a sequence of records::
 
 Records keep coming until their ``orig`` sizes sum to ``total``, or —
 for unknown-length messages — until an END record (level 0xFF,
-orig = wire = 0) arrives.
+orig = wire = 0) arrives.  A raw (level 0) record has orig = wire.
 """
 
 from __future__ import annotations
@@ -169,6 +169,8 @@ def unpack_record_header(data: bytes) -> RecordHeader:
         raise ProtocolError(f"invalid compression level {level}")
     if level == END_LEVEL and (orig or wire):
         raise ProtocolError("END record must be empty")
+    if level == 0 and orig != wire:
+        raise ProtocolError(f"raw record claims {orig} bytes but carries {wire}")
     return RecordHeader(level, orig, wire)
 
 

@@ -4,6 +4,8 @@ The receiving half of Figure 1: one thread reads the network, the other
 decompresses, with a FIFO queue between them (the receiver does *not*
 monitor its queue size — adaptation is sender-side only).  Decompressed
 bytes land in a bounded :class:`OutputBuffer` that ``adoc_read`` drains.
+The wire parser and the in-order decode core (:class:`StreamingParser`,
+:class:`ReceivePlanner`) are shared with the reactor's ``AdocChannel``.
 
 The bounded buffer chain is load-bearing for the paper's divergence
 story: when the application (or this host's CPU) consumes slowly, the
@@ -24,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Iterator
 
 from ..analysis.lockgraph import make_condition, make_lock
 from ..compress.registry import codec_for_level
@@ -43,16 +45,16 @@ from .packets import (
 )
 from .stats import ConnectionStats
 
-__all__ = ["OutputBuffer", "ReceiverPipeline", "StreamingParser"]
+__all__ = [
+    "OutputBuffer", "ReceivePlanner", "ReceiverPipeline", "StreamingParser",
+    "decode_record",
+]
 
 #: Sentinel chunk marking an end-of-message boundary in the buffers.
 _EOM = object()
 
-#: How much the reception thread asks the transport for per read.  The
-#: parser below is incremental, so reads no longer need to align with
-#: frame boundaries — one syscall can deliver many records (or half a
-#: header), where the pre-parser receiver paid one ``recv`` per frame
-#: field.
+#: How much the reception thread asks the transport for per read: the
+#: parser is incremental, so one read may carry many records or half one.
 _RECV_CHUNK = 64 * 1024
 
 # StreamingParser states.
@@ -71,12 +73,11 @@ class StreamingParser:
     message boundary, with ``original_bytes`` on the marker carrying the
     message's total wire size for accounting.
 
-    The same validation as the pull-mode reader applies (END in a
-    known-length message, records overflowing the declared length), and
-    the parser persists across messages: a chunk may end one message and
-    start the next.  Both reception modes sit on this class — the
-    blocking :class:`ReceiverPipeline` thread and the readiness-driven
-    :class:`repro.serve.channel.AdocChannel` — so the two cannot drift.
+    It rejects an END record in a known-length message and records
+    overflowing the declared length, and it persists across messages:
+    a chunk may end one message and start the next.  Both receive
+    drivers sit on this class and on :class:`ReceivePlanner`, so the
+    two cannot drift.
     """
 
     def __init__(self) -> None:
@@ -130,9 +131,7 @@ class StreamingParser:
                 self._message_wire += RECORD_HEADER_SIZE
                 if rec.is_end:
                     if self._header.length_known:
-                        raise ProtocolError(
-                            "unexpected END in known-length message"
-                        )
+                        raise ProtocolError("unexpected END in known-length message")
                     self._finish_message(out)
                 else:
                     self._rec = rec
@@ -142,19 +141,15 @@ class StreamingParser:
                 if payload is None:
                     break
                 rec = self._rec
-                self._rec = None
                 self._message_wire += rec.wire_size
                 out.append(QueuedPacket(payload, rec.level, rec.original_size))
+                self._state = _WANT_REC_HDR
                 if self._header.length_known:
                     self._remaining -= rec.original_size
                     if self._remaining < 0:
                         raise ProtocolError("records overflow declared length")
                     if self._remaining == 0:
                         self._finish_message(out)
-                    else:
-                        self._state = _WANT_REC_HDR
-                else:
-                    self._state = _WANT_REC_HDR
         # Compact the consumed prefix so the buffer never grows beyond
         # one read plus a partial frame.
         if self._pos:
@@ -175,6 +170,101 @@ class StreamingParser:
                 f"stream ended mid-message with "
                 f"{len(self._buf) - self._pos} bytes of an unfinished frame"
             )
+
+
+def decode_record(level: int, payload: bytes, orig: int) -> tuple[bytes, float]:
+    """Decode one record, timed: the job both receive drivers run."""
+    start = time.perf_counter()
+    data = codec_for_level(level).decompress(payload, orig)
+    return data, time.perf_counter() - start
+
+
+class ReceivePlanner:
+    """In-order decode and accounting of one connection's inbound records.
+
+    The receive twin of :class:`~repro.core.planner.SendPlanner`: it
+    owns no thread, pool, socket or clock.  Drivers pass in every parsed
+    packet (:meth:`accept`), run each decode job it returns with
+    :func:`decode_record` — inline, or on a pool that completes them in
+    submission order — pass the outcomes back in that order
+    (:meth:`complete`) and deliver what :meth:`release` yields.  Receive
+    accounting folds into ``stats`` per message; each decoded record
+    leaves one ``buffer_decoded`` trace record.
+    """
+
+    def __init__(self, stats: ConnectionStats, telemetry: Telemetry) -> None:
+        self._stats = stats
+        self._tele = telemetry
+        self._items: deque[QueuedPacket] = deque()  # wire order, unreleased
+        self._jobs: deque[QueuedPacket] = deque()  # decodes not completed
+        self._decoded: deque[bytes] = deque()  # completed, not released
+        self._raw = self._inflated = self._payload = 0
+
+    @property
+    def pending(self) -> int:
+        """Accepted items (records and boundaries) not yet released."""
+        return len(self._items)
+
+    def accept(self, pkt: QueuedPacket) -> tuple[int, bytes, int] | None:
+        """Queue one parsed packet; a decode job for compressed records."""
+        self._items.append(pkt)
+        if pkt.level == 0 or pkt.level == END_LEVEL:
+            return None
+        self._jobs.append(pkt)
+        return pkt.level, pkt.payload, pkt.original_bytes
+
+    def complete(
+        self, outcome: tuple[bytes, float] | None, error: BaseException | None
+    ) -> None:
+        """Take the oldest outstanding decode job's outcome.
+
+        A codec failure is fatal to the stream: it raises
+        :exc:`~repro.core.deadlines.TransferError` at stage ``decompress``.
+        """
+        pkt = self._jobs.popleft()
+        if error is not None or outcome is None:
+            raise TransferError(
+                f"decompression failed at level {pkt.level}: {error}",
+                stage="decompress",
+            ) from error
+        data, seconds = outcome
+        self._decoded.append(data)
+        if self._tele.enabled:
+            self._tele.tracer.record(
+                "buffer", "buffer_decoded",
+                level=pkt.level,
+                wire_bytes=len(pkt.payload),
+                raw_bytes=len(data),
+                decode_us=round(seconds * 1e6, 1),
+            )
+
+    def release(self) -> Iterator[bytes | None]:
+        """Data chunks, and ``None`` per message boundary, in wire order.
+
+        Stops at the first record whose decode has not completed.
+        """
+        items = self._items
+        while items:
+            pkt = items[0]
+            if pkt.level == END_LEVEL:
+                items.popleft()
+                self._stats.record_recv_message(pkt.original_bytes)
+                self._stats.record_recv_packets(self._raw, self._inflated, self._payload)
+                self._raw = self._inflated = self._payload = 0
+                yield None
+                continue
+            if pkt.level == 0:
+                data = pkt.payload
+                self._raw += 1
+            elif self._decoded:
+                data = self._decoded.popleft()
+                self._inflated += 1
+            else:
+                return
+            items.popleft()
+            self._payload += len(data)
+            if len(data):
+                yield data
 
 
 class OutputBuffer:
@@ -359,20 +449,16 @@ class ReceiverPipeline:
         if config.io_timeout_s is not None and hasattr(endpoint, "settimeout"):
             endpoint.settimeout(config.io_timeout_s)
         self.telemetry: Telemetry = resolve_telemetry(config)
-        if stats is None:
-            # Standalone receiver: own the accounting and show up in
-            # `adoc top`.  Full-duplex connections pass the sender's
-            # stats in so both directions fold into one view.
-            self.stats = ConnectionStats(self.telemetry)
-            if self.telemetry.enabled:
-                self.telemetry.register_connection("recv", self)
-        else:
-            self.stats = stats
+        # Full-duplex connections pass the sender's stats in so both
+        # directions fold into one view; a standalone receiver owns its
+        # accounting and shows up in `adoc top`.
+        self.stats = stats if stats is not None else ConnectionStats(self.telemetry)
+        if stats is None and self.telemetry.enabled:
+            self.telemetry.register_connection("recv", self)
         self.output = OutputBuffer(output_capacity, timeout_s=config.io_timeout_s)
-        self._queue: PacketQueue = PacketQueue(
-            config.recv_queue_packets, self.telemetry, "recv"
-        )
+        self._queue = PacketQueue(config.recv_queue_packets, self.telemetry, "recv")
         self._closed = False
+        self._rx_error: BaseException | None = None
         self._reader = threading.Thread(
             target=self._reception_thread, name="adoc-recv", daemon=True
         )
@@ -409,36 +495,31 @@ class ReceiverPipeline:
         parser = StreamingParser()
         try:
             with self.telemetry.span("recv"):
-                while not self._closed:
-                    if not self._read_chunk(parser):
-                        break
-        except QueueClosed:
+                while not self._closed and self._read_chunk(parser):
+                    pass
+        except QueueClosed:  # close() while a put was blocked
             pass
         except TransportTimeout as exc:
             # Only mid-message timeouts escape _read_chunk: bytes of a
             # frame are outstanding and the peer stopped sending.
             error = DeadlineExceeded(
-                f"peer stalled mid-message past "
-                f"{self.config.io_timeout_s}s: {exc}",
+                f"peer stalled mid-message past {self.config.io_timeout_s}s: {exc}",
                 stage="recv",
             )
-        except (ProtocolError, TransportClosed) as exc:
-            error = exc
         except BaseException as exc:  # noqa: BLE001 - surfaced to reader
             error = exc
         finally:
+            # The decompression thread surfaces the error once it has
+            # delivered everything queued before it, so the reader sees
+            # the same bytes whatever the thread timing.
+            self._rx_error = error
             self._queue.close()
-            if error is not None:
-                self.output.finish(error)
 
     def _read_chunk(self, parser: StreamingParser) -> bool:
         """Read once, feed the parser; False on clean EOF.
 
-        The parser tolerates arbitrary chunking, so reads are sized for
-        throughput (:data:`_RECV_CHUNK`) rather than frame alignment —
-        this thread owns its direction of the socket for the
-        connection's lifetime, so over-reading past a message boundary
-        only primes the parser for the next message.
+        This thread owns its direction of the socket, so reading past a
+        message boundary only primes the parser for the next message.
         """
         try:
             data = self.endpoint.recv(_RECV_CHUNK)
@@ -452,55 +533,31 @@ class ReceiverPipeline:
         if not data:
             parser.feed_eof()  # truncated frame surfaces as TransportClosed
             return False
-        timeout = self.config.io_timeout_s
         for pkt in parser.feed(data):
-            if pkt.level == END_LEVEL:
-                # Message boundary: the marker rides the queue as a
-                # zero-byte packet at the reserved END level so ordering
-                # with data is preserved; its original_bytes carries the
-                # message's wire size for accounting.
-                self.stats.record_recv_message(pkt.original_bytes)
-                self._queue.put(QueuedPacket(b"", 0xFF, 0), timeout=timeout)
-            else:
-                self._queue.put(pkt, timeout=timeout)
+            self._queue.put(pkt, timeout=self.config.io_timeout_s)
         return True
 
     # -- decompression thread: record queue -> output buffer ------------------
 
     def _decompression_thread(self) -> None:
-        # Receive accounting accumulates locally and flushes per message
-        # (at each marker) so the hot loop takes no extra locks.
-        raw = inflated = payload_bytes = 0
+        plan = ReceivePlanner(self.stats, self.telemetry)
+        output = self.output
         try:
             with self.telemetry.span("decompress"):
-                while True:
-                    pkt = self._queue.get()
-                    if pkt is None:
-                        break
-                    if pkt.level == 0xFF:
-                        self.output.put_marker()
-                        self.stats.record_recv_packets(raw, inflated, payload_bytes)
-                        raw = inflated = payload_bytes = 0
-                        continue
-                    if pkt.level == 0:
-                        raw += 1
-                        payload_bytes += len(pkt.payload)
-                        self.output.put(pkt.payload)
-                    else:
-                        codec = codec_for_level(pkt.level)
+                while (pkt := self._queue.get()) is not None:
+                    job = plan.accept(pkt)
+                    if job is not None:
                         try:
-                            data = codec.decompress(pkt.payload, pkt.original_bytes)
-                        except Exception as exc:
-                            raise TransferError(
-                                f"decompression failed at level {pkt.level}: {exc}",
-                                stage="decompress",
-                            ) from exc
-                        inflated += 1
-                        payload_bytes += len(data)
-                        self.output.put(data)
+                            outcome, error = decode_record(*job), None
+                        except Exception as exc:  # noqa: BLE001 - planner maps it
+                            outcome, error = None, exc
+                        plan.complete(outcome, error)
+                    for chunk in plan.release():
+                        if chunk is None:
+                            output.put_marker()
+                        else:
+                            output.put(chunk)
         except BaseException as exc:  # noqa: BLE001
-            self.output.finish(exc)
+            output.finish(exc)
         else:
-            self.output.finish()
-        finally:
-            self.stats.record_recv_packets(raw, inflated, payload_bytes)
+            output.finish(self._rx_error)

@@ -3,30 +3,26 @@
 The blocking engine (:mod:`repro.core.sender` / ``receiver``) spends
 threads to wait; a channel spends none.  It registers one non-blocking
 socket with a :class:`~repro.serve.reactor.Reactor` and moves bytes
-only when the kernel says it can: reads feed the same incremental
-:class:`~repro.core.receiver.StreamingParser` the blocking receiver
-uses, writes drain a backlog of framing vectors built by the same
-helpers (:func:`~repro.core.sender.raw_message_vectors` and the
-:class:`~repro.core.planner.SendPlanner` both engines drive), so the
-two modes are byte-compatible on the wire by construction — a blocking
-sender can talk to a reactor channel and vice versa.
+only when the kernel says it can.  Both directions drive the planners
+the blocking engine drives: reads go through the same
+:class:`~repro.core.receiver.StreamingParser` and
+:class:`~repro.core.receiver.ReceivePlanner`, writes drain framing built
+by :func:`~repro.core.sender.raw_message_vectors` and the
+:class:`~repro.core.planner.SendPlanner`.  So the two modes are
+byte-compatible on the wire by construction, and account alike.
 
 CPU-heavy codec work never runs on the loop thread: compression and
 decompression are submitted to a :class:`~repro.serve.pool.WorkerPool`
-keyed per channel direction, whose in-order FIFO reinsertion guarantees
-records are emitted (and decoded payloads delivered) in submission
-order no matter which worker finishes first.  Small messages skip the
-pool entirely — they are framed raw inline, the reactor analog of the
-blocking sender's small-message bypass.
+keyed per channel direction, whose in-order FIFO reinsertion hands
+completions back in submission order no matter which worker finishes
+first.  Small messages skip the pool: they are framed raw inline.
 
 What carries over from the blocking engine, per the mode matrix in
-``docs/CONCURRENCY.md``: zero-copy emission (payloads stay
-``memoryview`` vectors end to end), ``io_timeout_s`` deadlines (a stall
-timer fails the channel when a frame or a write backlog stops making
-progress), level adaptation + divergence/incompressibility guards, and
-telemetry.  What does not: the 256 KB bandwidth probe (it needs timed
-blocking sends; reactor-mode level selection leans on the write-backlog
-depth instead).
+``docs/CONCURRENCY.md``: zero-copy emission, ``io_timeout_s`` deadlines
+(a stall timer fails the channel when a frame or a write backlog stops
+making progress), level adaptation with its guards, and telemetry on
+both directions.  What does not: the 256 KB bandwidth probe (it needs
+timed blocking sends; level selection reads the write backlog instead).
 
 Thread model: every public method is **loop-thread-only** — callers on
 other threads go through
@@ -43,17 +39,17 @@ from collections import deque
 from functools import partial
 from typing import Callable
 
-from ..compress.registry import codec_for_level
 from ..core.compressor import compress_buffer
 from ..core.config import AdocConfig, DEFAULT_CONFIG
 from ..core.deadlines import DeadlineExceeded, TransferError
 from ..core.divergence import DivergenceGuard
 from ..core.fifo import QueuedPacket
-from ..core.packets import END_LEVEL, ProtocolError, pack_message_header
+from ..core.packets import ProtocolError, pack_message_header
 from ..core.planner import BYPASS, EmissionWindows, SendPlanner, message_route
-from ..core.receiver import StreamingParser
+from ..core.receiver import ReceivePlanner, StreamingParser, decode_record
 from ..core.sender import raw_message_vectors
 from ..core.sources import BytesSource
+from ..core.stats import ConnectionStats
 from ..obs.telemetry import Telemetry, resolve_telemetry
 from ..transport.base import Endpoint, TransportClosed
 from .pool import PoolClosed, WorkerPool
@@ -71,15 +67,10 @@ _READS_PER_CALLBACK = 4
 _MAX_VECTORS = 64
 #: Write backlog (bytes) above which the channel stops reading.
 _TX_HIGH_WATER = 4 * 1024 * 1024
-#: Decode slots above which the channel stops reading.
+#: Unreleased inbound records above which the channel stops reading.
 _RX_HIGH_WATER = 1024
 #: Retry interval while the worker pool is refusing submissions.
 _POOL_RETRY_S = 0.01
-
-#: Slot payload sentinel: decode still in flight.
-_PENDING = object()
-#: Slot payload sentinel: an inbound message boundary.
-_BOUNDARY = object()
 
 
 class NonBlockingEndpoint:
@@ -376,15 +367,6 @@ class PlainChannel(_ChannelBase):
         self.close()
 
 
-class _Slot:
-    """One record's place in the in-order delivery queue."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data=_PENDING) -> None:
-        self.data = data
-
-
 class AdocChannel(_ChannelBase):
     """AdOC framing over a non-blocking socket, codec work pooled.
 
@@ -399,7 +381,8 @@ class AdocChannel(_ChannelBase):
     their packets enqueued in buffer order (the pool's per-key FIFO
     reinsertion plus the reactor's ordered cross-thread queue make that
     order-safe even with every worker busy).  The planner's queue
-    reading is the write backlog in packets.
+    reading is the write backlog in packets.  Inbound records go through
+    a :class:`~repro.core.receiver.ReceivePlanner` the same way.
     """
 
     mode = "adoc"
@@ -415,11 +398,13 @@ class AdocChannel(_ChannelBase):
         super().__init__(reactor, endpoint, config, telemetry)
         self.pool = pool
         self._parser = StreamingParser()
-        #: Called at each inbound message boundary (RPC framing hooks).
+        #: Called at each inbound message boundary.
         self.on_message_end: Callable[[], None] | None = None
-        # Receive side: in-order delivery across inline + pooled decode.
-        self._rxq: deque[_Slot] = deque()
-        self._decode_parked: deque[tuple[_Slot, int, bytes, int]] = deque()
+        #: Receive accounting, folded in by the receive planner.
+        self.stats = ConnectionStats(self._tele)
+        self._rx = ReceivePlanner(self.stats, self._tele)
+        # Decode jobs not yet on the pool (it refused one), in order.
+        self._rx_parked: deque[tuple[int, bytes, int]] = deque()
         self._retry_timer = None
         # Send side: one message at a time through the planner; later
         # messages park until its packets are all enqueued.
@@ -502,9 +487,7 @@ class AdocChannel(_ChannelBase):
         # Worker thread: hop to the loop.  The pool delivers per-key
         # completions in submission order and call_soon_threadsafe is
         # FIFO, so buffer order survives the round trip.
-        self.reactor.call_soon_threadsafe(
-            partial(self._tx_enqueue_packets, outcome, error)
-        )
+        self.reactor.call_soon_threadsafe(partial(self._tx_enqueue_packets, outcome, error))
 
     def _tx_enqueue_packets(self, outcome, error) -> None:
         if self._closed or self._plan is None:
@@ -531,130 +514,86 @@ class AdocChannel(_ChannelBase):
     # -- receive -----------------------------------------------------------
 
     def _feed(self, data: bytes) -> None:
-        for pkt in self._parser.feed(data):
-            if pkt.level == END_LEVEL:
-                self.messages_in += 1
-                if self._rxq:
-                    self._rxq.append(_Slot(_BOUNDARY))
-                elif self.on_message_end is not None:
-                    self.on_message_end()
-                continue
-            if pkt.level == 0:
-                if self._rxq:
-                    self._rxq.append(_Slot(pkt.payload))
-                elif len(pkt.payload):
-                    self.on_data(pkt.payload)
-            else:
-                slot = _Slot()
-                self._rxq.append(slot)
-                self._submit_decode(slot, pkt.level, pkt.payload, pkt.original_bytes)
-        if len(self._rxq) > _RX_HIGH_WATER:
+        jobs = map(self._rx.accept, self._parser.feed(data))
+        self._rx_parked.extend(job for job in jobs if job is not None)
+        self.messages_in = self._parser.messages
+        self._submit_parked()
+        self._deliver()  # raw records go out inline when nothing is pending
+        if self._rx.pending > _RX_HIGH_WATER:
             self._pause_reading()
 
-    def _submit_decode(
-        self, slot: _Slot, level: int, payload: bytes, orig: int
-    ) -> None:
-        try:
-            accepted = self.pool.try_submit(
-                self._decompress_job,
-                level,
-                payload,
-                orig,
-                key=(id(self), "rx"),
-                on_done=partial(self._rx_job_done, slot, level),
-            )
-        except PoolClosed as exc:
-            self._fail(exc)
-            return
-        if not accepted:
-            self._decode_parked.append((slot, level, payload, orig))
-            self._pause_reading()
-            self._arm_retry()
-
-    def _decompress_job(self, level: int, payload: bytes, orig: int) -> bytes:
-        return codec_for_level(level).decompress(payload, orig)
-
-    def _rx_job_done(self, slot: _Slot, level: int, data, error) -> None:
-        # Worker thread: hop to the loop.
-        self.reactor.call_soon_threadsafe(
-            partial(self._rx_deliver, slot, level, data, error)
-        )
-
-    def _rx_deliver(self, slot: _Slot, level: int, data, error) -> None:
-        if self._closed:
-            return
-        if error is not None:
-            self._fail(
-                TransferError(
-                    f"decompression failed at level {level}: {error}",
-                    stage="decompress",
-                )
-            )
-            return
-        slot.data = data
-        while self._rxq and self._rxq[0].data is not _PENDING:
-            ready = self._rxq.popleft().data
-            if ready is _BOUNDARY:
-                if self.on_message_end is not None:
-                    self.on_message_end()
-            elif len(ready):
-                self.on_data(ready)
-        if self._rx_paused and self._may_resume():
-            self._resume_reading()
-
-    def _pump_parked_decodes(self) -> None:
-        while self._decode_parked:
-            slot, level, payload, orig = self._decode_parked[0]
+    def _submit_parked(self) -> None:
+        """Hand decode jobs to the pool in order until it refuses one."""
+        while self._rx_parked:
             try:
                 accepted = self.pool.try_submit(
-                    self._decompress_job,
-                    level,
-                    payload,
-                    orig,
+                    decode_record, *self._rx_parked[0],
                     key=(id(self), "rx"),
-                    on_done=partial(self._rx_job_done, slot, level),
+                    on_done=self._rx_job_done,
                 )
             except PoolClosed as exc:
                 self._fail(exc)
                 return
             if not accepted:
+                self._pause_reading()
                 self._arm_retry()
                 return
-            self._decode_parked.popleft()
+            self._rx_parked.popleft()
+
+    def _rx_job_done(self, outcome, error) -> None:
+        # Worker thread: hop to the loop, in record order as on send.
+        self.reactor.call_soon_threadsafe(partial(self._rx_complete, outcome, error))
+
+    def _rx_complete(self, outcome, error) -> None:
+        if self._closed:
+            return
+        try:
+            self._rx.complete(outcome, error)
+        except TransferError as exc:
+            self._fail(exc)
+            return
+        self._deliver()
+        if self._rx_paused and self._may_resume():
+            self._resume_reading()
+
+    def _deliver(self) -> None:
+        for chunk in self._rx.release():
+            if chunk is not None:
+                self.on_data(chunk)
+            elif self.on_message_end is not None:
+                self.on_message_end()
 
     def _arm_retry(self) -> None:
         if self._retry_timer is None and not self._closed:
-            self._retry_timer = self.reactor.call_later(
-                _POOL_RETRY_S, self._retry_pool
-            )
+            self._retry_timer = self.reactor.call_later(_POOL_RETRY_S, self._retry_pool)
 
     def _retry_pool(self) -> None:
         self._retry_timer = None
         if self._closed:
             return
-        self._pump_parked_decodes()
+        self._submit_parked()
         self._pump_tx()
-        if self._decode_parked or self._tx_next is not None:
+        if self._rx_parked or self._tx_next is not None:
             self._arm_retry()
         elif self._rx_paused and self._may_resume():
             self._resume_reading()
 
     def _may_resume(self) -> bool:
-        return (
-            self._pending_tx <= _TX_HIGH_WATER
-            and len(self._rxq) <= _RX_HIGH_WATER
-            and not self._decode_parked
-        )
+        rx_drained = not self._rx_parked and self._rx.pending <= _RX_HIGH_WATER
+        return rx_drained and super()._may_resume()
 
     def _on_eof(self) -> None:
+        if self._rx.pending or self._plan is not None or self._wq:
+            # Let in-flight decodes/writes finish before reporting EOF
+            # (or a truncated frame), as the blocking receiver does; the
+            # socket stays readable at EOF, so stop polling it meanwhile.
+            self._pause_reading()
+            self.reactor.call_later(_POOL_RETRY_S, self._on_eof)
+            return
         try:
             self._parser.feed_eof()
         except TransportClosed as exc:
             self._fail(exc)
-            return
-        if self._rxq or self._plan is not None or self._wq:
-            # Let in-flight decodes/writes finish before reporting EOF.
-            self.reactor.call_later(_POOL_RETRY_S, self._on_eof)
             return
         self.close()
 

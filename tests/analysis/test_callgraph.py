@@ -149,6 +149,27 @@ def caller(x, y):
     assert not any(c.endswith(".common") for c in callees)
 
 
+def test_transport_op_names_never_resolve_by_name_alone():
+    # One in-tree `accept` method must not swallow a socket's accept():
+    # left unresolved, the blocking rules still judge the bare call.
+    cg = build_callgraph(
+        [
+            (
+                "pkg/a.py",
+                """
+class Planner:
+    def accept(self, item):
+        pass
+
+def serve(sock):
+    sock.accept()
+""",
+            )
+        ]
+    )
+    assert cg.callees("pkg.a.serve") == set()
+
+
 def test_thread_target_is_a_thread_kind_edge():
     cg = build_callgraph(
         [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,3 +61,33 @@ def test_size_mismatch_raises():
 def test_roundtrip_property(data, level):
     codec = ZlibCodec(level)
     assert codec.decompress(codec.compress(data), len(data)) == data
+
+
+def test_truncated_stream_with_expected_size_rejected():
+    # Only the adler32 trailer is missing: the inflated prefix already
+    # has the expected length, the stream has not ended.
+    data = b"payload " * 1000
+    comp = ZlibCodec(6).compress(data)
+    with pytest.raises(CodecError):
+        ZlibCodec(6).decompress(comp[:-2], expected_size=len(data))
+
+
+def test_trailing_bytes_after_stream_end_accepted():
+    data = b"payload " * 1000
+    comp = ZlibCodec(6).compress(data) + b"junk"
+    assert ZlibCodec(6).decompress(comp, expected_size=len(data)) == data
+    assert ZlibCodec(6).decompress(comp) == data
+
+
+def test_inflate_bounded_by_expected_size():
+    """A small record claiming a small size never inflates in full."""
+    bomb = ZlibCodec(9).compress(bytes(16 * 1024 * 1024))
+    claimed = 200 * 1024
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodecError):
+            ZlibCodec(9).decompress(bomb, expected_size=claimed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * claimed, peak

@@ -106,5 +106,10 @@ def test_message_header_roundtrip_property(total, known):
     wire=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_record_header_roundtrip_property(level, orig, wire):
+    if level == 0:
+        # A raw record carries its original bytes verbatim.
+        with pytest.raises(ProtocolError):
+            unpack_record_header(pack_record_header(0, orig, orig ^ 1))
+        wire = orig
     h = unpack_record_header(pack_record_header(level, orig, wire))
     assert (h.level, h.original_size, h.wire_size) == (level, orig, wire)

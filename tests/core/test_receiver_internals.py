@@ -87,6 +87,15 @@ class TestProtocolValidation:
         assert read_all(rx) == b"abc"
         rx.close()
 
+    def test_raw_record_sizes_must_agree(self):
+        # Accounting subtracts 100 original bytes while 10 are delivered:
+        # accepted, this would "complete" the message 90 bytes short.
+        wire = pack_message_header(100) + pack_record_header(0, 100, 10) + b"x" * 10
+        rx = feed(wire)
+        with pytest.raises(ProtocolError):
+            read_all(rx)
+        rx.close()
+
     def test_bad_record_level_rejected(self):
         wire = pack_message_header(4) + pack_record_header(42, 4, 4) + b"xxxx"
         rx = feed(wire)
