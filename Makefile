@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos lockcheck lint check bench bench-smoke bench-compare bench-compress bench-paper fleet-smoke live-smoke trace-demo
+.PHONY: test chaos lockcheck lint check bench bench-smoke bench-compare bench-compress bench-paper fleet-smoke live-smoke trace-demo import-profile
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -73,6 +73,13 @@ live-smoke:
 # The paper-figure benchmarks (tables/figures of RR-5500).
 bench-paper:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Cold start: the 20 largest cumulative import times of a process that
+# serves AdOC RPC (docs/PERFORMANCE.md section 4).  Informational; the
+# gate is tests/test_import_graph.py.
+import-profile:
+	@$(PYTHON) -X importtime -c "import repro, repro.middleware.server" 2>&1 >/dev/null \
+		| { IFS= read -r header; echo "$$header"; sort -t'|' -k2 -n -r | head -20; }
 
 # One traced demo transfer; load trace-demo.json in chrome://tracing
 # or https://ui.perfetto.dev (docs/OBSERVABILITY.md).

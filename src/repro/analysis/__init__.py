@@ -15,45 +15,7 @@ Two halves:
   ``docs/LINTING.md`` and ``docs/ANALYSIS.md``.
 * **lockgraph** — a runtime lock-order/deadlock detector enabled by
   ``REPRO_LOCKCHECK=1``; every lock-owning class in the tree creates
-  its primitives through :func:`make_lock`/:func:`make_condition` so
+  its primitives through :func:`lockgraph.make_lock`/``make_condition`` so
   the whole test suite can run instrumented.  ``REPRO_LOCKCHECK_EXPORT``
   writes the observed graph as JSON for `adoc check --lockgraph`.
 """
-
-from .baseline import apply_baseline, fingerprint, load_baseline, write_baseline
-from .callgraph import CallGraph, build_callgraph
-from .checker import CheckReport, run_check
-from .findings import RULES, Finding
-from .lockgraph import (
-    GLOBAL_GRAPH,
-    CheckedCondition,
-    CheckedLock,
-    LockGraph,
-    LockOrderError,
-    make_condition,
-    make_lock,
-)
-from .lockorder import LockAnalysis, StaticLockGraph, analyze_locks
-
-__all__ = [
-    "RULES",
-    "Finding",
-    "CallGraph",
-    "build_callgraph",
-    "CheckReport",
-    "run_check",
-    "LockAnalysis",
-    "StaticLockGraph",
-    "analyze_locks",
-    "apply_baseline",
-    "fingerprint",
-    "load_baseline",
-    "write_baseline",
-    "GLOBAL_GRAPH",
-    "CheckedCondition",
-    "CheckedLock",
-    "LockGraph",
-    "LockOrderError",
-    "make_condition",
-    "make_lock",
-]

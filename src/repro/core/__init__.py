@@ -5,6 +5,7 @@ update algorithm, the section-5 performance guards, the wire protocol,
 and the seven-function user API of section 4.1.
 """
 
+from .._lazy import lazy_exports
 from .adaptation import AdaptationTrace, LevelAdapter, update_level
 from .api import (
     ADOC_MAX_LEVEL,
@@ -33,15 +34,6 @@ from .deadlines import (
 from .divergence import BandwidthRecord, DivergenceGuard
 from .fifo import PacketQueue, QueueClosed, QueuedPacket
 from .guards import IncompressibleGuard
-from .policies import (
-    POLICIES,
-    AimdAdapter,
-    FixedLevelAdapter,
-    NaiveStepAdapter,
-    PaperAdapter,
-    ThresholdAdapter,
-    make_policy,
-)
 from .packets import (
     MessageHeader,
     ProtocolError,
@@ -51,6 +43,21 @@ from .packets import (
 from .receiver import OutputBuffer, ReceiverPipeline
 from .sender import MessageSender, SendResult
 from .stats import ConnectionStats
+
+# The alternative adapters are ablation baselines; the pipeline runs
+# LevelAdapter unless a caller passes one of these as adapter_factory.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "POLICIES": "policies",
+        "AimdAdapter": "policies",
+        "FixedLevelAdapter": "policies",
+        "NaiveStepAdapter": "policies",
+        "PaperAdapter": "policies",
+        "ThresholdAdapter": "policies",
+        "make_policy": "policies",
+    },
+)
 
 __all__ = [
     "update_level",

@@ -1,5 +1,6 @@
 """Workload substrate: the paper's data generators and bench files."""
 
+from .._lazy import lazy_exports
 from .generators import (
     DATA_CLASSES,
     ascii_data,
@@ -8,8 +9,6 @@ from .generators import (
     gzip6_ratio,
     incompressible_data,
 )
-from .harwell_boeing import HBMatrix, read_hb, synthetic_hb_bytes, write_hb
-from .images import read_pnm, synthetic_image, write_pnm
 from .matrices import (
     decode_matrix_ascii,
     decode_matrix_binary,
@@ -18,7 +17,23 @@ from .matrices import (
     encode_matrix_binary,
     sparse_matrix,
 )
-from .tarlike import synthetic_executable, synthetic_tar_bytes
+
+# File-format corpora for the benches; only the matrix codec is on the
+# RPC path.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "HBMatrix": "harwell_boeing",
+        "read_hb": "harwell_boeing",
+        "synthetic_hb_bytes": "harwell_boeing",
+        "write_hb": "harwell_boeing",
+        "read_pnm": "images",
+        "synthetic_image": "images",
+        "write_pnm": "images",
+        "synthetic_executable": "tarlike",
+        "synthetic_tar_bytes": "tarlike",
+    },
+)
 
 __all__ = [
     "ascii_data",

@@ -7,8 +7,7 @@ and whether the :class:`ReactorRpcServer` runs in ``"plain"`` or
 ``"adoc"`` mode.
 """
 
-from .agent import Agent, Registration
-from .client import CallResult, Client
+from .._lazy import lazy_exports
 from .communicator import AdocCommunicator, Communicator, PlainCommunicator
 from .protocol import (
     ConnectionLost,
@@ -20,6 +19,17 @@ from .protocol import (
 )
 from .server import ReactorRpcServer, ServerStats
 from .services import ServiceRegistry, default_registry
+
+# The client side: a server process never loads it.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Agent": "agent",
+        "Registration": "agent",
+        "CallResult": "client",
+        "Client": "client",
+    },
+)
 
 __all__ = [
     "Agent",

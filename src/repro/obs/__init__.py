@@ -26,6 +26,7 @@ exporter formats; ``adoc stats`` and ``adoc top`` surface this at the
 command line.
 """
 
+from .._lazy import lazy_exports
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .telemetry import (
     NULL_TELEMETRY,
@@ -36,13 +37,22 @@ from .telemetry import (
     telemetry_enabled_by_env,
 )
 from .metrics import expose_snapshot, merge_snapshots
-from .timeline import TimelinePoint, extract_timeline, render_timeline
 from .tracer import (
     EventTracer,
     TraceEvent,
     merge_chrome_traces,
     new_span_id,
     new_trace_id,
+)
+
+# Offline analysis of a finished trace (``adoc stats``/``top``).
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "TimelinePoint": "timeline",
+        "extract_timeline": "timeline",
+        "render_timeline": "timeline",
+    },
 )
 
 __all__ = [

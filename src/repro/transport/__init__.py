@@ -5,8 +5,8 @@ The paper's four experimental networks are available as
 :data:`LAN100`, :data:`GBIT`, :data:`RENATER` and :data:`INTERNET`.
 """
 
+from .._lazy import lazy_exports
 from .base import Endpoint, TransportClosed, TransportTimeout, recv_exact, sendall
-from .faults import Fault, FaultyEndpoint, faulty_pipe_pair
 from .pipes import ByteConduit, PipeEndpoint, pipe_pair
 from .profiles import ALL_PROFILES, GBIT, INTERNET, LAN100, RENATER, NetworkProfile
 from .shaping import (
@@ -18,6 +18,16 @@ from .shaping import (
     shaped_pair,
 )
 from .socket_transport import SocketEndpoint, socketpair_endpoints, splice, tcp_pair
+
+# Chaos-test fault injection.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Fault": "faults",
+        "FaultyEndpoint": "faults",
+        "faulty_pipe_pair": "faults",
+    },
+)
 
 __all__ = [
     "Endpoint",
