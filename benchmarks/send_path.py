@@ -162,7 +162,7 @@ class LegacySender:
             while offset < total:
                 level = adapter.next_level(queue.size(), self.clock())
                 buf = data[offset : offset + cfg.buffer_size]
-                records, _ = compress_buffer(buf, level, inc_guard, cfg)
+                records, _, _ = compress_buffer(buf, level, inc_guard, cfg)
                 for rec in records:
                     wire = rec.serialize()  # the seed's header+payload copy
                     n = len(wire)

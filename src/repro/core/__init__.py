@@ -31,7 +31,7 @@ from .deadlines import (
     TransferError,
     reap_threads,
 )
-from .divergence import BandwidthRecord, DivergenceGuard
+from .divergence import BandwidthRecord, CodecRates, DivergenceGuard
 from .fifo import PacketQueue, QueueClosed, QueuedPacket
 from .guards import IncompressibleGuard
 from .packets import (
@@ -76,6 +76,7 @@ __all__ = [
     "QueueClosed",
     "DivergenceGuard",
     "BandwidthRecord",
+    "CodecRates",
     "IncompressibleGuard",
     "compress_buffer",
     "Record",

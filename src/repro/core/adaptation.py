@@ -23,7 +23,8 @@ guard and the incompressible-data holdoff (section 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from ..obs.telemetry import (
     QUEUE_DEPTH_BUCKETS as _QUEUE_DEPTH_BUCKETS,
@@ -86,6 +87,7 @@ class AdaptationTrace:
     level: int
     forbidden: bool = False
     holdoff: bool = False
+    fenced: bool = False
 
 
 class LevelAdapter:
@@ -100,7 +102,12 @@ class LevelAdapter:
        level whose observed visible bandwidth is worse than a smaller
        level's (and respects its 1-second forbid window);
     4. lets the :class:`~repro.core.guards.IncompressibleGuard` pin the
-       level to the minimum during its 10-packet holdoff.
+       level to the minimum during its 10-packet holdoff;
+    5. applies ``codec_rules(level) -> (level, fenced)``, the send
+       planner's codec-failure pin, rate fence and probation.
+
+    The level recorded, reported and used as Figure 2's next starting
+    point is the one the buffer gets.
     """
 
     def __init__(
@@ -109,10 +116,12 @@ class LevelAdapter:
         divergence: DivergenceGuard | None = None,
         incompressible: IncompressibleGuard | None = None,
         telemetry: Telemetry | None = None,
+        codec_rules: Callable[[int], tuple[int, bool]] | None = None,
     ) -> None:
         self.config = config
         self.divergence = divergence
         self.incompressible = incompressible
+        self.codec_rules = codec_rules
         self.level = config.min_level
         self._last_queue_size: int | None = None
         self.history: list[AdaptationTrace] = []
@@ -148,10 +157,13 @@ class LevelAdapter:
             level = cfg.min_level
             holdoff = True
         level = min(max(level, cfg.min_level), cfg.max_level)
+        fenced = False
+        if self.codec_rules is not None:
+            level, fenced = self.codec_rules(level)
         old_level = self.level
         self.level = level
         self.history.append(
-            AdaptationTrace(queue_size, delta, raw, level, forbidden, holdoff)
+            AdaptationTrace(queue_size, delta, raw, level, forbidden, holdoff, fenced)
         )
         if self._tele.enabled:
             # The paper's Figure-2 tuple, one event per input buffer:
@@ -165,6 +177,7 @@ class LevelAdapter:
                 new_level=level,
                 forbidden=forbidden,
                 holdoff=holdoff,
+                fenced=fenced,
             )
             self._tele.metrics.counter(
                 "adoc_level_decisions_total", "Figure-2 controller updates"
@@ -177,16 +190,15 @@ class LevelAdapter:
                 "send FIFO depth at each level decision",
                 buckets=_QUEUE_DEPTH_BUCKETS,
             ).observe(queue_size)
-            if forbidden:
-                self._tele.metrics.counter(
-                    "adoc_guard_trips_total",
-                    "adaptation guard activations",
-                    ("guard",),
-                ).inc(guard="divergence")
-            if holdoff:
-                self._tele.metrics.counter(
-                    "adoc_guard_trips_total",
-                    "adaptation guard activations",
-                    ("guard",),
-                ).inc(guard="incompressible_holdoff")
+            for guard, tripped in (
+                ("divergence", forbidden),
+                ("incompressible_holdoff", holdoff),
+                ("codec_rate", fenced),
+            ):
+                if tripped:
+                    self._tele.metrics.counter(
+                        "adoc_guard_trips_total",
+                        "adaptation guard activations",
+                        ("guard",),
+                    ).inc(guard=guard)
         return level

@@ -5,7 +5,9 @@ compressing each buffer at the level chosen by the adapter.  This module
 implements that single step, including the mid-buffer abort required by
 the incompressible-data guard (section 5): AdOC compares each compressed
 packet with its original size and, on a poor ratio, "stops compressing
-the remaining of the buffer".
+the remaining of the buffer".  Each job is timed, as
+:func:`~repro.core.receiver.decode_record` is on receive: the send
+planner folds the seconds into per-level encode-rate records.
 
 Per level:
 
@@ -23,6 +25,7 @@ Per level:
 
 from __future__ import annotations
 
+import time
 import zlib
 
 from ..compress.lzf import lzf_compress_slices
@@ -43,10 +46,10 @@ def compress_buffer(
     level: int,
     guard: IncompressibleGuard | None = None,
     config: AdocConfig = DEFAULT_CONFIG,
-) -> tuple[list[Record], bool]:
-    """Compress one input buffer at ``level``.
+) -> tuple[list[Record], bool, float]:
+    """Compress one input buffer at ``level``, timed.
 
-    Returns ``(records, guard_tripped)``.  The records' original sizes
+    Returns ``(records, guard_tripped, seconds)``.  The records' original sizes
     always sum to ``len(data)``; a record is only kept in compressed
     form when that actually saved bytes, otherwise the raw form is used
     (the paper's guarantee that data is never inflated on the wire
@@ -57,14 +60,16 @@ def compress_buffer(
     it as their payload, so the caller's buffer must stay alive until
     the records are emitted.
     """
+    start = time.perf_counter()
     if not len(data):
-        return [], False
-    if level == 0:
-        return [Record(0, len(data), data)], False
-
-    if level == 1:
-        return _compress_lzf(data, guard, config)
-    return _compress_zlib(data, level, guard, config)
+        records, tripped = [], False
+    elif level == 0:
+        records, tripped = [Record(0, len(data), data)], False
+    elif level == 1:
+        records, tripped = _compress_lzf(data, guard, config)
+    else:
+        records, tripped = _compress_zlib(data, level, guard, config)
+    return records, tripped, time.perf_counter() - start
 
 
 def _compress_lzf(

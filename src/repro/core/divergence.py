@@ -15,13 +15,17 @@ than a smaller level's record, the guard redirects to the
 best-performing smaller level and forbids the proposed one for one
 second, after which conditions may have changed and the level may be
 tried again.
+
+Next to those records a connection keeps :class:`CodecRates`: per-level
+encode rates of its own codec jobs, the evidence the send planner's
+rate fence weighs against the level-0 record (``core/planner.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["BandwidthRecord", "DivergenceGuard"]
+__all__ = ["BandwidthRecord", "DivergenceGuard", "CodecRates"]
 
 
 @dataclass
@@ -71,6 +75,13 @@ class DivergenceGuard:
         rec = self._records.get(level)
         return rec.bandwidth if rec is not None and rec.samples else None
 
+    def trusted_bandwidth(self, level: int) -> float | None:
+        """The level's record once it has ``MIN_SAMPLES`` windows."""
+        rec = self._records.get(level)
+        if rec is None or rec.samples < self.MIN_SAMPLES:
+            return None
+        return rec.bandwidth
+
     def is_forbidden(self, level: int, now: float) -> bool:
         until = self._forbidden_until.get(level)
         return until is not None and now < until
@@ -94,11 +105,9 @@ class DivergenceGuard:
             return proposed  # never tried: let it run to collect a record
         best_level, best_bw = proposed, mine
         for lvl in range(proposed):
-            rec = self._records.get(lvl)
-            if rec is None or rec.samples < self.MIN_SAMPLES:
-                continue
-            if rec.bandwidth > best_bw * self.MARGIN:
-                best_level, best_bw = lvl, rec.bandwidth
+            bw = self.trusted_bandwidth(lvl)
+            if bw is not None and bw > best_bw * self.MARGIN:
+                best_level, best_bw = lvl, bw
         if best_level != proposed:
             self._forbidden_until[proposed] = now + self.forbid_seconds
             return best_level
@@ -115,3 +124,23 @@ class DivergenceGuard:
             return 0
         _, lvl = max(candidates)
         return lvl
+
+
+class CodecRates:
+    """Per-level encode rates (input bytes per codec second) of one connection.
+
+    Fed with every timed codec job; like the divergence records they
+    outlive the message, so a connection's later messages start with
+    its evidence.
+    """
+
+    def __init__(self) -> None:
+        self._records: dict[int, BandwidthRecord] = {}
+
+    def observe(self, level: int, nbytes: int, seconds: float) -> None:
+        if seconds > 0.0 and nbytes > 0:
+            self._records.setdefault(level, BandwidthRecord()).observe(nbytes / seconds)
+
+    def rate(self, level: int) -> float | None:
+        rec = self._records.get(level)
+        return rec.bandwidth if rec is not None else None

@@ -20,7 +20,10 @@ is the driver's), then::
         for pkt in plan.complete(outcome, error):      # oldest job done
             put pkt on the wire queue
 
-Three properties the paper's adaptation depends on hold on every driver:
+The outcome is :func:`~repro.core.compressor.compress_buffer`'s
+``(records, tripped, seconds)``; the simulator's modelled codec, which
+runs without rate records, leaves the seconds off.  Three properties the paper's adaptation depends on hold on every
+driver, and a fourth on the live ones:
 
 * **The signal counts in-flight work.**  The paper's queue length
   counts everything committed to the wire that the network has not yet
@@ -38,6 +41,21 @@ Three properties the paper's adaptation depends on hold on every driver:
   raised ships raw and every later *submission* is pinned to level 0
   (buffers already in flight at a higher level compressed fine and
   still emit compressed); raw records are always legal to the receiver.
+* **Evidence before commitment.**  The divergence guard judges a level
+  only once its emission windows close, after the window has committed
+  several buffers to it.  So the live drivers hand the planner a
+  connection's :class:`~repro.core.divergence.CodecRates`, fed with each
+  job's codec seconds, and two rules follow Figure 2 and the guards: the
+  **fence** replaces a level whose encode rate × ``max(1, workers)`` is
+  below the connection's trusted level-0 record (the probe's two
+  windows) with the highest level below it that is unrecorded or fast
+  enough, and **probation** lets a level with no rate record have one
+  buffer in flight — later decisions take the highest recorded passing
+  level below it until that outcome lands (with none, the level
+  stands).  Neither goes below ``min_level``; level 0 needs no codec
+  evidence.  Without a level-0 record (forced compression sends no
+  probe) or without rates (the simulator's modelled codec) both rules
+  are inert: the paper's fence-less behaviour.
 """
 
 from __future__ import annotations
@@ -49,7 +67,7 @@ from typing import Callable, Iterator
 from ..obs.telemetry import Telemetry
 from .adaptation import LevelAdapter
 from .config import AdocConfig
-from .divergence import DivergenceGuard
+from .divergence import CodecRates, DivergenceGuard
 from .fifo import QueuedPacket
 from .guards import IncompressibleGuard
 from .packets import Record
@@ -146,10 +164,13 @@ class SendPlanner:
     it, and the planner counts the holdoff down per emitted packet.
     ``adapter.history`` is the message's Figure-2 trace.
 
-    ``divergence=None`` runs without the divergence guard, and
-    ``adapter_factory(config, divergence, guard)`` substitutes another
-    level controller (:mod:`repro.core.policies`); both are ablation
-    hooks the simulator exposes.
+    ``codec_rates`` is the connection's encode-rate records; with them
+    the fence and probation apply (the module docstring's fourth
+    property).  ``divergence=None`` runs without the divergence guard,
+    and ``adapter_factory(config, divergence, guard)`` substitutes
+    another level controller (:mod:`repro.core.policies`) that gets
+    neither those rules nor the codec-failure pin; both are ablation
+    hooks of the simulator, whose modelled codec never fails.
     """
 
     def __init__(
@@ -159,15 +180,21 @@ class SendPlanner:
         telemetry: Telemetry,
         workers: int = 0,
         adapter_factory: Callable[..., LevelAdapter] | None = None,
+        codec_rates: CodecRates | None = None,
     ) -> None:
         self.config = config
         self.guard = IncompressibleGuard(
             config.incompressible_ratio, config.incompressible_holdoff
         )
         if adapter_factory is None:
-            self.adapter = LevelAdapter(config, divergence, self.guard, telemetry)
+            self.adapter = LevelAdapter(
+                config, divergence, self.guard, telemetry, self._codec_rules
+            )
         else:
             self.adapter = adapter_factory(config, divergence, self.guard)
+        self.codec_rates = codec_rates
+        self._divergence = divergence
+        self._workers = max(1, workers)
         self.window_cap = max(2, 2 * workers) if workers else 1
         self.window = 1
         #: True once a codec failure pinned the message to level 0.
@@ -188,10 +215,31 @@ class SendPlanner:
 
     def decide(self, queued: int, now: float) -> int:
         """Figure-2 level for the next buffer, given the queued packets."""
-        level = self.adapter.next_level(queued + self._pending_packets, now)
-        if self.config.compression_disabled or self.degraded:
-            return 0
-        return level
+        return self.adapter.next_level(queued + self._pending_packets, now)
+
+    def _codec_rules(self, level: int) -> tuple[int, bool]:
+        """The codec-failure pin, then the rate fence and probation."""
+        if self.degraded:
+            return 0, False
+        rates, divergence = self.codec_rates, self._divergence
+        if rates is None or divergence is None:
+            return level, False
+        link = divergence.trusted_bandwidth(0)
+        if link is None:
+            return level, False
+        floor = self.config.min_level
+        rate = {lvl: rates.rate(lvl) for lvl in range(floor, level + 1)}
+        passing = {
+            lvl for lvl, r in rate.items() if r is not None and r * self._workers >= link
+        }
+        used = level
+        while used > floor and rate[used] is not None and used not in passing:
+            used -= 1
+        if used > 0 and rate[used] is None and any(
+            lvl == used for _, _, lvl in self._inflight
+        ):
+            used = max((lvl for lvl in passing if lvl < used), default=used)
+        return used, used != level
 
     def submit(self, buf: bytes | memoryview, level: int) -> None:
         """Count ``buf`` in flight: its codec job has been started."""
@@ -206,12 +254,14 @@ class SendPlanner:
 
     def complete(
         self,
-        outcome: tuple[list[Record], bool] | None,
+        outcome: tuple | None,
         error: BaseException | None,
     ) -> Iterator[QueuedPacket]:
         """Take the oldest in-flight buffer's codec outcome.
 
-        Accounting happens now; the returned iterator yields the
+        Accounting happens now, and the job's codec seconds feed the
+        level's encode rate (a job the incompressible guard cut short
+        is not that level's rate); the returned iterator yields the
         buffer's packets in wire order and counts each against the
         incompressible holdoff once the driver has taken it.
         """
@@ -233,6 +283,9 @@ class SendPlanner:
             )
         else:
             records = outcome[0]
+            rates = self.codec_rates
+            if rates is not None and level > 0 and not outcome[1]:
+                rates.observe(level, len(buf), outcome[2])
         if tele.enabled:
             tele.tracer.record(
                 "buffer", "buffer_compressed",

@@ -68,7 +68,7 @@ from ..transport.base import Endpoint, TransportTimeout, sendall, sendall_vector
 from .compressor import compress_buffer
 from .config import AdocConfig, DEFAULT_CONFIG
 from .deadlines import DeadlineExceeded, TransferError
-from .divergence import DivergenceGuard
+from .divergence import CodecRates, DivergenceGuard
 from .fifo import PacketQueue, QueueClosed, QueuedPacket
 from .packets import Record, end_record_bytes, pack_message_header
 from .planner import BYPASS, FAST_PATH, PROBE, EmissionWindows, SendPlanner
@@ -204,7 +204,8 @@ class MessageSender:
 
     One instance per connection: the divergence guard's per-level
     bandwidth records persist across messages, exactly as the C
-    library's per-descriptor state does.
+    library's per-descriptor state does, and so do the codec's
+    per-level encode rates next to them.
     """
 
     def __init__(
@@ -217,6 +218,7 @@ class MessageSender:
         self.config = config
         self.clock = clock
         self.divergence = DivergenceGuard(config.divergence_forbid_s)
+        self.codec_rates = CodecRates()
         self.telemetry: Telemetry = resolve_telemetry(config)
         self.stats = ConnectionStats(self.telemetry)
         if self.telemetry.enabled:
@@ -381,7 +383,8 @@ class MessageSender:
         queue: PacketQueue = PacketQueue(cfg.queue_capacity, tele, "send")
         pool = self._resolve_pool(cfg, remaining)
         plan = SendPlanner(
-            cfg, self.divergence, tele, pool.workers if pool is not None else 0
+            cfg, self.divergence, tele, pool.workers if pool is not None else 0,
+            codec_rates=self.codec_rates,
         )
         error: list[BaseException] = []
         consumed = [0]

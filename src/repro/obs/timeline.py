@@ -33,6 +33,7 @@ class TimelinePoint:
     new_level: int
     forbidden: bool = False
     holdoff: bool = False
+    fenced: bool = False
 
 
 def extract_timeline(tracer: EventTracer, thread: str | None = None) -> list[TimelinePoint]:
@@ -56,6 +57,7 @@ def extract_timeline(tracer: EventTracer, thread: str | None = None) -> list[Tim
                 new_level=int(args.get("new_level", 0)),
                 forbidden=bool(args.get("forbidden", False)),
                 holdoff=bool(args.get("holdoff", False)),
+                fenced=bool(args.get("fenced", False)),
             )
         )
     return points
@@ -68,7 +70,8 @@ def render_timeline(
 
     ``table_rows`` caps the per-buffer table (the *last* rows are shown
     — the freshest decisions matter most in a live view); ``None``
-    prints every row.
+    prints every row.  Flags: ``F`` divergence-forbidden, ``H``
+    incompressible holdoff, ``C`` codec-rate fence or probation.
     """
     if not points:
         return "(no adaptation decisions recorded)"
@@ -86,7 +89,7 @@ def render_timeline(
     for i, p in enumerate(shown, start=first):
         flags = "".join(
             tag
-            for tag, on in (("F", p.forbidden), ("H", p.holdoff))
+            for tag, on in (("F", p.forbidden), ("H", p.holdoff), ("C", p.fenced))
             if on
         )
         lines.append(

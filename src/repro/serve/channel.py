@@ -42,7 +42,7 @@ from typing import Callable
 from ..core.compressor import compress_buffer
 from ..core.config import AdocConfig, DEFAULT_CONFIG
 from ..core.deadlines import DeadlineExceeded, TransferError
-from ..core.divergence import DivergenceGuard
+from ..core.divergence import CodecRates, DivergenceGuard
 from ..core.fifo import QueuedPacket
 from ..core.packets import ProtocolError, pack_message_header
 from ..core.planner import BYPASS, EmissionWindows, SendPlanner, message_route
@@ -270,12 +270,22 @@ class _ChannelBase:
 
     def _enqueue(self, vectors: list) -> None:
         """Append wire buffers and push them as far as the kernel allows."""
+        self._append(vectors)
+        self._flush()
+
+    def _append(self, vectors: list) -> None:
+        """Add wire buffers to the write backlog without sending any."""
         if self._closed:
             return
         for v in vectors:
             if len(v):
                 self._wq.append(v)
                 self._pending_tx += len(v)
+
+    def _flush(self) -> None:
+        """Push the backlog as far as the kernel allows."""
+        if self._closed:
+            return
         self._drain()
         self._update_interest()
         if self._pending_tx > _TX_HIGH_WATER:
@@ -413,8 +423,10 @@ class AdocChannel(_ChannelBase):
         self._tx_source: BytesSource | None = None  # None once read out
         self._tx_next: tuple[memoryview, int] | None = None  # pool refused
         # Per-connection divergence records persisting across messages,
-        # fed as packets reach the kernel: (wire offset, packet) marks.
+        # fed as packets reach the kernel: (wire offset, packet) marks;
+        # the codec's encode rates persist next to them.
         self.divergence = DivergenceGuard(config.divergence_forbid_s)
+        self.codec_rates = CodecRates()
         self._windows = EmissionWindows(self.divergence)
         self._marks: deque[tuple[int, QueuedPacket]] = deque()
         self.messages_in = 0
@@ -439,7 +451,10 @@ class AdocChannel(_ChannelBase):
                 self._enqueue(raw_message_vectors(data))
                 continue
             self._enqueue([pack_message_header(total, length_known=True)])
-            self._plan = SendPlanner(cfg, self.divergence, self._tele, self.pool.workers)
+            self._plan = SendPlanner(
+                cfg, self.divergence, self._tele, self.pool.workers,
+                codec_rates=self.codec_rates,
+            )
             self._tx_source = BytesSource(data)
             self._windows.open(time.monotonic())
             self._pump_tx()
@@ -498,8 +513,12 @@ class AdocChannel(_ChannelBase):
             self._marks.append((offset, pkt))
             offset += pkt.wire_length
             vectors += (pkt.prefix, pkt.payload)
-        self._enqueue(vectors)
+        # Put, decide, then drain — the blocking dispatcher's order: the
+        # next decisions must see these packets in the backlog, not an
+        # empty one the kernel has just swallowed.
+        self._append(vectors)
         self._pump_tx()
+        self._flush()
 
     def _account_tx(self, sent: int) -> None:
         super()._account_tx(sent)

@@ -17,7 +17,10 @@ the calibrated model instead of real execution.  What is simulated:
   would (one per LZF slice, one per zlib buffer, the raw remainder after
   a guard trip); each compressed packet waits its share of the codec's
   CPU time before entering the FIFO, so queue dynamics match the live
-  thread;
+  thread.  The modelled codec hands the planner no codec seconds and no
+  encode-rate records, so the live drivers' codec-rate fence and
+  probation stay off: the paper's fence-less adaptation (fed Table-1
+  seconds, the fence moves Figure 8; EXPERIMENTS.md);
 * **emission process** — drains packets into a byte-bounded "socket
   buffer" store, timing ``EmissionWindows`` for the divergence guard;
 * **link process** — serializes socket-buffer chunks at the profile's

@@ -40,7 +40,7 @@ _ACCEPTED = {
     ("core/api.py", 236, "ADOC111"),
     ("core/api.py", 239, "ADOC111"),
     ("core/api.py", 257, "ADOC108"),
-    ("core/compressor.py", 133, "ADOC108"),
+    ("core/compressor.py", 138, "ADOC108"),
     ("core/packets.py", 137, "ADOC108"),
     ("middleware/communicator.py", 103, "ADOC111"),
     ("middleware/communicator.py", 117, "ADOC111"),

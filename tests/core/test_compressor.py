@@ -21,13 +21,13 @@ def decode_records(records) -> bytes:
 
 
 def test_empty_buffer_yields_no_records():
-    records, tripped = compress_buffer(b"", 5)
+    records, tripped, _ = compress_buffer(b"", 5)
     assert records == [] and not tripped
 
 
 def test_level_zero_single_raw_record():
     data = b"x" * 1000
-    records, tripped = compress_buffer(data, 0)
+    records, tripped, _ = compress_buffer(data, 0)
     assert len(records) == 1
     assert records[0].level == 0
     assert records[0].payload == data
@@ -37,7 +37,7 @@ def test_level_zero_single_raw_record():
 @pytest.mark.parametrize("level", [1, 2, 5, 10])
 def test_roundtrip_compressible(level):
     data = ascii_data(200 * 1024, seed=1)
-    records, tripped = compress_buffer(data, level)
+    records, tripped, _ = compress_buffer(data, level)
     assert decode_records(records) == data
     assert not tripped
     assert sum(r.original_size for r in records) == len(data)
@@ -49,7 +49,7 @@ def test_roundtrip_compressible(level):
 def test_incompressible_trips_guard_and_goes_raw(level):
     data = incompressible_data(200 * 1024, seed=2)
     guard = IncompressibleGuard(0.95, 10)
-    records, tripped = compress_buffer(data, level, guard)
+    records, tripped, _ = compress_buffer(data, level, guard)
     assert tripped
     assert guard.active
     assert decode_records(records) == data
@@ -60,7 +60,7 @@ def test_incompressible_trips_guard_and_goes_raw(level):
 def test_never_inflates_beyond_framing():
     data = incompressible_data(200 * 1024, seed=3)
     for level in (1, 2, 6, 10):
-        records, _ = compress_buffer(data, level, IncompressibleGuard())
+        records, _, _ = compress_buffer(data, level, IncompressibleGuard())
         wire = sum(len(r.payload) for r in records)
         # Payload on the wire never exceeds the original: poor packets
         # are shipped raw.
@@ -69,7 +69,7 @@ def test_never_inflates_beyond_framing():
 
 def test_zlib_without_guard_compresses_whole_buffer():
     data = ascii_data(200 * 1024, seed=4)
-    records, _ = compress_buffer(data, 6, guard=None)
+    records, _, _ = compress_buffer(data, 6, guard=None)
     assert len(records) == 1
     assert records[0].level == 6
     assert records[0].original_size == len(data)
@@ -78,7 +78,7 @@ def test_zlib_without_guard_compresses_whole_buffer():
 def test_lzf_slice_records():
     cfg = AdocConfig()
     data = ascii_data(64 * 1024, seed=5)
-    records, _ = compress_buffer(data, 1, None, cfg)
+    records, _, _ = compress_buffer(data, 1, None, cfg)
     # One record per slice.
     assert len(records) == 64 * 1024 // cfg.slice_size
     assert all(r.level in (0, 1) for r in records)
@@ -92,6 +92,6 @@ def test_lzf_slice_records():
 )
 def test_roundtrip_property(data, level):
     guard = IncompressibleGuard()
-    records, _ = compress_buffer(data, level, guard)
+    records, _, _ = compress_buffer(data, level, guard)
     assert decode_records(records) == data
     assert sum(r.original_size for r in records) == len(data)

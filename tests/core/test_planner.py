@@ -10,7 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import AdocConfig
-from repro.core.divergence import DivergenceGuard
+from repro.core import sender as sender_mod
+from repro.core.divergence import CodecRates, DivergenceGuard
 from repro.core.fifo import QueuedPacket
 from repro.core.packets import Record
 from repro.core.planner import (
@@ -24,7 +25,9 @@ from repro.core.planner import (
     observe_probe,
     record_packets,
 )
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.data import ascii_data
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.timeline import extract_timeline, render_timeline
 
 #: 8 KB buffers of 2 KB packets: every buffer is four raw packets.
 CFG = AdocConfig(
@@ -113,8 +116,9 @@ class TestScriptedMessage:
             (38, 12, 6, False),
             (38, 0, 0, True),
             (45, 7, 0, True),
-            (48, 3, 2, False),
+            (48, 3, 0, False),  # the trace reports the level used
         ]
+        assert plan.adapter.level == 0
 
     def test_no_workers_is_a_window_of_one(self):
         plan = SendPlanner(CFG, DivergenceGuard(), NULL_TELEMETRY)
@@ -136,6 +140,187 @@ class TestScriptedMessage:
         cfg = CFG.with_levels(0, 0)
         plan = SendPlanner(cfg, DivergenceGuard(), NULL_TELEMETRY)
         assert plan.decide(50, 0.0) == 0
+
+
+#: The scripted link: the probe's level-0 record, in bytes per second.
+LINK = 10e6
+
+
+def probed(link: float = LINK) -> DivergenceGuard:
+    """A divergence guard holding the probe's two level-0 windows."""
+    guard = DivergenceGuard()
+    observe_probe(guard, int(link), 1.0)
+    return guard
+
+
+def rated(**rates: float) -> CodecRates:
+    """Encode-rate records, ``L6=4e6`` meaning level 6 at 4 MB/s."""
+    records = CodecRates()
+    for name, rate in rates.items():
+        records.observe(int(name[1:]), CFG.buffer_size, CFG.buffer_size / rate)
+    return records
+
+
+def timed(level: int, rate: float, tripped: bool = False) -> tuple:
+    """A codec outcome for one whole buffer that ran at ``rate``."""
+    return [Record(level, CFG.buffer_size, b"c" * 100)], tripped, CFG.buffer_size / rate
+
+
+class Proposer:
+    """Plays the driver with Figure 2 held at a chosen level.
+
+    Each decision reads a queue 8 packets shorter than the last, so
+    ``n`` stays at 30 or more with ``delta < 0`` (a submission adds only
+    four in-flight packets) and Figure 2 keeps the level it starts from.
+    """
+
+    def __init__(self, plan: SendPlanner) -> None:
+        self.plan = plan
+        self.queued = 200
+
+    def propose(self, level: int, submit: bool = True) -> int:
+        self.plan.adapter.level = level
+        self.queued -= 8
+        used = self.plan.decide(self.queued, 0.0)
+        if submit:
+            self.plan.submit(BUF, used)
+        return used
+
+    def fenced(self) -> bool:
+        return self.plan.adapter.history[-1].fenced
+
+
+class TestCodecRules:
+    """The rate fence and probation, with scripted codec seconds."""
+
+    def test_fence_picks_the_highest_passing_level(self):
+        # Two workers: a level passes at 5 MB/s or more against 10 MB/s.
+        rates = rated(L6=4e6, L5=4.5e6, L4=6e6)
+        driver = Proposer(SendPlanner(CFG, probed(), NULL_TELEMETRY, 2, codec_rates=rates))
+        assert driver.propose(6, submit=False) == 4
+        assert driver.fenced()
+        assert driver.plan.adapter.level == 4  # Figure 2 goes on from 4
+        # An unrecorded level below a slow one is allowed (blind) ...
+        rates = rated(L6=4e6, L4=6e6)
+        driver = Proposer(SendPlanner(CFG, probed(), NULL_TELEMETRY, 2, codec_rates=rates))
+        assert driver.propose(6, submit=False) == 5
+        # ... and inline, one codec thread must keep up with the link alone.
+        rates = rated(L6=4e6, L5=4.5e6, L4=6e6, L2=12e6)
+        driver = Proposer(SendPlanner(CFG, probed(), NULL_TELEMETRY, 0, codec_rates=rates))
+        assert driver.propose(6, submit=False) == 3
+        assert driver.propose(4, submit=False) == 3
+        assert driver.propose(2, submit=False) == 2 and not driver.fenced()
+
+    def test_probation_allows_one_blind_buffer_per_level(self):
+        plan = SendPlanner(CFG, probed(), NULL_TELEMETRY, 4, codec_rates=rated(L2=12e6))
+        driver = Proposer(plan)
+        assert driver.propose(2) == 2
+        list(plan.complete(timed(2, 12e6), None))
+        assert driver.propose(4) == 4 and not driver.fenced()  # the blind buffer
+        assert driver.propose(4) == 2 and driver.fenced()  # on probation
+        assert not plan.can_submit()
+        list(plan.complete(timed(4, 8e6), None))  # level 4's evidence lands
+        assert driver.propose(4) == 4 and not driver.fenced()
+        assert driver.propose(6) == 6 and not driver.fenced()  # its own blind buffer
+        list(plan.complete(timed(2, 12e6), None))
+        list(plan.complete(timed(4, 8e6), None))
+        assert driver.propose(6) == 4 and driver.fenced()  # level 5 has no record
+        list(plan.complete(timed(6, 1e6), None))
+        # Level 6 is now recorded too slow: the fence allows unrecorded 5.
+        assert driver.propose(6, submit=False) == 5 and driver.fenced()
+
+    def test_probation_without_a_recorded_level_below_lets_the_level_stand(self):
+        plan = SendPlanner(CFG, probed(), NULL_TELEMETRY, 4, codec_rates=CodecRates())
+        driver = Proposer(plan)
+        assert driver.propose(0) == 0
+        list(plan.complete(timed(0, 1e9), None))
+        assert driver.propose(3) == 3
+        assert driver.propose(3) == 3  # level 0 is no codec evidence
+        assert plan.codec_rates.rate(0) is None
+
+    def test_pinned_levels_stay_even_when_slow(self):
+        cfg = CFG.with_levels(6, 6)
+        slow = SendPlanner(cfg, probed(), NULL_TELEMETRY, 4, codec_rates=rated(L6=1e6))
+        driver = Proposer(slow)
+        assert driver.propose(6) == 6 and not driver.fenced()
+        # Unrecorded, with its blind buffer in flight: nothing below 6.
+        blind = SendPlanner(cfg, probed(), NULL_TELEMETRY, 4, codec_rates=CodecRates())
+        driver = Proposer(blind)
+        driver.propose(6)
+        list(blind.complete(timed(6, 1e9, tripped=True), None))  # no record
+        assert driver.propose(6) == 6
+        assert driver.propose(6) == 6 and not driver.fenced()
+
+    def test_inert_without_a_level0_record(self):
+        one_window = DivergenceGuard()
+        one_window.observe(0, int(LINK), 1.0)
+        for guard, rates in [
+            (DivergenceGuard(), rated(L10=1e6)),  # forced: no probe
+            (one_window, rated(L10=1e6)),  # one window is not trusted
+            (None, rated(L10=1e6)),  # the divergence ablation
+            (probed(), None),  # no rates: the simulator
+        ]:
+            plan = SendPlanner(CFG, guard, NULL_TELEMETRY, 4, codec_rates=rates)
+            driver = Proposer(plan)
+            assert driver.propose(10) == 10
+            assert driver.propose(10) == 10  # two blind buffers in flight
+            assert not any(t.fenced for t in plan.adapter.history)
+
+    def test_records_persist_across_messages(self):
+        guard, rates = probed(), CodecRates()
+        first = SendPlanner(CFG, guard, NULL_TELEMETRY, 2, codec_rates=rates)
+        Proposer(first).propose(9)
+        list(first.complete(timed(9, 2e6), None))
+        second = SendPlanner(CFG, guard, NULL_TELEMETRY, 2, codec_rates=rates)
+        assert Proposer(second).propose(9) == 8  # fenced from the first decision
+
+    def test_a_connection_hands_every_message_the_same_records(self, monkeypatch):
+        made: list[SendPlanner] = []
+
+        class Recording(SendPlanner):
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(sender_mod, "SendPlanner", Recording)
+
+        class Sink:
+            def send(self, data) -> int:
+                return len(data)
+
+            def send_vectors(self, buffers) -> int:
+                return sum(len(b) for b in buffers)
+
+        cfg = CFG.with_levels(3, 3)
+        sender = sender_mod.MessageSender(Sink(), cfg)
+        data = ascii_data(4 * CFG.buffer_size, seed=5)
+        sender.send(data)
+        assert sender.codec_rates.rate(3) is not None
+        sender.send(data)
+        assert [p.codec_rates for p in made] == [sender.codec_rates] * 2
+
+    def test_tripped_and_raw_jobs_leave_no_record(self):
+        rates = CodecRates()
+        plan = SendPlanner(CFG, probed(), NULL_TELEMETRY, 2, codec_rates=rates)
+        driver = Proposer(plan)
+        driver.propose(0)
+        list(plan.complete(timed(0, 1e9), None))
+        driver.propose(5)
+        list(plan.complete(timed(5, 1e6, tripped=True), None))
+        assert rates.rate(0) is None and rates.rate(5) is None
+
+    def test_fenced_decisions_are_traced_and_counted(self):
+        tele = Telemetry(enabled=True)
+        plan = SendPlanner(CFG, probed(), tele, 2, codec_rates=rated(L8=1e6))
+        Proposer(plan).propose(8, submit=False)
+        (event,) = tele.tracer.events("level")
+        assert event.args["fenced"] is True
+        assert event.args["new_level"] == 7
+        counter = tele.metrics.counter("adoc_guard_trips_total", "", ("guard",))
+        assert counter.value(guard="codec_rate") == 1
+        (point,) = extract_timeline(tele.tracer)
+        assert point.fenced
+        assert render_timeline([point]).splitlines()[-1].split()[-1] == "C"
 
 
 class TestMessageRoute:

@@ -5,8 +5,10 @@ the reactor's :class:`~repro.serve.channel.AdocChannel` each drive a
 :class:`~repro.core.planner.SendPlanner`.  With the queued-packet
 reading scripted and the divergence veto stubbed out, timing cannot
 reach a decision, so the drivers must produce identical Figure-2
-traces; the guard tests pin the codec-failure and incompressible rules
-on the reactor path, and the slow-reader test shows it adapts for real.
+traces; with codec seconds scripted too and a scripted level-0 record,
+they fence the same levels at the same decisions.  The guard tests pin
+the codec-failure and incompressible rules on the reactor path, and the
+slow-reader test shows it adapts for real.
 The ladder test adds the third driver, the simulator: all three take
 the planner's bypass verdict.
 """
@@ -58,6 +60,11 @@ N_BUFFERS = 16
 DATA = ascii_data(N_BUFFERS * CFG.buffer_size, seed=21)
 #: Scripted queued-packet readings, cycled per decision.
 READINGS = [0, 12, 14, 22, 30, 30, 33, 20, 40, 8, 5, 16, 25, 31, 9]
+#: Scripted encode rate per level (bytes/s): times two workers, levels
+#: 5 and up fall short of :data:`LINK`.
+RATES = {level: 24e6 / level for level in range(1, 11)}
+#: The scripted level-0 record (bytes/s) of the fence parity test.
+LINK = 10e6
 
 
 @pytest.fixture
@@ -87,14 +94,23 @@ def planners(monkeypatch):
     return made
 
 
+def scripted_codec(buf, level, guard, config):
+    """The real codec's records, with seconds from :data:`RATES`."""
+    records, tripped, _ = compress_buffer(buf, level, guard, config)
+    return records, tripped, len(buf) / RATES[level] if level else 0.0
+
+
 @pytest.fixture
 def scripted(monkeypatch):
-    """Script each driver's queue reading; stub the divergence veto out."""
+    """Script each driver's queue reading and codec seconds; stub the
+    divergence veto out."""
     blocking, channel = itertools.cycle(READINGS), itertools.cycle(READINGS)
     monkeypatch.setattr(
         MessageSender, "_queued_packets", lambda self, queue: next(blocking)
     )
     monkeypatch.setattr(AdocChannel, "_queued_packets", lambda self: next(channel))
+    monkeypatch.setattr(sender_mod, "compress_buffer", scripted_codec)
+    monkeypatch.setattr(channel_mod, "compress_buffer", scripted_codec)
     monkeypatch.setattr(
         DivergenceGuard, "filter_level", lambda self, level, now: level
     )
@@ -174,6 +190,32 @@ class TestDriverParity:
         assert trace(blocking) == trace(channel)
         levels = {level for _, _, level in trace(blocking)}
         assert len(levels) > 2, "the script should move the level around"
+
+    def test_pooled_blocking_and_channel_fence_the_same_levels(
+        self, loop, planners, scripted, fresh_shared_pool, monkeypatch
+    ):
+        # Forced compression sends no probe: script the level-0 record.
+        monkeypatch.setattr(
+            DivergenceGuard, "trusted_bandwidth",
+            lambda self, level: LINK if level == 0 else None,
+        )
+        wire = blocking_send(FORCED)
+        channel_send(loop, FORCED)
+        blocking, channel = planners
+
+        def decisions(plan):
+            return [
+                (t.queue_size, t.delta, t.raw_level, t.level, t.fenced)
+                for t in plan.adapter.history
+            ]
+
+        assert decisions(blocking) == decisions(channel)
+        assert any(fenced for *_, fenced in decisions(blocking)), (
+            "the script should reach a slow or a blind level"
+        )
+        # The trace reports the levels the buffers went out at.
+        used = [t.level for t in blocking.adapter.history[:N_BUFFERS]]
+        assert record_levels(wire) == used
 
     def test_serial_blocking_matches_a_planner_with_window_one(
         self, planners, scripted
@@ -329,6 +371,35 @@ class TestIncompressibleHoldoff:
         assert any(t.level > 0 for t in history[held[-1] + 1 :]), (
             "the level never left 0 after the holdoff"
         )
+
+
+def test_channel_decides_before_it_drains(loop, planners):
+    """A cold reply ships one level-0 buffer, not one per drained backlog.
+
+    The channel puts a completed buffer's packets in its write backlog,
+    decides the next buffers, then drains: the blocking dispatcher's
+    order.  Draining first let a loopback kernel swallow the packets, so
+    the next decision read ``n = 0`` and shipped a second raw buffer.
+    """
+    reactor, pool = loop
+    cfg = AdocConfig(io_timeout_s=None)
+    payload = ascii_data(5 * cfg.buffer_size, seed=17)
+    a, b = socketpair_endpoints()
+    sender = AdocChannel(reactor, a, pool, cfg)
+    run_on_loop(reactor, sender.open)
+    run_on_loop(reactor, lambda: sender.send_message(payload))
+    parser = StreamingParser()
+    levels: list[int] = []  # one per record
+    while not parser.messages:
+        chunk = b.recv(1 << 16)
+        assert chunk, "channel closed before the message ended"
+        levels += [p.level for p in parser.feed(chunk) if p.original_bytes]
+    run_on_loop(reactor, sender.close)
+    b.close()
+    history = planners[0].adapter.history
+    assert history[0].queue_size == 0 and history[0].level == 0
+    assert all(t.queue_size > 0 and t.level > 0 for t in history[1:3]), history
+    assert levels.count(0) == 1, levels
 
 
 class SlowReader:
