@@ -31,7 +31,7 @@ from .deadlines import (
     TransferError,
     reap_threads,
 )
-from .divergence import BandwidthRecord, CodecRates, DivergenceGuard
+from .divergence import BandwidthRecord, CodecRates, ConnectionRecords, DivergenceGuard
 from .fifo import PacketQueue, QueueClosed, QueuedPacket
 from .guards import IncompressibleGuard
 from .packets import (
@@ -77,6 +77,7 @@ __all__ = [
     "DivergenceGuard",
     "BandwidthRecord",
     "CodecRates",
+    "ConnectionRecords",
     "IncompressibleGuard",
     "compress_buffer",
     "Record",

@@ -88,6 +88,7 @@ class AdaptationTrace:
     forbidden: bool = False
     holdoff: bool = False
     fenced: bool = False
+    warm: bool = False
 
 
 class LevelAdapter:
@@ -97,7 +98,9 @@ class LevelAdapter:
     paper re-evaluates the level).  The adapter:
 
     1. computes ``delta`` from the previous observed queue size;
-    2. applies :func:`update_level`;
+    2. applies :func:`update_level`, unless the caller passes a
+       ``start`` level (the send planner's warm first decision), which
+       then stands in for Figure 2's output;
     3. lets the :class:`~repro.core.divergence.DivergenceGuard` veto a
        level whose observed visible bandwidth is worse than a smaller
        level's (and respects its 1-second forbid window);
@@ -127,7 +130,7 @@ class LevelAdapter:
         self.history: list[AdaptationTrace] = []
         self._tele = telemetry if telemetry is not None else resolve_telemetry(config)
 
-    def next_level(self, queue_size: int, now: float) -> int:
+    def next_level(self, queue_size: int, now: float, start: int | None = None) -> int:
         """Decide the level for the next buffer given the queue size."""
         cfg = self.config
         if self._last_queue_size is None:
@@ -136,7 +139,7 @@ class LevelAdapter:
             delta = queue_size - self._last_queue_size
         self._last_queue_size = queue_size
 
-        raw = update_level(
+        raw = start if start is not None else update_level(
             queue_size,
             delta,
             self.level,
@@ -163,7 +166,9 @@ class LevelAdapter:
         old_level = self.level
         self.level = level
         self.history.append(
-            AdaptationTrace(queue_size, delta, raw, level, forbidden, holdoff, fenced)
+            AdaptationTrace(
+                queue_size, delta, raw, level, forbidden, holdoff, fenced, start is not None
+            )
         )
         if self._tele.enabled:
             # The paper's Figure-2 tuple, one event per input buffer:
@@ -178,6 +183,7 @@ class LevelAdapter:
                 forbidden=forbidden,
                 holdoff=holdoff,
                 fenced=fenced,
+                warm=start is not None,
             )
             self._tele.metrics.counter(
                 "adoc_level_decisions_total", "Figure-2 controller updates"

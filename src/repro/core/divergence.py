@@ -19,13 +19,16 @@ tried again.
 Next to those records a connection keeps :class:`CodecRates`: per-level
 encode rates of its own codec jobs, the evidence the send planner's
 rate fence weighs against the level-0 record (``core/planner.py``).
+:class:`ConnectionRecords` bundles both with the level the last message
+ended on and the last bandwidth probe: everything a connection carries
+from one message to the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["BandwidthRecord", "DivergenceGuard", "CodecRates"]
+__all__ = ["BandwidthRecord", "DivergenceGuard", "CodecRates", "ConnectionRecords"]
 
 
 @dataclass
@@ -62,6 +65,9 @@ class DivergenceGuard:
         self.alpha = alpha
         self._records: dict[int, BandwidthRecord] = {}
         self._forbidden_until: dict[int, float] = {}
+        #: When the last emission window closed (``None``: never); the
+        #: send planner's ``EmissionWindows`` keep it.
+        self.observed_at: float | None = None
 
     def observe(self, level: int, payload_bytes: int, elapsed: float) -> None:
         """Record that ``payload_bytes`` of *original* data took
@@ -144,3 +150,45 @@ class CodecRates:
     def rate(self, level: int) -> float | None:
         rec = self._records.get(level)
         return rec.bandwidth if rec is not None else None
+
+
+class ConnectionRecords:
+    """What one connection has learned about its path, kept across messages.
+
+    The divergence guard's per-level visible bandwidths, the codec's
+    per-level encode rates, the level of the last buffer the previous
+    message submitted (``last_level``, written by the send planner) and the
+    last section-5 probe as ``(bit rate, time)``.  The live send drivers
+    keep one per connection; a reactor server shares one between the
+    connections of a peer host while it is fresh.
+    """
+
+    def __init__(self, forbid_seconds: float = 1.0) -> None:
+        self.divergence = DivergenceGuard(forbid_seconds)
+        self.codec_rates = CodecRates()
+        self.last_level: int | None = None
+        self.probe: tuple[float, float] | None = None
+
+    def recent_probe(self, now: float) -> float | None:
+        """The last probe's bit rate, if it is younger than the forbid window.
+
+        The paper's one-second window after which "conditions may have
+        changed" bounds how long one probe speaks for the link.
+        """
+        if self.probe is None:
+            return None
+        bps, at = self.probe
+        return bps if now - at < self.divergence.forbid_seconds else None
+
+    def worth_adopting(self, now: float) -> bool:
+        """Whether another connection to the same peer should start from these.
+
+        They must be fresh — an emission window closed within the forbid
+        window — and the last message must not have ended raw: a level-0
+        ending gives a warm start nothing, and on a reactor its level-0
+        windows time the kernel's buffer, not the link, so sharing them
+        would let one pinned message pin every later connection.
+        """
+        seen = self.divergence.observed_at
+        fresh = seen is not None and now - seen < self.divergence.forbid_seconds
+        return fresh and bool(self.last_level)

@@ -22,8 +22,9 @@ is the driver's), then::
 
 The outcome is :func:`~repro.core.compressor.compress_buffer`'s
 ``(records, tripped, seconds)``; the simulator's modelled codec, which
-runs without rate records, leaves the seconds off.  Three properties the paper's adaptation depends on hold on every
-driver, and a fourth on the live ones:
+runs without rate records, leaves the seconds off.  Three properties the
+paper's adaptation depends on hold on every driver, and two more on the
+live ones:
 
 * **The signal counts in-flight work.**  The paper's queue length
   counts everything committed to the wire that the network has not yet
@@ -56,6 +57,15 @@ driver, and a fourth on the live ones:
   evidence.  Without a level-0 record (forced compression sends no
   probe) or without rates (the simulator's modelled codec) both rules
   are inert: the paper's fence-less behaviour.
+* **A connection starts warm.**  Figure 2 sends a message's first
+  buffer (``n = 0``) at ``minLevel``, i.e. raw.  Given the connection's
+  :class:`~repro.core.divergence.ConnectionRecords`, a first decision
+  with ``n = 0`` instead starts at the highest level with a codec-rate
+  record that passes the fence, capped by the level of the previous
+  message's last buffer; the divergence veto still applies and
+  Figure 2 goes on from there.  Without a trusted level-0 record, a
+  passing rate or a previous message (a fresh connection, the
+  simulator) the paper's cold start stands.
 """
 
 from __future__ import annotations
@@ -67,7 +77,7 @@ from typing import Callable, Iterator
 from ..obs.telemetry import Telemetry
 from .adaptation import LevelAdapter
 from .config import AdocConfig
-from .divergence import CodecRates, DivergenceGuard
+from .divergence import CodecRates, ConnectionRecords, DivergenceGuard
 from .fifo import QueuedPacket
 from .guards import IncompressibleGuard
 from .packets import Record
@@ -166,8 +176,13 @@ class SendPlanner:
 
     ``codec_rates`` is the connection's encode-rate records; with them
     the fence and probation apply (the module docstring's fourth
-    property).  ``divergence=None`` runs without the divergence guard,
-    and ``adapter_factory(config, divergence, guard)`` substitutes
+    property).  ``records`` is the connection's
+    :class:`~repro.core.divergence.ConnectionRecords`: it supplies the
+    codec rates when ``codec_rates`` is not given, enables the warm
+    first decision (the fifth property), and gets each submitted
+    buffer's level as its ``last_level``.  ``divergence=None`` runs
+    without the divergence guard, and
+    ``adapter_factory(config, divergence, guard)`` substitutes
     another level controller (:mod:`repro.core.policies`) that gets
     neither those rules nor the codec-failure pin; both are ablation
     hooks of the simulator, whose modelled codec never fails.
@@ -181,6 +196,7 @@ class SendPlanner:
         workers: int = 0,
         adapter_factory: Callable[..., LevelAdapter] | None = None,
         codec_rates: CodecRates | None = None,
+        records: ConnectionRecords | None = None,
     ) -> None:
         self.config = config
         self.guard = IncompressibleGuard(
@@ -192,7 +208,10 @@ class SendPlanner:
             )
         else:
             self.adapter = adapter_factory(config, divergence, self.guard)
+        if codec_rates is None and records is not None:
+            codec_rates = records.codec_rates
         self.codec_rates = codec_rates
+        self._records = records
         self._divergence = divergence
         self._workers = max(1, workers)
         self.window_cap = max(2, 2 * workers) if workers else 1
@@ -215,23 +234,48 @@ class SendPlanner:
 
     def decide(self, queued: int, now: float) -> int:
         """Figure-2 level for the next buffer, given the queued packets."""
-        return self.adapter.next_level(queued + self._pending_packets, now)
+        n = queued + self._pending_packets
+        if n == 0 and self._records is not None and not self.adapter.history:
+            start = self._warm_start()
+            if start is not None:
+                return self.adapter.next_level(n, now, start)
+        return self.adapter.next_level(n, now)
+
+    def _warm_start(self) -> int | None:
+        """The warm first decision's level, or ``None`` for a cold start."""
+        last = self._records.last_level
+        if last is None or self.degraded:
+            return None
+        cfg = self.config
+        levels = range(max(1, cfg.min_level), min(last, cfg.max_level) + 1)
+        return max(self._passing(levels), default=None)
+
+    def _passing(self, levels) -> set[int]:
+        """The ``levels`` whose encode rate keeps up with the level-0 record.
+
+        Empty without rates or without a trusted level-0 record.
+        """
+        rates, divergence = self.codec_rates, self._divergence
+        if rates is None or divergence is None:
+            return set()
+        link = divergence.trusted_bandwidth(0)
+        if link is None:
+            return set()
+        return {
+            lvl for lvl in levels
+            if (rate := rates.rate(lvl)) is not None and rate * self._workers >= link
+        }
 
     def _codec_rules(self, level: int) -> tuple[int, bool]:
         """The codec-failure pin, then the rate fence and probation."""
         if self.degraded:
             return 0, False
         rates, divergence = self.codec_rates, self._divergence
-        if rates is None or divergence is None:
-            return level, False
-        link = divergence.trusted_bandwidth(0)
-        if link is None:
+        if rates is None or divergence is None or divergence.trusted_bandwidth(0) is None:
             return level, False
         floor = self.config.min_level
         rate = {lvl: rates.rate(lvl) for lvl in range(floor, level + 1)}
-        passing = {
-            lvl for lvl, r in rate.items() if r is not None and r * self._workers >= link
-        }
+        passing = self._passing(rate)
         used = level
         while used > floor and rate[used] is not None and used not in passing:
             used -= 1
@@ -243,6 +287,8 @@ class SendPlanner:
 
     def submit(self, buf: bytes | memoryview, level: int) -> None:
         """Count ``buf`` in flight: its codec job has been started."""
+        if self._records is not None:
+            self._records.last_level = level
         self._inflight.append((buf, self._next_id, level))
         self._next_id += 1
         self._pending_packets += self._raw_packets(buf)
@@ -272,6 +318,8 @@ class SendPlanner:
         tele = self._tele
         if error is not None or outcome is None:
             self.degraded = True
+            if self._records is not None:
+                self._records.last_level = 0  # the message ends raw
             records = [Record(0, len(buf), buf)]
             _log.warning(
                 "codec failed at level %d on buffer %d; degrading stream "
@@ -368,4 +416,5 @@ class EmissionWindows:
     def _observe(self, now: float) -> None:
         if self._orig > 0 and self._divergence is not None:
             self._divergence.observe(self._key[1], self._orig, now - self._start)
+            self._divergence.observed_at = now
         self._orig = 0

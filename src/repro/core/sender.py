@@ -9,7 +9,9 @@ the following decision ladder (sections 3 and 5), which
    inline, without starting any thread — latency equals plain write.
 2. **Bandwidth probe**: the first 256 KB of a large message is sent raw
    while being timed; if the apparent link speed exceeds 500 Mbit/s the
-   network is "very fast" and the rest is sent raw too.
+   network is "very fast" and the rest is sent raw too.  A connection
+   probes once per forbid window (``divergence_forbid_s``): a message
+   within it reuses the last probe's rate and sends no probe.
 3. **Adaptive pipeline**: a compression thread splits the remaining
    input into 200 KB buffers, re-evaluating the compression level
    before each one (Figure 2 + divergence guard + incompressible
@@ -68,7 +70,7 @@ from ..transport.base import Endpoint, TransportTimeout, sendall, sendall_vector
 from .compressor import compress_buffer
 from .config import AdocConfig, DEFAULT_CONFIG
 from .deadlines import DeadlineExceeded, TransferError
-from .divergence import CodecRates, DivergenceGuard
+from .divergence import CodecRates, ConnectionRecords, DivergenceGuard
 from .fifo import PacketQueue, QueueClosed, QueuedPacket
 from .packets import Record, end_record_bytes, pack_message_header
 from .planner import BYPASS, FAST_PATH, PROBE, EmissionWindows, SendPlanner
@@ -128,6 +130,9 @@ class SendResult:
     elapsed_s: float
     pipeline_used: bool = False
     probe_bps: float | None = None
+    #: True when ``probe_bps`` is the connection's recent probe, reused
+    #: instead of sending one.
+    probe_reused: bool = False
     fast_path: bool = False
     levels_used: dict[int, int] = field(default_factory=dict)
     guard_trips: int = 0
@@ -202,10 +207,11 @@ class _CompletionFIFO:
 class MessageSender:
     """Sends messages over one endpoint with AdOC semantics.
 
-    One instance per connection: the divergence guard's per-level
-    bandwidth records persist across messages, exactly as the C
-    library's per-descriptor state does, and so do the codec's
-    per-level encode rates next to them.
+    One instance per connection: its
+    :class:`~repro.core.divergence.ConnectionRecords` — the divergence
+    guard's per-level bandwidth records, the codec's per-level encode
+    rates, the last level and the last probe — persist across messages,
+    as the C library's per-descriptor state does.
     """
 
     def __init__(
@@ -217,12 +223,19 @@ class MessageSender:
         self.endpoint = endpoint
         self.config = config
         self.clock = clock
-        self.divergence = DivergenceGuard(config.divergence_forbid_s)
-        self.codec_rates = CodecRates()
+        self.records = ConnectionRecords(config.divergence_forbid_s)
         self.telemetry: Telemetry = resolve_telemetry(config)
         self.stats = ConnectionStats(self.telemetry)
         if self.telemetry.enabled:
             self.telemetry.register_connection("send", self)
+
+    @property
+    def divergence(self) -> DivergenceGuard:
+        return self.records.divergence
+
+    @property
+    def codec_rates(self) -> CodecRates:
+        return self.records.codec_rates
 
     # -- public entry points -------------------------------------------------
 
@@ -295,9 +308,16 @@ class MessageSender:
         wire_bytes = len(header)
         sendall(self.endpoint, header)
         probe_bps: float | None = None
+        reused = False
         if route == PROBE:
-            probe_bps, probe_wire = self._probe(source, total, cfg)
-            wire_bytes += probe_wire
+            probe_bps = self.records.recent_probe(self.clock())
+            reused = probe_bps is not None
+            if not reused:
+                probe_bps, probe_wire = self._probe(source, total, cfg)
+                wire_bytes += probe_wire
+            resolve_telemetry(cfg).event(
+                "probe", "reused" if reused else "sent", bps=probe_bps
+            )
             if message_route(total, cfg, probe_bps) == FAST_PATH:
                 # Very fast network: ship the rest raw.
                 wire_bytes += self._send_raw_records(source, cfg)
@@ -306,6 +326,7 @@ class MessageSender:
                     wire_bytes,
                     self.clock() - start,
                     probe_bps=probe_bps,
+                    probe_reused=reused,
                     fast_path=True,
                 )
 
@@ -314,6 +335,7 @@ class MessageSender:
         result.wire_bytes += wire_bytes
         result.elapsed_s = self.clock() - start
         result.probe_bps = probe_bps
+        result.probe_reused = reused
         return result
 
     # -- fast paths ----------------------------------------------------------
@@ -343,7 +365,10 @@ class MessageSender:
         probe = source.read_exact(min(cfg.probe_size, total))
         t0 = self.clock()
         wire = self._send_raw_records(BytesSource(probe), cfg)
-        return observe_probe(self.divergence, len(probe), self.clock() - t0), wire
+        now = self.clock()
+        bps = observe_probe(self.divergence, len(probe), now - t0)
+        self.records.probe = (bps, now)
+        return bps, wire
 
     def _send_raw_records(self, source: ChunkSource, cfg: AdocConfig) -> int:
         """Stream the rest of the source as raw ``buffer_size`` records.
@@ -384,7 +409,7 @@ class MessageSender:
         pool = self._resolve_pool(cfg, remaining)
         plan = SendPlanner(
             cfg, self.divergence, tele, pool.workers if pool is not None else 0,
-            codec_rates=self.codec_rates,
+            records=self.records,
         )
         error: list[BaseException] = []
         consumed = [0]

@@ -34,6 +34,7 @@ class TimelinePoint:
     forbidden: bool = False
     holdoff: bool = False
     fenced: bool = False
+    warm: bool = False
 
 
 def extract_timeline(tracer: EventTracer, thread: str | None = None) -> list[TimelinePoint]:
@@ -58,6 +59,7 @@ def extract_timeline(tracer: EventTracer, thread: str | None = None) -> list[Tim
                 forbidden=bool(args.get("forbidden", False)),
                 holdoff=bool(args.get("holdoff", False)),
                 fenced=bool(args.get("fenced", False)),
+                warm=bool(args.get("warm", False)),
             )
         )
     return points
@@ -71,7 +73,8 @@ def render_timeline(
     ``table_rows`` caps the per-buffer table (the *last* rows are shown
     — the freshest decisions matter most in a live view); ``None``
     prints every row.  Flags: ``F`` divergence-forbidden, ``H``
-    incompressible holdoff, ``C`` codec-rate fence or probation.
+    incompressible holdoff, ``C`` codec-rate fence or probation, ``W``
+    warm first decision.
     """
     if not points:
         return "(no adaptation decisions recorded)"
@@ -89,7 +92,9 @@ def render_timeline(
     for i, p in enumerate(shown, start=first):
         flags = "".join(
             tag
-            for tag, on in (("F", p.forbidden), ("H", p.holdoff), ("C", p.fenced))
+            for tag, on in (
+                ("F", p.forbidden), ("H", p.holdoff), ("C", p.fenced), ("W", p.warm)
+            )
             if on
         )
         lines.append(

@@ -42,7 +42,7 @@ from typing import Callable
 from ..core.compressor import compress_buffer
 from ..core.config import AdocConfig, DEFAULT_CONFIG
 from ..core.deadlines import DeadlineExceeded, TransferError
-from ..core.divergence import CodecRates, DivergenceGuard
+from ..core.divergence import CodecRates, ConnectionRecords, DivergenceGuard
 from ..core.fifo import QueuedPacket
 from ..core.packets import ProtocolError, pack_message_header
 from ..core.planner import BYPASS, EmissionWindows, SendPlanner, message_route
@@ -393,6 +393,11 @@ class AdocChannel(_ChannelBase):
     order-safe even with every worker busy).  The planner's queue
     reading is the write backlog in packets.  Inbound records go through
     a :class:`~repro.core.receiver.ReceivePlanner` the same way.
+
+    The channel's :class:`~repro.core.divergence.ConnectionRecords` are
+    its own unless :meth:`adopt_records` hands it a peer's before the
+    first message (a :class:`~repro.serve.server.ReactorServer` does, per
+    peer host).
     """
 
     mode = "adoc"
@@ -422,17 +427,27 @@ class AdocChannel(_ChannelBase):
         self._plan: SendPlanner | None = None
         self._tx_source: BytesSource | None = None  # None once read out
         self._tx_next: tuple[memoryview, int] | None = None  # pool refused
-        # Per-connection divergence records persisting across messages,
-        # fed as packets reach the kernel: (wire offset, packet) marks;
-        # the codec's encode rates persist next to them.
-        self.divergence = DivergenceGuard(config.divergence_forbid_s)
-        self.codec_rates = CodecRates()
-        self._windows = EmissionWindows(self.divergence)
+        # Records persisting across messages; the divergence records are
+        # fed as packets reach the kernel: (wire offset, packet) marks.
+        self.adopt_records(ConnectionRecords(config.divergence_forbid_s))
         self._marks: deque[tuple[int, QueuedPacket]] = deque()
         self.messages_in = 0
         self.messages_out = 0
 
     # -- send --------------------------------------------------------------
+
+    def adopt_records(self, records: ConnectionRecords) -> None:
+        """Learn and decide from ``records`` (before the first message)."""
+        self.records = records
+        self._windows = EmissionWindows(records.divergence)
+
+    @property
+    def divergence(self) -> DivergenceGuard:
+        return self.records.divergence
+
+    @property
+    def codec_rates(self) -> CodecRates:
+        return self.records.codec_rates
 
     def send_message(self, data: bytes | bytearray | memoryview) -> None:
         """Queue one AdOC message (loop thread only)."""
@@ -453,7 +468,7 @@ class AdocChannel(_ChannelBase):
             self._enqueue([pack_message_header(total, length_known=True)])
             self._plan = SendPlanner(
                 cfg, self.divergence, self._tele, self.pool.workers,
-                codec_rates=self.codec_rates,
+                records=self.records,
             )
             self._tx_source = BytesSource(data)
             self._windows.open(time.monotonic())

@@ -6,7 +6,9 @@ shares — non-blocking, reactor-registered, uniform socket options — and
 running on its own named thread, a bounded codec pool, any number of
 listeners, :meth:`ReactorServer.adopt` for connections made elsewhere
 (in-memory and shaped links included), and a close path that tears all
-of it down through :func:`~repro.core.deadlines.reap_threads`.
+of it down through :func:`~repro.core.deadlines.reap_threads`.  It also
+keeps what its AdOC channels learn about each peer host, so a client's
+next connection starts from the last one's evidence.
 """
 
 from __future__ import annotations
@@ -14,14 +16,17 @@ from __future__ import annotations
 import logging
 import socket
 import threading
+import time
 from functools import partial
 from typing import Callable
 
 from ..core.config import AdocConfig, DEFAULT_CONFIG
 from ..core.deadlines import TransferError, reap_threads
+from ..core.divergence import ConnectionRecords
 from ..obs.telemetry import Telemetry, resolve_telemetry
 from ..transport.base import Endpoint
 from ..transport.socket_transport import SocketEndpoint, splice
+from .channel import AdocChannel
 from .pool import WorkerPool
 from .reactor import EVENT_READ, Reactor
 
@@ -43,6 +48,18 @@ _ACCEPTS_PER_CALLBACK = 64
 #: How long :meth:`ReactorServer.adopt` waits for the loop to take a
 #: connection.
 _ADOPT_TIMEOUT_S = 10.0
+
+#: Peer hosts whose records a server keeps; the least recently
+#: connected is dropped first.
+MAX_PEERS = 256
+
+
+def _peer_host(endpoint: Endpoint, addr: tuple) -> str | None:
+    """The peer's host for an internet-socket connection, else ``None``."""
+    sock = getattr(endpoint, "socket", None)
+    if not addr or sock is None or sock.family not in (socket.AF_INET, socket.AF_INET6):
+        return None
+    return addr[0]
 
 
 def _selectable(endpoint: Endpoint) -> bool:
@@ -140,6 +157,16 @@ class ReactorServer:
     then splice pumps, the loop thread and the pool's workers, each join
     bounded through :func:`~repro.core.deadlines.reap_threads` so a
     wedged thread surfaces as a structured teardown error.
+
+    Per peer host (accepted AF_INET/AF_INET6 connections only; adopted
+    endpoints never share) the server keeps the
+    :class:`~repro.core.divergence.ConnectionRecords` of the last
+    :class:`~repro.serve.channel.AdocChannel`, at most :data:`MAX_PEERS`
+    of them.  A new channel from that host adopts them while they are
+    worth adopting (an emission window closed within the forbid window
+    and the last message did not end raw), and its first message can
+    start warm.  The table is loop-thread-confined and dropped by
+    :meth:`close`.
     """
 
     def __init__(
@@ -172,6 +199,8 @@ class ReactorServer:
         self._spliced: list[tuple[list[threading.Thread], Endpoint, Endpoint]] = []
         self._lock = threading.Lock()
         self._closed = False
+        #: Peer host -> records, least recently connected first.
+        self.peers: dict[str, ConnectionRecords] = {}
         if self._own_reactor:
             self.reactor.run_in_thread()
 
@@ -198,6 +227,9 @@ class ReactorServer:
             if channel is None or not self.track(channel):
                 endpoint.close()
                 return
+            host = _peer_host(endpoint, addr)
+            if host is not None and isinstance(channel, AdocChannel):
+                channel.adopt_records(self._peer_records(host, channel.records))
             channel.open()
 
         listener = Listener(self.reactor, host, port, on_accept, backlog)
@@ -253,6 +285,17 @@ class ReactorServer:
             raise TransferError("reactor loop did not take the connection", stage="accept")
         if failures:
             raise failures[0]
+
+    def _peer_records(self, host: str, own: ConnectionRecords) -> ConnectionRecords:
+        """``host``'s records while worth adopting, else ``own``, which
+        become its records."""
+        known = self.peers.pop(host, None)
+        adopt = known is not None and known.worth_adopting(time.monotonic())
+        records = known if adopt else own
+        self.peers[host] = records
+        while len(self.peers) > MAX_PEERS:
+            del self.peers[next(iter(self.peers))]
+        return records
 
     def track(self, channel) -> bool:
         """Register a channel for teardown and the connections gauge;
@@ -359,3 +402,4 @@ class ReactorServer:
             # reap_threads coverage of the pool workers lives inside
             # WorkerPool.close.
             self.pool.close(join_timeout)
+        self.peers.clear()

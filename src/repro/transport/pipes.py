@@ -36,6 +36,10 @@ class ByteConduit:
     shaping layer schedule deliveries on the real-time clock.
     """
 
+    #: Whether a read takes every deliverable segment up to ``n`` bytes
+    #: (else one segment, as a plain pipe's segments are whole writes).
+    _coalesce_reads = False
+
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
@@ -69,26 +73,29 @@ class ByteConduit:
             return 0
         give_up = None if timeout is None else time.monotonic() + timeout
         with self._lock:
-            while True:
-                if self._broken or self._eof:
-                    raise TransportClosed("conduit closed")
-                room = self.capacity - self._buffered
-                if room > 0:
-                    break
-                if give_up is None:
-                    self._writable.wait()
-                else:
-                    remaining = give_up - time.monotonic()
-                    if remaining <= 0:
-                        raise TransportTimeout(
-                            "conduit write timed out waiting for buffer room"
-                        )
-                    self._writable.wait(remaining)
-            taken = data[:room]
+            taken = data[: self._wait_for_room(give_up)]
             self._segments.append((avail_time or 0.0, bytes(taken)))
             self._buffered += len(taken)
             self._readable.notify_all()
             return len(taken)
+
+    def _wait_for_room(self, give_up: float | None) -> int:
+        """Free capacity, once there is some (call with the lock held)."""
+        while True:
+            if self._broken or self._eof:
+                raise TransportClosed("conduit closed")
+            room = self.capacity - self._buffered
+            if room > 0:
+                return room
+            if give_up is None:
+                self._writable.wait()
+            else:
+                remaining = give_up - time.monotonic()
+                if remaining <= 0:
+                    raise TransportTimeout(
+                        "conduit write timed out waiting for buffer room"
+                    )
+                self._writable.wait(remaining)
 
     def read(self, n: int, timeout: float | None = None) -> bytes:
         """Read up to ``n`` bytes; ``b""`` on EOF.  Blocks as needed.
@@ -128,14 +135,22 @@ class ByteConduit:
                             "conduit read timed out waiting for data"
                         )
                     self._readable.wait(remaining)
-            avail, seg = self._segments.popleft()
-            if len(seg) > n:
-                head, rest = seg[:n], seg[n:]
-                self._segments.appendleft((avail, rest))
-                seg = head
-            self._buffered -= len(seg)
+            parts: list[bytes] = []
+            size = 0
+            while self._segments and size < n and (self._coalesce_reads or not parts):
+                avail, seg = self._segments[0]
+                if avail > now:
+                    break
+                self._segments.popleft()
+                if size + len(seg) > n:
+                    cut = n - size
+                    self._segments.appendleft((avail, seg[cut:]))
+                    seg = seg[:cut]
+                parts.append(seg)
+                size += len(seg)
+            self._buffered -= size
             self._writable.notify_all()
-            return seg
+            return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def close_write(self) -> None:
         """EOF from the writer; queued data remains readable."""

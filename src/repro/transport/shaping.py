@@ -107,20 +107,27 @@ class LinkScheduler:
     def schedule(self, nbytes: int, now: float | None = None) -> float:
         """Return the absolute monotonic time at which ``nbytes`` written
         now become visible at the far end."""
+        return self.schedule_all([nbytes], now)[0]
+
+    def schedule_all(self, sizes: list[int], now: float | None = None) -> list[float]:
+        """:meth:`schedule` for segments written back to back, in order."""
         if now is None:
             now = time.monotonic()
+        times: list[float] = []
         with self._lock:
-            rate = self.bytes_per_second
-            if self.congestion is not None:
-                c = self.congestion
-                flip = c.exit_prob if self._congested else c.enter_prob
-                if self._rng.random() < flip:
-                    self._congested = not self._congested
-                if self._congested:
-                    rate *= c.slowdown
-            start = max(now, self._next_free)
-            self._next_free = start + nbytes / rate
-            return self._next_free + self.latency_s + self.jitter.sample(self._rng)
+            for nbytes in sizes:
+                rate = self.bytes_per_second
+                if self.congestion is not None:
+                    c = self.congestion
+                    flip = c.exit_prob if self._congested else c.enter_prob
+                    if self._rng.random() < flip:
+                        self._congested = not self._congested
+                    if self._congested:
+                        rate *= c.slowdown
+                start = max(now, self._next_free)
+                self._next_free = start + nbytes / rate
+                times.append(self._next_free + self.latency_s + self.jitter.sample(self._rng))
+        return times
 
 
 class ShapedConduit(ByteConduit):
@@ -132,6 +139,11 @@ class ShapedConduit(ByteConduit):
     the receiver sees it trickle in, which matters for AdOC's
     receive-side pipelining).
     """
+
+    # Segments here are MTU fragments: a reader taking one per call pays
+    # a lock round trip per 1500 bytes and holds back a writer waiting
+    # for room.
+    _coalesce_reads = True
 
     def __init__(
         self,
@@ -151,17 +163,31 @@ class ShapedConduit(ByteConduit):
     ) -> int:
         total = 0
         view = memoryview(data)
-        # Write one MTU at a time; stop as soon as backpressure trims a
-        # write short, honouring the Endpoint short-write contract.  The
-        # fragment stays a view — the base conduit copies the accepted
-        # prefix itself.
-        while total < len(view):
-            frag = view[total : total + self._mtu]
-            when = self._scheduler.schedule(len(frag))
-            n = super().write(frag, when, timeout=timeout)
-            total += n
-            if n < len(frag):
-                break
+        give_up = None if timeout is None else time.monotonic() + timeout
+        # Queue MTU fragments, each scheduled whole; stop as soon as
+        # backpressure trims one short, honouring the Endpoint
+        # short-write contract.  The locks are taken once per run of
+        # fragments that fit, not once per 1500 bytes: per-fragment
+        # round trips cost the probe half its time under the lock-order
+        # detector.
+        with self._lock:
+            while total < len(view):
+                if self._buffered >= self.capacity:
+                    # Full: wake readers for what this write queued
+                    # before waiting for them to make room.
+                    self._readable.notify_all()
+                room = self._wait_for_room(give_up)
+                offsets = range(total, min(len(view), total + room), self._mtu)
+                sizes = [min(self._mtu, len(view) - off) for off in offsets]
+                for off, size, when in zip(offsets, sizes, self._scheduler.schedule_all(sizes)):
+                    taken = view[off : off + min(size, room)]
+                    self._segments.append((when, bytes(taken)))
+                    self._buffered += len(taken)
+                    room -= len(taken)
+                    total += len(taken)
+                if total % self._mtu and total < len(view):
+                    break  # a fragment went short
+            self._readable.notify_all()
         return total
 
 

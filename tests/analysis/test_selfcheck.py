@@ -52,7 +52,7 @@ _ACCEPTED = {
     ("serve/channel.py", 120, "ADOC115"),
     ("serve/pool.py", 186, "ADOC103"),
     ("serve/reactor.py", 248, "ADOC111"),
-    ("serve/server.py", 102, "ADOC115"),
+    ("serve/server.py", 119, "ADOC115"),
     ("transport/faults.py", 236, "ADOC111"),
     ("transport/faults.py", 295, "ADOC111"),
 }

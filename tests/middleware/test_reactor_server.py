@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import socket
+
 import numpy as np
 import pytest
 
+from repro.core import AdocConfig
 from repro.data import decode_matrix_ascii, dense_matrix, encode_matrix_ascii, sparse_matrix
 from repro.middleware import ReactorRpcServer
 from repro.middleware.communicator import AdocCommunicator, PlainCommunicator
 from repro.middleware.protocol import MsgType, RpcMessage, read_message, write_message
 from repro.obs import Telemetry
-from repro.transport import LAN100, pipe_pair, socketpair_endpoints
+from repro.transport import LAN100, SocketEndpoint, pipe_pair, socketpair_endpoints
 
 from .conftest import CFG, call, connect
 
@@ -139,3 +142,48 @@ def test_adoc_replies_adapt_over_a_spliced_lan_link(servers):
     assert decisions, "the reply made no level decisions"
     assert max(e.args["n"] for e in decisions) > 0
     assert max(e.args["new_level"] for e in decisions) > 0
+
+
+# -- warm start: a peer host's records outlive its connections --------------
+
+
+def test_a_peer_hosts_later_reply_starts_warm(servers, closing):
+    """Three ``dgemm`` calls from 127.0.0.1 to one server, a connection
+    each, as NetSolve clients call.  The first two replies start cold and
+    leave the peer's records two level-0 windows (a trusted record) and
+    codec rates; the third reply's first decision starts warm from them.
+    A spliced peer has no host: its channel starts cold."""
+    tele = Telemetry(enabled=True)
+    cfg = AdocConfig(io_timeout_s=30.0)
+    server = servers("warm-rx", mode="adoc", config=cfg, telemetry=tele)
+    address = server.listen()
+    rng = np.random.default_rng(5)
+    a = sparse_matrix(256)
+    a[rng.integers(0, 256, 40), rng.integers(0, 256, 40)] = rng.uniform(-1, 1, 40)
+    args = [encode_matrix_ascii(a), encode_matrix_ascii(a.T)]
+
+    def first_decision(comm) -> dict:
+        tele.tracer.clear()
+        try:
+            reply = call(comm, "dgemm", args)
+        finally:
+            comm.close()
+        np.testing.assert_allclose(decode_matrix_ascii(reply.args[0]), a @ a.T)
+        return tele.tracer.events("level")[0].args
+
+    def dial() -> AdocCommunicator:
+        return AdocCommunicator(SocketEndpoint(socket.create_connection(address, 10.0)), cfg)
+
+    firsts = [first_decision(dial()) for _ in range(3)]
+    assert [f["warm"] for f in firsts[:2]] == [False, False]
+    assert firsts[2]["warm"], firsts
+    peers = server._server.peers
+    assert list(peers) == ["127.0.0.1"]
+    assert peers["127.0.0.1"].divergence.trusted_bandwidth(0) is not None
+
+    client_end, server_end = pipe_pair()
+    server.serve(server_end)
+    assert not first_decision(AdocCommunicator(client_end, cfg))["warm"]
+    assert list(peers) == ["127.0.0.1"]
+    server.close()
+    assert not peers

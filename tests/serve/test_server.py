@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.core.config import AdocConfig
 from repro.core.deadlines import TransferError
+from repro.core.divergence import ConnectionRecords
 from repro.serve.channel import PlainChannel
 from repro.serve.reactor import Reactor
-from repro.serve.server import DEFAULT_BACKLOG, Listener, ReactorServer
+from repro.serve.server import DEFAULT_BACKLOG, MAX_PEERS, Listener, ReactorServer
 from repro.transport import FaultyEndpoint, pipe_pair, socketpair_endpoints
 from repro.transport.base import recv_exact, sendall
+
+from .test_reactor import run_on_loop
 
 CFG = AdocConfig(io_timeout_s=None)
 
@@ -294,3 +298,39 @@ def test_close_before_the_loop_opens_the_channel_reaps_everything(no_thread_leak
     assert not closer.is_alive()
     assert splice_pumps() == []
     client.close()
+
+
+def test_peer_table_adopts_fresh_compressed_records_and_stays_bounded(server):
+    now = time.monotonic()
+
+    def records(seen_ago: float | None, last_level: int | None) -> ConnectionRecords:
+        rec = ConnectionRecords()
+        rec.divergence.observed_at = None if seen_ago is None else now - seen_ago
+        rec.last_level = last_level
+        return rec
+
+    def adopt(host: str, own: ConnectionRecords) -> ConnectionRecords:
+        return run_on_loop(server.reactor, lambda: server._peer_records(host, own))
+
+    first = records(0.0, 4)
+    assert adopt("10.0.0.1", first) is first
+    assert adopt("10.0.0.1", records(None, None)) is first  # fresh: shared
+    stale = records(5.0, 4)
+    assert adopt("10.0.0.2", stale) is stale
+    newer = records(None, None)
+    assert adopt("10.0.0.2", newer) is newer  # stale: starts over
+    ended_raw = records(0.0, 0)
+    assert adopt("10.0.0.3", ended_raw) is ended_raw
+    fresh = records(None, None)
+    assert adopt("10.0.0.3", fresh) is fresh  # ended raw: starts over
+
+    # Bounded: the least recently connected hosts go first.
+    def fill() -> None:
+        for i in range(MAX_PEERS):
+            server._peer_records(f"10.1.{i // 256}.{i % 256}", records(None, None))
+
+    run_on_loop(server.reactor, fill)
+    assert len(server.peers) == MAX_PEERS
+    assert "10.0.0.3" not in server.peers and "10.1.0.0" in server.peers
+    server.close()
+    assert server.peers == {}
