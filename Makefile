@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos lockcheck lint check bench bench-smoke bench-compare bench-compress bench-paper fleet-smoke live-smoke trace-demo import-profile
+.PHONY: test chaos lockcheck lint check bench bench-smoke bench-compare bench-compress bench-paper fleet-smoke live-smoke live-ab trace-demo import-profile
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -69,6 +69,16 @@ fleet-smoke:
 live-smoke:
 	$(PYTHON) benchmarks/live/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/live -q
+
+# Alternated live-benchmark pairs, a parent revision against this
+# checkout, then compare.py's table (benchmarks/ab_live.py):
+#   make live-ab PARENT=HEAD~1 WORKLOAD=rpc_dgemm PAIRS=10 SEED=31
+PARENT ?= HEAD~1
+WORKLOAD ?= rpc_dgemm
+PAIRS ?= 10
+SEED ?= 0
+live-ab:
+	$(PYTHON) benchmarks/ab_live.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 # The paper-figure benchmarks (tables/figures of RR-5500).
 bench-paper:

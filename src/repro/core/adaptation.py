@@ -89,6 +89,7 @@ class AdaptationTrace:
     holdoff: bool = False
     fenced: bool = False
     warm: bool = False
+    during_probe: bool = False
 
 
 class LevelAdapter:
@@ -97,7 +98,8 @@ class LevelAdapter:
     Call :meth:`next_level` once per input buffer (exactly where the
     paper re-evaluates the level).  The adapter:
 
-    1. computes ``delta`` from the previous observed queue size;
+    1. computes ``delta`` from the previous observed queue size (or
+       from an empty queue, for a decision taken during the probe);
     2. applies :func:`update_level`, unless the caller passes a
        ``start`` level (the send planner's warm first decision), which
        then stands in for Figure 2's output;
@@ -130,13 +132,18 @@ class LevelAdapter:
         self.history: list[AdaptationTrace] = []
         self._tele = telemetry if telemetry is not None else resolve_telemetry(config)
 
-    def next_level(self, queue_size: int, now: float, start: int | None = None) -> int:
-        """Decide the level for the next buffer given the queue size."""
+    def next_level(
+        self, queue_size: int, now: float, start: int | None = None,
+        during_probe: bool = False,
+    ) -> int:
+        """Decide the level for the next buffer given the queue size.
+
+        ``during_probe``: the queue reading is a probe still on the wire,
+        which arrived on an empty queue, so ``delta`` is the whole reading.
+        """
         cfg = self.config
-        if self._last_queue_size is None:
-            delta = 0
-        else:
-            delta = queue_size - self._last_queue_size
+        previous = 0 if during_probe else self._last_queue_size
+        delta = 0 if previous is None else queue_size - previous
         self._last_queue_size = queue_size
 
         raw = start if start is not None else update_level(
@@ -167,7 +174,8 @@ class LevelAdapter:
         self.level = level
         self.history.append(
             AdaptationTrace(
-                queue_size, delta, raw, level, forbidden, holdoff, fenced, start is not None
+                queue_size, delta, raw, level, forbidden, holdoff, fenced,
+                start is not None, during_probe,
             )
         )
         if self._tele.enabled:
@@ -184,6 +192,7 @@ class LevelAdapter:
                 holdoff=holdoff,
                 fenced=fenced,
                 warm=start is not None,
+                during_probe=during_probe,
             )
             self._tele.metrics.counter(
                 "adoc_level_decisions_total", "Figure-2 controller updates"

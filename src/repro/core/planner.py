@@ -65,7 +65,11 @@ live ones:
   message's last buffer; the divergence veto still applies and
   Figure 2 goes on from there.  Without a trusted level-0 record, a
   passing rate or a previous message (a fresh connection, the
-  simulator) the paper's cold start stands.
+  simulator) the paper's cold start stands.  A blocking driver that
+  compresses buffer 0 during its probe (:meth:`SendPlanner.decide_during_probe`)
+  reads the probe as the queue, ``n = δ = ⌈probe/packet_size⌉``, and
+  takes the next decision warm whatever ``n`` then reads: the probe's
+  level-0 record, buffer 0's codec rate and level are the evidence.
 """
 
 from __future__ import annotations
@@ -223,6 +227,9 @@ class SendPlanner:
         self._inflight: deque[tuple[bytes | memoryview, int, int]] = deque()
         self._next_id = 0
         self._pending_packets = 0
+        #: Set by :meth:`decide_during_probe`: the next decision is warm.
+        self._after_probe = False
+        self._last_before_probe: int | None = None
 
     @property
     def inflight(self) -> int:
@@ -235,11 +242,41 @@ class SendPlanner:
     def decide(self, queued: int, now: float) -> int:
         """Figure-2 level for the next buffer, given the queued packets."""
         n = queued + self._pending_packets
-        if n == 0 and self._records is not None and not self.adapter.history:
+        after_probe, self._after_probe = self._after_probe, False
+        if self._records is not None and (
+            after_probe or (n == 0 and not self.adapter.history)
+        ):
             start = self._warm_start()
             if start is not None:
                 return self.adapter.next_level(n, now, start)
         return self.adapter.next_level(n, now)
+
+    def decide_during_probe(self, probe_bytes: int, now: float) -> int:
+        """The first decision, taken while the probe is still on the wire.
+
+        The probe is the queue: ``n = δ`` is its packet count, as if it
+        had just filled an empty FIFO (Figure 2's ``n ≥ 30, δ > 0`` row
+        for the default sizes).  The driver takes the next decision once
+        the probe is timed; that one is the warm decision whatever ``n``
+        reads, since the emitter may already have drained this buffer.
+        """
+        n = self._raw_packets(probe_bytes)
+        if self._records is not None:
+            self._last_before_probe = self._records.last_level
+        self._after_probe = True
+        return self.adapter.next_level(n, now, during_probe=True)
+
+    def withdraw(self) -> bytes | memoryview:
+        """Take the buffer of :meth:`decide_during_probe` back unsent.
+
+        For a probe that turned out fast after all: the buffer ships raw
+        and the connection's ``last_level`` is what it was before.
+        """
+        buf, _, _ = self._inflight.popleft()
+        self._pending_packets -= self._raw_packets(len(buf))
+        if self._records is not None:
+            self._records.last_level = self._last_before_probe
+        return buf
 
     def _warm_start(self) -> int | None:
         """The warm first decision's level, or ``None`` for a cold start."""
@@ -291,7 +328,7 @@ class SendPlanner:
             self._records.last_level = level
         self._inflight.append((buf, self._next_id, level))
         self._next_id += 1
-        self._pending_packets += self._raw_packets(buf)
+        self._pending_packets += self._raw_packets(len(buf))
 
     def serialize(self) -> None:
         """Fall back to a window of one, run synchronously by the driver."""
@@ -312,7 +349,7 @@ class SendPlanner:
         incompressible holdoff once the driver has taken it.
         """
         buf, buffer_id, level = self._inflight.popleft()
-        self._pending_packets -= self._raw_packets(buf)
+        self._pending_packets -= self._raw_packets(len(buf))
         if self.window < self.window_cap:
             self.window += 1
         tele = self._tele
@@ -369,8 +406,8 @@ class SendPlanner:
                 yield pkt
                 self.guard.note_packet_emitted()
 
-    def _raw_packets(self, buf: bytes | memoryview) -> int:
-        return -(-len(buf) // self.config.packet_size)
+    def _raw_packets(self, nbytes: int) -> int:
+        return -(-nbytes // self.config.packet_size)
 
 
 class EmissionWindows:

@@ -11,7 +11,15 @@ the following decision ladder (sections 3 and 5), which
    while being timed; if the apparent link speed exceeds 500 Mbit/s the
    network is "very fast" and the rest is sent raw too.  A connection
    probes once per forbid window (``divergence_forbid_s``): a message
-   within it reuses the last probe's rate and sends no probe.
+   within it reuses the last probe's rate and sends no probe.  The
+   compression thread starts before a probe goes out and waits at a
+   gate: once the probe has been on the wire longer than a very fast
+   link would take (``probe_size * 8 / fast_network_bps``, about 4 ms)
+   the route cannot be the fast path, so it decides buffer 0 with the
+   probe read as the queue and compresses it while the probe drains;
+   the decision after the probe is then the planner's warm one.  A
+   probe that finishes first leaves the thread idle: the fast path, or
+   the pipeline from a cold start.
 3. **Adaptive pipeline**: a compression thread splits the remaining
    input into 200 KB buffers, re-evaluating the compression level
    before each one (Figure 2 + divergence guard + incompressible
@@ -73,7 +81,7 @@ from .deadlines import DeadlineExceeded, TransferError
 from .divergence import CodecRates, ConnectionRecords, DivergenceGuard
 from .fifo import PacketQueue, QueueClosed, QueuedPacket
 from .packets import Record, end_record_bytes, pack_message_header
-from .planner import BYPASS, FAST_PATH, PROBE, EmissionWindows, SendPlanner
+from .planner import BYPASS, FAST_PATH, PIPELINE, PROBE, EmissionWindows, SendPlanner
 from .planner import message_route, observe_probe
 from .sources import BytesSource, ChunkSource, source_for_stream
 from .stats import ConnectionStats
@@ -204,6 +212,103 @@ class _CompletionFIFO:
                 return
 
 
+class _ProbeGate:
+    """Hand-off that lets a message compress while its probe is on the wire.
+
+    The caller arms the gate as the probe goes out and settles it with
+    the probe's route (:data:`FAST_PATH` or :data:`PIPELINE`; ``None``
+    when the probe's send failed).  The dispatcher waits for whichever
+    comes first, the route or ``hold_s`` of probe on the wire — longer
+    than a very fast link takes for it, so the route can no longer be
+    the fast path — and only in the second case claims the gate
+    (:meth:`claim`) and starts a codec job.  A probe settled within ``hold_s``
+    starts none.  Every wait is bounded by ``timeout``; the lock is a
+    leaf (no other lock is ever acquired while it is held).
+    """
+
+    def __init__(self, probe_bytes: int, hold_s: float) -> None:
+        self.probe_bytes = probe_bytes
+        self._hold_s = hold_s
+        self._lock = make_lock("sender.gate.lock")
+        self._changed = make_condition(self._lock, "sender.gate.changed")
+        self._opens_at: float | None = None
+        self._settled = False
+        self._route: str | None = None
+        self._claimed = False
+        self._decided = False
+        self._level: int | None = None
+
+    def arm(self) -> None:
+        """Caller: the probe is going out now."""
+        with self._lock:
+            self._opens_at = time.monotonic() + self._hold_s
+            self._changed.notify_all()
+
+    def settle(self, route: str | None) -> None:
+        """Caller: the probe is timed (or failed, ``route=None``)."""
+        with self._lock:
+            self._settled = True
+            self._route = route
+            self._changed.notify_all()
+
+    def overlap_level(self, timeout: float | None) -> int | None:
+        """Caller: the level the dispatcher chose during the probe, if it did."""
+        with self._lock:
+            self._wait(lambda: not self._claimed or self._decided, timeout)
+            return self._level
+
+    def claim(self, timeout: float | None) -> bool:
+        """Dispatcher: whether the probe outlasted the hold unsettled."""
+        with self._lock:
+            self._wait(lambda: self._settled or self._opens_at is not None, timeout)
+            while not self._settled:
+                remaining = self._opens_at - time.monotonic()
+                if remaining <= 0:
+                    self._claimed = True
+                    return True
+                self._changed.wait(remaining)
+            return False
+
+    def decided(self, level: int | None) -> None:
+        """Dispatcher: the claimed decision (``None``: it raised)."""
+        with self._lock:
+            self._level = level
+            self._decided = True
+            self._changed.notify_all()
+
+    def route(self, timeout: float | None) -> str | None:
+        """Dispatcher: wait for the caller's :meth:`settle`."""
+        with self._lock:
+            self._wait(lambda: self._settled, timeout)
+            return self._route
+
+    def _wait(self, ready: Callable[[], bool], timeout: float | None) -> None:
+        give_up = None if timeout is None else time.monotonic() + timeout
+        while not ready():
+            if give_up is None:
+                self._changed.wait()
+            else:
+                remaining = give_up - time.monotonic()
+                if remaining <= 0:
+                    raise DeadlineExceeded("probe hand-off overdue", stage="send")
+                self._changed.wait(remaining)
+
+
+@dataclass
+class _Pipeline:
+    """One message's compression thread, its planner and the queue it fills."""
+
+    queue: PacketQueue
+    plan: SendPlanner
+    gate: _ProbeGate | None
+    thread: threading.Thread | None = None
+    error: list[BaseException] = field(default_factory=list)
+    #: Payload bytes the dispatcher pulled from the source.
+    consumed: int = 0
+    #: Buffer 0 handed back unsent: the probe overruled its decision.
+    raw_first: bytes | memoryview | None = None
+
+
 class MessageSender:
     """Sends messages over one endpoint with AdOC semantics.
 
@@ -291,7 +396,9 @@ class MessageSender:
             # slice a probe from without buffering), END-terminated.
             header = pack_message_header(0, length_known=False)
             sendall(self.endpoint, header)
-            result, consumed = self._run_pipeline(source, cfg, remaining=None)
+            result, consumed = self._finish_pipeline(
+                self._start_pipeline(source, cfg, None), cfg
+            )
             end = end_record_bytes()
             sendall(self.endpoint, end)
             result.payload_bytes = consumed
@@ -309,18 +416,28 @@ class MessageSender:
         sendall(self.endpoint, header)
         probe_bps: float | None = None
         reused = False
+        pipe: _Pipeline | None = None
         if route == PROBE:
             probe_bps = self.records.recent_probe(self.clock())
             reused = probe_bps is not None
+            overlap_level = None
             if not reused:
-                probe_bps, probe_wire = self._probe(source, total, cfg)
+                probe_bps, probe_wire, pipe = self._probe(source, total, cfg)
                 wire_bytes += probe_wire
+                if pipe is not None:
+                    overlap_level = pipe.gate.overlap_level(cfg.io_timeout_s)
             resolve_telemetry(cfg).event(
-                "probe", "reused" if reused else "sent", bps=probe_bps
+                "probe", "reused" if reused else "sent", bps=probe_bps,
+                overlap_level=overlap_level,
             )
             if message_route(total, cfg, probe_bps) == FAST_PATH:
-                # Very fast network: ship the rest raw.
-                wire_bytes += self._send_raw_records(source, cfg)
+                # Very fast network: ship the rest raw, starting with a
+                # buffer the dispatcher read in a race at the gate.
+                first = None
+                if pipe is not None:
+                    self._join_pipeline(pipe, cfg)
+                    first = pipe.raw_first
+                wire_bytes += self._send_raw_records(source, cfg, first)
                 return SendResult(
                     total,
                     wire_bytes,
@@ -330,7 +447,9 @@ class MessageSender:
                     fast_path=True,
                 )
 
-        result, _ = self._run_pipeline(source, cfg, remaining=total)
+        if pipe is None:
+            pipe = self._start_pipeline(source, cfg, total)
+        result, _ = self._finish_pipeline(pipe, cfg)
         result.payload_bytes = total
         result.wire_bytes += wire_bytes
         result.elapsed_s = self.clock() - start
@@ -354,90 +473,134 @@ class MessageSender:
         sendall(self.endpoint, header)
         return len(header) + self._send_raw_records(source, cfg)
 
-    def _probe(self, source: ChunkSource, total: int, cfg: AdocConfig) -> tuple[float, int]:
+    def _probe(
+        self, source: ChunkSource, total: int, cfg: AdocConfig
+    ) -> tuple[float, int, _Pipeline | None]:
         """Send the first ``probe_size`` bytes raw, timing them.
 
         The sender has no feedback channel, so the estimate is
         write-side only: how fast the link accepts bytes.  For that to
         reflect the line rate the probe must exceed the send-buffer
         capacity, which 256 KB does on the kernels the paper targets.
+
+        The message's pipeline starts first, its dispatcher behind a
+        :class:`_ProbeGate` that opens once the probe has been on the
+        wire longer than ``fast_network_bps`` would take; it is returned
+        with the gate settled.  With ``fast_network_bps <= 0`` every
+        probe is very fast and none starts.
         """
         probe = source.read_exact(min(cfg.probe_size, total))
+        pipe = None
+        if cfg.fast_network_bps > 0:
+            gate = _ProbeGate(len(probe), len(probe) * 8 / cfg.fast_network_bps)
+            pipe = self._start_pipeline(source, cfg, total - len(probe), gate)
+            gate.arm()
         t0 = self.clock()
-        wire = self._send_raw_records(BytesSource(probe), cfg)
+        try:
+            wire = self._send_raw_records(BytesSource(probe), cfg)
+        except BaseException:
+            if pipe is not None:
+                # The dispatcher drains a job in flight before it exits:
+                # its buffer is borrowed from the caller.
+                pipe.gate.settle(None)
+                pipe.thread.join(cfg.join_timeout_s)
+            raise
         now = self.clock()
         bps = observe_probe(self.divergence, len(probe), now - t0)
         self.records.probe = (bps, now)
-        return bps, wire
+        if pipe is not None:
+            pipe.gate.settle(message_route(total, cfg, bps))
+        return bps, wire, pipe
 
-    def _send_raw_records(self, source: ChunkSource, cfg: AdocConfig) -> int:
+    def _send_raw_records(
+        self, source: ChunkSource, cfg: AdocConfig,
+        chunk: bytes | memoryview | None = None,
+    ) -> int:
         """Stream the rest of the source as raw ``buffer_size`` records.
 
         The probe, the fast path and chunked bypasses all emit raw this
         way.  Record boundaries continue sequentially from the source
         cursor (the probe offset), exactly as the resident-buffer sender
         chunked ``data[offset:]`` — intentionally not re-aligned to a
-        global buffer grid.
+        global buffer grid.  ``chunk`` is a first record already read
+        from the source.
         """
         wire = 0
         while True:
-            chunk = source.read(cfg.buffer_size)
+            if chunk is None:
+                chunk = source.read(cfg.buffer_size)
             if not len(chunk):
                 break
             rec = Record(0, len(chunk), chunk)
             wire += sendall_vectors(self.endpoint, [rec.header_bytes(), chunk])
+            chunk = None
         return wire
 
     # -- the adaptive pipeline -----------------------------------------------
 
-    def _run_pipeline(
+    def _start_pipeline(
         self,
         source: ChunkSource,
         cfg: AdocConfig,
-        remaining: int | None = None,
-    ) -> tuple[SendResult, int]:
-        """Compression thread + emission loop over the source's remainder.
+        remaining: int | None,
+        gate: _ProbeGate | None = None,
+    ) -> _Pipeline:
+        """Start the compression thread over the source's remainder.
 
-        Returns ``(result, consumed_bytes)`` where ``consumed_bytes`` is
-        how much payload the pipeline pulled from the source (the whole
-        message for unknown-length sends, the post-probe remainder
-        otherwise).  ``remaining`` is a size hint (``None`` = unknown)
-        used to decide whether pooled compression is worth engaging.
+        ``remaining`` is a size hint (``None`` = unknown) used to decide
+        whether pooled compression is worth engaging; ``gate`` holds the
+        dispatcher back while the message's probe is on the wire.
         """
         tele = resolve_telemetry(cfg)
-        queue: PacketQueue = PacketQueue(cfg.queue_capacity, tele, "send")
         pool = self._resolve_pool(cfg, remaining)
         plan = SendPlanner(
             cfg, self.divergence, tele, pool.workers if pool is not None else 0,
             records=self.records,
         )
-        error: list[BaseException] = []
-        consumed = [0]
-
-        worker = threading.Thread(
+        pipe = _Pipeline(PacketQueue(cfg.queue_capacity, tele, "send"), plan, gate)
+        pipe.thread = threading.Thread(
             target=self._compression_thread,
-            args=(source, cfg, queue, plan, pool, error, consumed, tele),
+            args=(source, cfg, pipe, pool, tele),
             name="adoc-compress",
             daemon=True,
         )
-        worker.start()
+        pipe.thread.start()
+        return pipe
+
+    def _finish_pipeline(self, pipe: _Pipeline, cfg: AdocConfig) -> tuple[SendResult, int]:
+        """Run the emission loop until the compression thread is done.
+
+        Returns ``(result, consumed_bytes)`` where ``consumed_bytes`` is
+        how much payload the pipeline pulled from the source (the whole
+        message for unknown-length sends, the post-probe remainder
+        otherwise).
+        """
         try:
-            with tele.span("emit"):
-                result = self._emission_loop(queue, cfg)
+            with resolve_telemetry(cfg).span("emit"):
+                result = self._emission_loop(pipe.queue, cfg)
         except BaseException as exc:
             # The emission loop already closed the queue; the worker
             # unblocks on QueueClosed.  Bound the join so the failure
             # path can never hang on a wedged worker.
-            worker.join(cfg.join_timeout_s)
+            pipe.thread.join(cfg.join_timeout_s)
             if isinstance(exc, TransportTimeout):
                 raise DeadlineExceeded(
                     f"emission stalled past {cfg.io_timeout_s}s: {exc}",
                     stage="send",
                 ) from exc
             raise
+        self._join_pipeline(pipe, cfg)
+        result.pipeline_used = True
+        result.guard_trips = pipe.plan.guard.trips
+        result.degraded = pipe.plan.degraded
+        return result, pipe.consumed
+
+    def _join_pipeline(self, pipe: _Pipeline, cfg: AdocConfig) -> None:
+        """Join the compression thread, bounded; raise what it raised."""
+        worker = pipe.thread
         worker.join(cfg.join_timeout_s)
         if worker.is_alive():
-            queue.close()
+            pipe.queue.close()
             worker.join(cfg.join_timeout_s)
             if worker.is_alive():
                 raise TransferError(
@@ -445,38 +608,30 @@ class MessageSender:
                     "was emitted",
                     stage="teardown",
                 )
-        if error:
-            exc = error[0]
+        if pipe.error:
+            exc = pipe.error[0]
             if isinstance(exc, TransportTimeout):
                 raise DeadlineExceeded(
                     f"compression side stalled: {exc}", stage="send"
                 ) from exc
             raise exc
-        result.pipeline_used = True
-        result.guard_trips = plan.guard.trips
-        result.degraded = plan.degraded
-        return result, consumed[0]
 
     def _compression_thread(
         self,
         source: ChunkSource,
         cfg: AdocConfig,
-        queue: PacketQueue,
-        plan: SendPlanner,
+        pipe: _Pipeline,
         pool: Any,
-        error: list[BaseException],
-        consumed: list[int],
         tele: Telemetry,
     ) -> None:
         try:
-            with tele.span("compress"):
-                self._dispatch(source, cfg, queue, plan, pool, consumed)
+            self._dispatch(source, cfg, pipe, pool, tele)
         except QueueClosed:
             pass  # emission side failed; it carries the real error
         except BaseException as exc:  # noqa: BLE001 - reported to caller
-            error.append(exc)
+            pipe.error.append(exc)
         finally:
-            queue.close()
+            pipe.queue.close()
 
     def _resolve_pool(self, cfg: AdocConfig, remaining: int | None):
         """The shared codec pool to compress on, or ``None`` for a window of one.
@@ -510,10 +665,9 @@ class MessageSender:
         self,
         source: ChunkSource,
         cfg: AdocConfig,
-        queue: PacketQueue,
-        plan: SendPlanner,
+        pipe: _Pipeline,
         pool: Any,
-        consumed: list[int],
+        tele: Telemetry,
     ) -> None:
         """Feed the source through the planner, emitting outcomes in order.
 
@@ -525,55 +679,99 @@ class MessageSender:
         other connections' codec work.  If the shared pool is closed
         mid-message (process shutdown racing a transfer), the in-flight
         window is drained and the message finishes with a window of one.
+
+        With a probe gate, buffer 0 is decided and submitted while the
+        probe is on the wire if the gate opens; the loop goes on once the
+        probe is timed.  A fast-path route ends the dispatcher there, a
+        buffer already read handed back raw once its job is done.  The
+        ``compress`` span starts when the gate opens or the probe routes
+        the message to the pipeline, whichever is first.
         """
         from ..serve.pool import PoolClosed
 
+        queue, plan, gate = pipe.queue, pipe.plan, pipe.gate
         completions = _CompletionFIFO()
         stream_key = object()  # per-message identity for in-order delivery
         timeout = cfg.io_timeout_s
+
+        def submit(buf: bytes | memoryview, level: int) -> None:
+            nonlocal pool
+            pipe.consumed += len(buf)
+            if pool is not None:
+                try:
+                    pool.submit(
+                        compress_buffer, buf, level, plan.guard, cfg,
+                        key=stream_key,
+                        on_done=lambda *outcome: completions.push(outcome),
+                        timeout=timeout,
+                    )
+                    plan.submit(buf, level)
+                    return
+                except PoolClosed:
+                    # Drain the window (its completions still arrive in
+                    # order), then go on serially.
+                    pool = None
+                    plan.serialize()
+                    while plan.inflight:
+                        for pkt in plan.complete(*completions.pop(timeout)):
+                            queue.put(pkt, timeout)
+            plan.submit(buf, level)
+            try:
+                outcome = compress_buffer(buf, level, plan.guard, cfg)
+                completions.push((outcome, None))
+            except Exception as exc:
+                completions.push((None, exc))
+
+        def step() -> bool:
+            """Decide, then read: the paper's loop shape.  False once read out."""
+            level = plan.decide(self._queued_packets(queue), self.clock())
+            buf = source.read(cfg.buffer_size)
+            if len(buf):
+                submit(buf, level)
+            return bool(len(buf))
+
         exhausted = False
         try:
-            while True:
-                while not exhausted and plan.can_submit():
-                    # Decide, then read: the paper's loop shape.
-                    level = plan.decide(self._queued_packets(queue), self.clock())
-                    buf = source.read(cfg.buffer_size)
-                    if not len(buf):
-                        exhausted = True
-                        break
-                    consumed[0] += len(buf)
-                    if pool is not None:
-                        try:
-                            pool.submit(
-                                compress_buffer, buf, level, plan.guard, cfg,
-                                key=stream_key,
-                                on_done=lambda *outcome: completions.push(outcome),
-                                timeout=timeout,
-                            )
-                            plan.submit(buf, level)
-                            continue
-                        except PoolClosed:
-                            # Drain the window (its completions still
-                            # arrive in order), then go on serially.
-                            pool = None
-                            plan.serialize()
-                            while plan.inflight:
-                                for pkt in plan.complete(*completions.pop(timeout)):
-                                    queue.put(pkt, timeout)
-                    plan.submit(buf, level)
+            claimed = gate is not None and gate.claim(timeout)
+            if gate is not None and not claimed and gate.route(timeout) != PIPELINE:
+                return  # the fast path, or a failed probe: nothing started
+            with tele.span("compress"):
+                if claimed:
+                    level = None
                     try:
-                        outcome = compress_buffer(buf, level, plan.guard, cfg)
-                        completions.push((outcome, None))
-                    except Exception as exc:
-                        completions.push((None, exc))
-                if not plan.inflight:
-                    return
-                # The planner drops the buffer from its window *before*
-                # the puts: if one raises (QueueClosed when the emission
-                # loop died), the drain below must wait only for the
-                # completions still genuinely outstanding.
-                for pkt in plan.complete(*completions.pop(timeout)):
-                    queue.put(pkt, timeout)
+                        level = plan.decide_during_probe(gate.probe_bytes, self.clock())
+                    finally:
+                        gate.decided(level)
+                    buf = source.read(cfg.buffer_size)
+                    if len(buf):
+                        submit(buf, level)
+                    route = gate.route(timeout)
+                    if route is None:
+                        raise QueueClosed("the probe failed")  # the caller raises
+                    outcome = completions.pop(timeout) if plan.inflight else None
+                    if route == FAST_PATH:
+                        if outcome is not None:
+                            pipe.raw_first = plan.withdraw()
+                        return
+                    if outcome is not None:
+                        # Buffer 0's outcome is the next decision's evidence,
+                        # and its packets queue after that decision: a guard
+                        # trip's holdoff still holds it.
+                        first = plan.complete(*outcome)
+                        exhausted = not step()
+                        for pkt in first:
+                            queue.put(pkt, timeout)
+                while True:
+                    while not exhausted and plan.can_submit():
+                        exhausted = not step()
+                    if not plan.inflight:
+                        return
+                    # The planner drops the buffer from its window *before*
+                    # the puts: if one raises (QueueClosed when the emission
+                    # loop died), the drain below must wait only for the
+                    # completions still genuinely outstanding.
+                    for pkt in plan.complete(*completions.pop(timeout)):
+                        queue.put(pkt, timeout)
         except BaseException:
             # The message is dead (emission failed, deadline, …).  The
             # borrowed input buffers captured by in-flight jobs must not

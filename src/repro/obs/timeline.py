@@ -35,6 +35,7 @@ class TimelinePoint:
     holdoff: bool = False
     fenced: bool = False
     warm: bool = False
+    during_probe: bool = False
 
 
 def extract_timeline(tracer: EventTracer, thread: str | None = None) -> list[TimelinePoint]:
@@ -60,6 +61,7 @@ def extract_timeline(tracer: EventTracer, thread: str | None = None) -> list[Tim
                 holdoff=bool(args.get("holdoff", False)),
                 fenced=bool(args.get("fenced", False)),
                 warm=bool(args.get("warm", False)),
+                during_probe=bool(args.get("during_probe", False)),
             )
         )
     return points
@@ -74,7 +76,7 @@ def render_timeline(
     — the freshest decisions matter most in a live view); ``None``
     prints every row.  Flags: ``F`` divergence-forbidden, ``H``
     incompressible holdoff, ``C`` codec-rate fence or probation, ``W``
-    warm first decision.
+    warm first decision, ``P`` decided while the probe was on the wire.
     """
     if not points:
         return "(no adaptation decisions recorded)"
@@ -93,7 +95,8 @@ def render_timeline(
         flags = "".join(
             tag
             for tag, on in (
-                ("F", p.forbidden), ("H", p.holdoff), ("C", p.fenced), ("W", p.warm)
+                ("F", p.forbidden), ("H", p.holdoff), ("C", p.fenced),
+                ("W", p.warm), ("P", p.during_probe),
             )
             if on
         )
