@@ -5,9 +5,10 @@ Usage (from the repository root)::
     python3 benchmarks/ab_live.py --parent HEAD~1 --workload rpc_dgemm --pairs 10 --seed 31
 
 Checks the parent revision out into a temporary ``git worktree`` (removed
-at exit; ``--parent-dir`` names an existing checkout instead), then runs
+at exit; ``--parent-dir`` names an existing checkout instead, such as a
+``git archive`` copy), then runs
 ``benchmarks/live/run.py --workload W --seed S --out FILE`` once from each
-tree per pair: pair ``i`` (1-based) uses seed ``--seed + i - 1`` and runs
+tree per pair, each for the run length ``BENCHMARK.json`` sets: pair ``i`` (1-based) uses seed ``--seed + i - 1`` and runs
 the parent first when ``i`` is odd, the change first when it is even, so
 a host whose speed drifts during the runs favours neither side.  Each
 tree's ``run.py`` builds from that tree's own sources.  Last it prints
@@ -29,13 +30,11 @@ RUN = Path("benchmarks") / "live" / "run.py"
 COMPARE = ROOT / "benchmarks" / "live" / "compare.py"
 
 
-def run_live(tree: Path, workload: str | None, seed: int, seconds: float | None, out: Path) -> None:
+def run_live(tree: Path, workload: str | None, seed: int, out: Path) -> None:
     """One ``run.py`` run from ``tree``; raises on a failed run."""
     cmd = [sys.executable, str(tree / RUN), "--seed", str(seed), "--out", str(out)]
     if workload is not None:
         cmd += ["--workload", workload]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     print(f"[{out.stem}] {' '.join(cmd[1:])}", flush=True)
     subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.DEVNULL)
 
@@ -50,7 +49,7 @@ def alternate(parent: Path, change: Path, args: argparse.Namespace, out_dir: Pat
             sides.reverse()
         for index, name, tree in sides:
             out = out_dir / f"{name}-{seed}.json"
-            run_live(tree, args.workload, seed, args.seconds, out)
+            run_live(tree, args.workload, seed, out)
             records[index].append(out)
     return records
 
@@ -63,7 +62,6 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     p.add_argument("--workload", help="one workload (default: all of BENCHMARK.json)")
     p.add_argument("--pairs", type=int, default=10, help="alternated pairs (default 10)")
     p.add_argument("--seed", type=int, default=0, help="seed of the first pair")
-    p.add_argument("--seconds", type=float, help="measuring time per run (default: BENCHMARK.json)")
     p.add_argument("--out-dir", type=Path, help="keep the run records here")
     args = p.parse_args(argv)
     if args.pairs < 1:

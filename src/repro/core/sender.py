@@ -215,15 +215,20 @@ class _CompletionFIFO:
 class _ProbeGate:
     """Hand-off that lets a message compress while its probe is on the wire.
 
-    The caller arms the gate as the probe goes out and settles it with
-    the probe's route (:data:`FAST_PATH` or :data:`PIPELINE`; ``None``
-    when the probe's send failed).  The dispatcher waits for whichever
-    comes first, the route or ``hold_s`` of probe on the wire — longer
-    than a very fast link takes for it, so the route can no longer be
-    the fast path — and only in the second case claims the gate
-    (:meth:`claim`) and starts a codec job.  A probe settled within ``hold_s``
-    starts none.  Every wait is bounded by ``timeout``; the lock is a
-    leaf (no other lock is ever acquired while it is held).
+    The caller arms the gate as the probe goes out, reports each send
+    call that moved probe bytes (:meth:`moved`) and settles the gate
+    with the probe's route (:data:`FAST_PATH` or :data:`PIPELINE`;
+    ``None`` when the probe's send failed), on every exit from the probe.
+    The dispatcher waits for whichever comes first, the route or
+    ``hold_s`` of probe on the wire — longer than a very fast link takes
+    for it, so the route can no longer be the fast path — and only in
+    the second case claims the gate (:meth:`claim`) and starts a codec
+    job.  A probe settled within ``hold_s`` starts none.  The
+    dispatcher's waits on the probe end when ``timeout`` passes with no
+    probe bytes moved, as each blocking send of the probe is bounded by
+    it; the caller's wait for the claimed decision is bounded by
+    ``timeout``.  The lock is a leaf (no other lock is ever acquired
+    while it is held).
     """
 
     def __init__(self, probe_bytes: int, hold_s: float) -> None:
@@ -232,6 +237,7 @@ class _ProbeGate:
         self._lock = make_lock("sender.gate.lock")
         self._changed = make_condition(self._lock, "sender.gate.changed")
         self._opens_at: float | None = None
+        self._sends = 0
         self._settled = False
         self._route: str | None = None
         self._claimed = False
@@ -244,6 +250,11 @@ class _ProbeGate:
             self._opens_at = time.monotonic() + self._hold_s
             self._changed.notify_all()
 
+    def moved(self) -> None:
+        """Caller: one send call of the probe moved bytes."""
+        with self._lock:
+            self._sends += 1
+
     def settle(self, route: str | None) -> None:
         """Caller: the probe is timed (or failed, ``route=None``)."""
         with self._lock:
@@ -254,13 +265,13 @@ class _ProbeGate:
     def overlap_level(self, timeout: float | None) -> int | None:
         """Caller: the level the dispatcher chose during the probe, if it did."""
         with self._lock:
-            self._wait(lambda: not self._claimed or self._decided, timeout)
+            self._wait(lambda: not self._claimed or self._decided, timeout, False)
             return self._level
 
     def claim(self, timeout: float | None) -> bool:
         """Dispatcher: whether the probe outlasted the hold unsettled."""
         with self._lock:
-            self._wait(lambda: self._settled or self._opens_at is not None, timeout)
+            self._wait(lambda: self._settled or self._opens_at is not None, timeout, True)
             while not self._settled:
                 remaining = self._opens_at - time.monotonic()
                 if remaining <= 0:
@@ -279,19 +290,24 @@ class _ProbeGate:
     def route(self, timeout: float | None) -> str | None:
         """Dispatcher: wait for the caller's :meth:`settle`."""
         with self._lock:
-            self._wait(lambda: self._settled, timeout)
+            self._wait(lambda: self._settled, timeout, True)
             return self._route
 
-    def _wait(self, ready: Callable[[], bool], timeout: float | None) -> None:
+    def _wait(self, ready: Callable[[], bool], timeout: float | None, on_probe: bool) -> None:
+        """Wait for ``ready``; with ``on_probe``, ``timeout`` restarts while the probe moves."""
         give_up = None if timeout is None else time.monotonic() + timeout
+        sends = self._sends
         while not ready():
             if give_up is None:
                 self._changed.wait()
-            else:
-                remaining = give_up - time.monotonic()
-                if remaining <= 0:
+                continue
+            now = time.monotonic()
+            if now >= give_up:
+                if not on_probe or self._sends == sends:
                     raise DeadlineExceeded("probe hand-off overdue", stage="send")
-                self._changed.wait(remaining)
+                sends = self._sends
+                give_up = now + timeout
+            self._changed.wait(give_up - now)
 
 
 @dataclass
@@ -425,7 +441,11 @@ class MessageSender:
                 probe_bps, probe_wire, pipe = self._probe(source, total, cfg)
                 wire_bytes += probe_wire
                 if pipe is not None:
-                    overlap_level = pipe.gate.overlap_level(cfg.io_timeout_s)
+                    try:
+                        overlap_level = pipe.gate.overlap_level(cfg.io_timeout_s)
+                    except BaseException:
+                        self._abandon_pipeline(pipe, cfg)
+                        raise
             resolve_telemetry(cfg).event(
                 "probe", "reused" if reused else "sent", bps=probe_bps,
                 overlap_level=overlap_level,
@@ -490,31 +510,32 @@ class MessageSender:
         probe is very fast and none starts.
         """
         probe = source.read_exact(min(cfg.probe_size, total))
-        pipe = None
+        pipe = progress = None
         if cfg.fast_network_bps > 0:
             gate = _ProbeGate(len(probe), len(probe) * 8 / cfg.fast_network_bps)
-            pipe = self._start_pipeline(source, cfg, total - len(probe), gate)
+            pipe = self._start_pipeline(source, cfg, total, gate)
+            progress = gate.moved
             gate.arm()
         t0 = self.clock()
         try:
-            wire = self._send_raw_records(BytesSource(probe), cfg)
+            wire = self._send_raw_records(BytesSource(probe), cfg, progress=progress)
+            now = self.clock()
+            bps = observe_probe(self.divergence, len(probe), now - t0)
+            self.records.probe = (bps, now)
+            route = message_route(total, cfg, bps)
         except BaseException:
             if pipe is not None:
-                # The dispatcher drains a job in flight before it exits:
-                # its buffer is borrowed from the caller.
                 pipe.gate.settle(None)
-                pipe.thread.join(cfg.join_timeout_s)
+                self._abandon_pipeline(pipe, cfg)
             raise
-        now = self.clock()
-        bps = observe_probe(self.divergence, len(probe), now - t0)
-        self.records.probe = (bps, now)
         if pipe is not None:
-            pipe.gate.settle(message_route(total, cfg, bps))
+            pipe.gate.settle(route)
         return bps, wire, pipe
 
     def _send_raw_records(
         self, source: ChunkSource, cfg: AdocConfig,
         chunk: bytes | memoryview | None = None,
+        progress: Callable[[], None] | None = None,
     ) -> int:
         """Stream the rest of the source as raw ``buffer_size`` records.
 
@@ -523,7 +544,8 @@ class MessageSender:
         cursor (the probe offset), exactly as the resident-buffer sender
         chunked ``data[offset:]`` — intentionally not re-aligned to a
         global buffer grid.  ``chunk`` is a first record already read
-        from the source.
+        from the source; ``progress`` is told of every send call that
+        moved bytes.
         """
         wire = 0
         while True:
@@ -532,7 +554,7 @@ class MessageSender:
             if not len(chunk):
                 break
             rec = Record(0, len(chunk), chunk)
-            wire += sendall_vectors(self.endpoint, [rec.header_bytes(), chunk])
+            wire += sendall_vectors(self.endpoint, [rec.header_bytes(), chunk], progress)
             chunk = None
         return wire
 
@@ -594,6 +616,15 @@ class MessageSender:
         result.guard_trips = pipe.plan.guard.trips
         result.degraded = pipe.plan.degraded
         return result, pipe.consumed
+
+    def _abandon_pipeline(self, pipe: _Pipeline, cfg: AdocConfig) -> None:
+        """Stop a message's compression thread after a failure, bounded.
+
+        The dispatcher drains a job in flight before it exits: its
+        buffer is borrowed from the caller.
+        """
+        pipe.queue.close()
+        pipe.thread.join(cfg.join_timeout_s)
 
     def _join_pipeline(self, pipe: _Pipeline, cfg: AdocConfig) -> None:
         """Join the compression thread, bounded; raise what it raised."""
@@ -722,9 +753,11 @@ class MessageSender:
             except Exception as exc:
                 completions.push((None, exc))
 
-        def step() -> bool:
-            """Decide, then read: the paper's loop shape.  False once read out."""
-            level = plan.decide(self._queued_packets(queue), self.clock())
+        def decide() -> int:
+            return plan.decide(self._queued_packets(queue), self.clock())
+
+        def read_submit(level: int) -> bool:
+            """Read the next buffer and submit it at ``level``.  False once read out."""
             buf = source.read(cfg.buffer_size)
             if len(buf):
                 submit(buf, level)
@@ -742,9 +775,7 @@ class MessageSender:
                         level = plan.decide_during_probe(gate.probe_bytes, self.clock())
                     finally:
                         gate.decided(level)
-                    buf = source.read(cfg.buffer_size)
-                    if len(buf):
-                        submit(buf, level)
+                    read_submit(level)
                     route = gate.route(timeout)
                     if route is None:
                         raise QueueClosed("the probe failed")  # the caller raises
@@ -758,12 +789,14 @@ class MessageSender:
                         # and its packets queue after that decision: a guard
                         # trip's holdoff still holds it.
                         first = plan.complete(*outcome)
-                        exhausted = not step()
+                        level = decide()
                         for pkt in first:
                             queue.put(pkt, timeout)
+                        exhausted = not read_submit(level)
                 while True:
+                    # Decide, then read: the paper's loop shape.
                     while not exhausted and plan.can_submit():
-                        exhausted = not step()
+                        exhausted = not read_submit(decide())
                     if not plan.inflight:
                         return
                     # The planner drops the buffer from its window *before*

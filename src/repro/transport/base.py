@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "Endpoint",
@@ -186,14 +186,17 @@ def sendall(
 
 
 def sendall_vectors(
-    ep: Endpoint, buffers: Sequence[bytes | bytearray | memoryview]
+    ep: Endpoint,
+    buffers: Sequence[bytes | bytearray | memoryview],
+    progress: Callable[[], None] | None = None,
 ) -> int:
     """Send every byte of every buffer, looping over short writes.
 
     The vectored analogue of :func:`sendall`: empty buffers are
     skipped, short writes resume mid-buffer, and oversized batches are
     fed to the endpoint :data:`IOV_MAX` buffers at a time.  Returns the
-    total byte count sent.
+    total byte count sent.  ``progress`` is called after every
+    endpoint call that sent bytes.
 
     Duck-typed endpoints that only implement ``send`` (test doubles,
     older integrations) are handled by falling back to per-buffer
@@ -205,6 +208,8 @@ def sendall_vectors(
             if len(buf):
                 sendall(ep, buf)
                 total += len(buf)
+                if progress is not None:
+                    progress()
         return total
     views = [memoryview(b) for b in buffers if len(b)]
     total = 0
@@ -212,6 +217,8 @@ def sendall_vectors(
     while i < len(views):
         sent = ep.send_vectors(views[i : i + IOV_MAX])
         total += sent
+        if sent and progress is not None:
+            progress()
         while i < len(views) and sent >= len(views[i]):
             sent -= len(views[i])
             i += 1

@@ -179,18 +179,39 @@ class TestDecisions:
     def test_inline_overlap_runs_on_the_compression_thread(self, monkeypatch):
         cfg = AdocConfig(compress_workers=0)
         sink = Sink(delay_s=SLOW_S)
-        jobs: list[tuple[str, int, int]] = []
+        jobs: list[tuple[str, int, int, int]] = []
+        queued = [0]
         real = sender_mod.compress_buffer
 
+        class CountingQueue(sender_mod.PacketQueue):
+            def put(self, *args, **kwargs):
+                queued[0] += 1
+                return super().put(*args, **kwargs)
+
         def watched(buf, level, guard, config):
-            jobs.append((threading.current_thread().name, level, len(sink.wire)))
+            jobs.append((threading.current_thread().name, level, len(sink.wire), queued[0]))
             return real(buf, level, guard, config)
 
         monkeypatch.setattr(sender_mod, "compress_buffer", watched)
+        monkeypatch.setattr(sender_mod, "PacketQueue", CountingQueue)
         sender_mod.MessageSender(sink, cfg).send(ascii_data(1_000_000, seed=8))
-        name, level, on_wire = jobs[0]
+        name, level, on_wire, _ = jobs[0]
         assert (name, level) == ("adoc-compress", 2)
         assert on_wire < cfg.probe_size  # the probe had not left yet
+        # Buffer 0's packets are queued before buffer 1 compresses, so
+        # the emitter does not sit out buffer 1's job.
+        assert jobs[1][3] > 0
+
+    def test_pooling_reads_the_whole_message_with_or_without_a_fresh_probe(self, made):
+        # 900 KB is over the 800 KB pooling threshold but under it once
+        # the probe is taken off: both probe paths size the pool on the
+        # whole message, as the reused-probe path does.
+        cfg = AdocConfig(compress_workers=2)
+        sender = sender_mod.MessageSender(Sink(delay_s=SLOW_S), cfg)
+        payload = ascii_data(900_000, seed=10)
+        assert not sender.send(payload).probe_reused
+        assert sender.send(payload).probe_reused
+        assert [plan.window_cap for plan in made] == [4, 4]
 
     def test_an_incompressible_buffer0_trips_the_guard_and_records_no_rate(self, made):
         # The next decision comes before buffer 0's 25 raw packets are

@@ -4,7 +4,8 @@ The blocking sender compresses a probed message's first buffer while the
 probe is on the wire.  When the probe's send fails, the send call must
 raise what it raised before that overlap existed, and return only once
 the codec job holding the caller's borrowed buffer has completed, with
-no compression thread left behind.
+no compression thread left behind.  A probe that keeps moving is not
+a stall, however long it takes in all.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 import repro.core.sender as sender_mod
 from repro.core import AdocConfig, DeadlineExceeded
 from repro.core.sender import MessageSender
+from repro.data import ascii_data
 from repro.transport import TransportClosed, pipe_pair
 from repro.transport.faults import Fault, FaultyEndpoint
 
@@ -110,3 +112,71 @@ def test_a_stalled_probe_raises_the_deadline_after_buffer0s_job(slow_codec, work
     assert no_compression_thread()
     a.close()
     b.close()
+
+
+class Trickle:
+    """A link that takes at most ``chunk`` bytes per send, ``delay_s`` each."""
+
+    def __init__(self, chunk: int, delay_s: float) -> None:
+        self.chunk = chunk
+        self.delay_s = delay_s
+        self.wire = bytearray()
+
+    def send(self, data) -> int:
+        return self.send_vectors([data])
+
+    def send_vectors(self, buffers) -> int:
+        time.sleep(self.delay_s)
+        taken = 0
+        for buf in buffers:
+            part = bytes(buf[: self.chunk - taken])
+            self.wire += part
+            taken += len(part)
+            if taken == self.chunk:
+                break
+        return taken
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["inline", "pooled"])
+def test_a_probe_that_keeps_moving_outlasts_io_timeout(workers):
+    # 16 KB every 50 ms: the 256 KB probe takes ~0.8 s, no send call
+    # comes near the 0.3 s bound, and buffer 0 compresses behind it.
+    from repro.core import ReceiverPipeline
+    from repro.obs.telemetry import Telemetry
+
+    tele = Telemetry(enabled=True)
+    cfg = AdocConfig(io_timeout_s=0.3, compress_workers=workers, telemetry=tele)
+    link = Trickle(16 * 1024, 0.05)
+    payload = ascii_data(1_000_000, seed=21)
+    t0 = time.monotonic()
+    result = MessageSender(link, cfg).send(payload)
+    assert time.monotonic() - t0 > 2 * cfg.io_timeout_s
+    assert result.pipeline_used and not result.fast_path
+    (probe,) = tele.tracer.events("probe")
+    assert probe.args["overlap_level"] == 2  # buffer 0 compressed behind it
+    a, b = pipe_pair(capacity=1 << 21)
+    a.send_vectors([link.wire])
+    a.close()
+    receiver = ReceiverPipeline(b, cfg)
+    out = bytearray()
+    while chunk := receiver.read(1 << 16):
+        out += chunk
+    receiver.close()
+    assert bytes(out) == payload
+    assert no_compression_thread()
+
+
+def test_a_failed_hand_off_after_the_probe_joins_the_compression_thread(slow_codec, monkeypatch):
+    # The caller's wait for the decision taken during the probe fails:
+    # send raises it only once buffer 0's job has completed.
+    def overdue(self, timeout):
+        raise DeadlineExceeded("probe hand-off overdue", stage="send")
+
+    monkeypatch.setattr(sender_mod._ProbeGate, "overlap_level", overdue)
+    link = Trickle(16 * 1024, 0.01)  # the 64 KB probe outlasts the 1 ms gate
+    sender = MessageSender(link, replace(CFG, compress_workers=0))
+    exc, returned = send_expecting(sender, DeadlineExceeded)
+    assert "hand-off" in str(exc)
+    (job,) = slow_codec
+    assert len(job) == 2 and job[1] <= returned
+    assert no_compression_thread()
