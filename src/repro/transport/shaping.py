@@ -104,6 +104,12 @@ class LinkScheduler:
         self._next_free = 0.0
         self._lock = make_lock("LinkScheduler.lock")
 
+    @property
+    def horizon(self) -> float:
+        """When the last scheduled byte finishes serializing (monotonic)."""
+        with self._lock:
+            return self._next_free
+
     def schedule(self, nbytes: int, now: float | None = None) -> float:
         """Return the absolute monotonic time at which ``nbytes`` written
         now become visible at the far end."""
@@ -138,6 +144,10 @@ class ShapedConduit(ByteConduit):
     not become available atomically after its full transmission time —
     the receiver sees it trickle in, which matters for AdOC's
     receive-side pipelining).
+
+    The serialization horizon read when a write returns is exactly when
+    that write's last byte leaves the link, which is the conduit's link
+    clock (:meth:`link_departure`).
     """
 
     # Segments here are MTU fragments: a reader taking one per call pays
@@ -189,6 +199,10 @@ class ShapedConduit(ByteConduit):
                     break  # a fragment went short
             self._readable.notify_all()
         return total
+
+    def link_departure(self) -> tuple[int, float]:
+        """Every accepted byte leaves at the serialization horizon."""
+        return 0, self._scheduler.horizon - time.monotonic()
 
 
 @dataclass(frozen=True)
