@@ -183,8 +183,12 @@ class ConnectionRecords:
     def worth_adopting(self, now: float) -> bool:
         """Whether another connection to the same peer should start from these.
 
-        They must be fresh: an emission window closed within the forbid
-        window.
+        They must be fresh — an emission window closed within the forbid
+        window — and the last message must not have ended raw: a level-0
+        ending gives a warm start nothing, and on a reactor its level-0
+        windows time the kernel's buffer, not the link, so sharing them
+        would let one pinned message pin every later connection.
         """
         seen = self.divergence.observed_at
-        return seen is not None and now - seen < self.divergence.forbid_seconds
+        fresh = seen is not None and now - seen < self.divergence.forbid_seconds
+        return fresh and bool(self.last_level)

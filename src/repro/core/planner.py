@@ -425,119 +425,66 @@ class EmissionWindows:
     hand-off to the transport, which ends as soon as a conduit or a
     kernel buffer has room.
 
-    With ``link=True`` the driver also passes :meth:`departed` readings
-    of an endpoint's link clock (``repro.transport.base``), and a window
-    runs from the departure of the previous window's last byte to the
-    departure of its own last byte; a sequence's first window starts no
-    earlier than its :meth:`open`.  Link idle time spent waiting for a
-    late buffer is thus charged to that buffer's level.  Windows closed
-    on the send side wait for their departure; :meth:`settle` times
-    those still waiting on the send clock, for a driver that cannot
-    wait.  Without ``link`` every window is observed on the send clock
-    as it closes.
+    A driver whose endpoint has a **link clock** (``link_departure``,
+    see ``repro.transport.base``) passes :meth:`departed` readings after
+    each send.  From the first reading on, a window runs from the
+    departure of the previous window's last byte to the departure of
+    its own, and a sequence's first window starts no earlier than its
+    :meth:`open`.  Link idle time spent waiting for a late buffer is
+    thus charged to that buffer's level.
 
-    Each observed window is one ``window_closed`` trace event (level,
-    original bytes, seconds and the ``clock`` that timed it).
+    Each window is one ``window_closed`` trace event (level, original
+    bytes, seconds and the ``clock`` that timed it).
     """
 
     def __init__(
-        self,
-        divergence: DivergenceGuard | None,
-        telemetry: Telemetry | None = None,
-        link: bool = False,
+        self, divergence: DivergenceGuard | None, telemetry: Telemetry | None = None
     ) -> None:
         self._divergence = divergence
         self._tele = telemetry
-        self._link = link
         self._key: tuple[int, int] | None = None
         self._orig = 0
         self._start: float | None = None
-        self._floor: float | None = None  # open() time of a first window
-        self._sent = 0  # wire bytes of the packets that left so far
-        # Link clock: closed windows awaiting departure, as (level, orig
-        # bytes, end position, send seconds, send close time, floor); the
-        # boundary before the first of them as (position, departure or
-        # None); the last reading as (departed position, time).
-        self._waiting: deque[tuple[int, int, int, float, float, float | None]] = deque()
-        self._mark: tuple[int, float | None] = (0, None)
-        self._reading: tuple[int, float] | None = None
-
-    @property
-    def draining(self) -> bool:
-        """Closed windows are waiting for their bytes to leave the link."""
-        return bool(self._waiting)
+        self._left: float | None = None  # last link reading
 
     def open(self, now: float) -> None:
         """Start timing, unless a window is already running."""
         if self._start is None:
-            self._start = self._floor = now
+            self._start = now if self._left is None else max(now, self._left)
 
     def leaving(self, pkt: QueuedPacket, now: float) -> None:
         """``pkt`` is being handed to the transport at ``now``."""
         key = (pkt.buffer_id, pkt.level)
         if key != self._key:
             if self._key is not None:
-                self._end(now)
-                self._start, self._floor = now, None
+                self._start = self._end(now)
             self._key = key
         self._orig += pkt.original_bytes
-        self._sent += pkt.wire_length
 
-    def departed(self, unsent: int, at: float) -> None:
-        """A link reading: all but the last ``unsent`` bytes left by ``at``."""
-        self._reading = (self._sent - unsent, at)
-        self._resolve()
+    def departed(self, at: float) -> None:
+        """A link reading: every byte handed over so far leaves by ``at``."""
+        self._left = at
 
     def close(self, now: float) -> None:
-        """End the running window; the next :meth:`open` starts anew."""
+        """Observe the running window; the next :meth:`open` starts anew."""
         if self._key is not None:
             self._end(now)
         self._key = None
         self._start = None
 
-    def settle(self) -> None:
-        """Time the windows still waiting for the link on the send clock."""
-        while self._waiting:
-            level, orig, end, seconds, closed_at, _ = self._waiting.popleft()
-            self._observe(level, orig, seconds, closed_at, "send")
-            self._mark = (end, None)
-
-    def _end(self, now: float) -> None:
-        level, orig, self._orig = self._key[1], self._orig, 0
-        if not self._link:
-            self._observe(level, orig, now - self._start, now, "send")
-            return
-        self._waiting.append(
-            (level, orig, self._sent, now - self._start, now, self._floor)
-        )
-        self._resolve()
-
-    def _resolve(self) -> None:
-        """Observe the waiting windows whose last byte has left."""
-        if self._reading is None:
-            return
-        departed, at = self._reading
-        pos, since = self._mark
-        if since is None and pos <= departed:
-            since = at
-        while since is not None and self._waiting and self._waiting[0][2] <= departed:
-            level, orig, pos, _, _, floor = self._waiting.popleft()
-            start = since if floor is None else max(since, floor)
-            self._observe(level, orig, at - start, at, "link")
-            since = at
-        self._mark = (pos, since)
-
-    def _observe(
-        self, level: int, orig: int, seconds: float, at: float, clock: str
-    ) -> None:
-        if orig <= 0:
-            return
-        if self._divergence is not None:
-            self._divergence.observe(level, orig, seconds)
-            self._divergence.observed_at = at
-        tele = self._tele
-        if tele is not None and tele.enabled:
-            tele.tracer.record(
-                "window", "window_closed",
-                level=level, orig_bytes=orig, seconds=seconds, clock=clock,
-            )
+    def _end(self, now: float) -> float:
+        """Observe the running window; return when the next one starts."""
+        end, clock = (now, "send") if self._left is None else (self._left, "link")
+        orig, self._orig = self._orig, 0
+        if orig > 0:
+            seconds = end - self._start
+            if self._divergence is not None:
+                self._divergence.observe(self._key[1], orig, seconds)
+                self._divergence.observed_at = end
+            tele = self._tele
+            if tele is not None and tele.enabled:
+                tele.tracer.record(
+                    "window", "window_closed", level=self._key[1],
+                    orig_bytes=orig, seconds=seconds, clock=clock,
+                )
+        return end

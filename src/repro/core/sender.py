@@ -74,9 +74,7 @@ from typing import Any, BinaryIO, Callable
 
 from ..analysis.lockgraph import make_condition, make_lock
 from ..obs.telemetry import Telemetry, resolve_telemetry
-from ..transport.base import (
-    Endpoint, TransportTimeout, link_clock, sendall, sendall_vectors,
-)
+from ..transport.base import Endpoint, TransportTimeout, sendall, sendall_vectors
 from .compressor import compress_buffer
 from .config import AdocConfig, DEFAULT_CONFIG
 from .deadlines import DeadlineExceeded, TransferError
@@ -523,9 +521,11 @@ class MessageSender:
         try:
             wire = self._send_raw_records(BytesSource(probe), cfg, progress=progress)
             now = self.clock()
-            bps = observe_probe(
-                self.divergence, len(probe), self._probe_seconds(t0, now, before)
-            )
+            after = self._link_reading()
+            # On a link clock the probe runs from when the bytes ahead of
+            # it left (not before t0) to when its own last byte leaves.
+            seconds = now - t0 if after is None else after - max(t0, before)
+            bps = observe_probe(self.divergence, len(probe), seconds)
             self.records.probe = (bps, now)
             route = message_route(total, cfg, bps)
         except BaseException:
@@ -537,33 +537,14 @@ class MessageSender:
             pipe.gate.settle(route)
         return bps, wire, pipe
 
-    def _link_reading(self) -> tuple[int, float] | None:
-        """The endpoint's link reading as ``(unsent, departure time)``.
+    def _link_reading(self) -> float | None:
+        """When the bytes handed to the endpoint so far leave its link.
 
-        ``None`` when the endpoint has no link clock or cannot tell; the
-        departure time is on this sender's clock.
+        On this sender's clock; ``None`` when the endpoint has no link
+        clock (``link_departure``, see ``repro.transport.base``).
         """
-        link = link_clock(self.endpoint)
-        reading = link() if link is not None else None
-        if reading is None:
-            return None
-        unsent, delay = reading
-        return unsent, self.clock() + delay
-
-    def _probe_seconds(
-        self, t0: float, now: float, before: tuple[int, float] | None
-    ) -> float:
-        """The probe's time on the link, from ``before`` it to the last byte.
-
-        It starts once the bytes ahead of it have left (and not before
-        ``t0``); when the link cannot tell that its last byte has left,
-        the probe is timed on the send clock, ``t0`` to ``now``.
-        """
-        after = self._link_reading()
-        if after is None or after[0]:
-            return now - t0
-        start = t0 if before is None or before[0] else max(t0, before[1])
-        return after[1] - start
+        link = getattr(self.endpoint, "link_departure", None)
+        return None if link is None else self.clock() + link()
 
     def _send_raw_records(
         self, source: ChunkSource, cfg: AdocConfig,
@@ -853,21 +834,16 @@ class MessageSender:
         Visible bandwidth goes to the divergence guard through
         :class:`~repro.core.planner.EmissionWindows` (one window per
         buffer and level), timed on the endpoint's link clock when it
-        has one: read after every send, never waited for, so windows
-        whose bytes have not left when the message is emitted are timed
-        on the send clock.  Packets already queued under the same window
-        are coalesced into one vectored send (up to :data:`_MAX_BATCH`
-        packets), so a burst of framed packets costs one syscall instead
-        of one per packet.
+        has one: read after every send, never waited for.  Packets
+        already queued under the same window are coalesced into one
+        vectored send (up to :data:`_MAX_BATCH` packets), so a burst of
+        framed packets costs one syscall instead of one per packet.
         """
         wire_bytes = 0
         levels_used: dict[int, int] = {}
-        windows = EmissionWindows(
-            self.divergence, resolve_telemetry(cfg),
-            link=link_clock(self.endpoint) is not None,
-        )
-        windows.open(self.clock())
+        windows = EmissionWindows(self.divergence, resolve_telemetry(cfg))
         self._feed_link(windows)
+        windows.open(self.clock())
         pending: QueuedPacket | None = None
         try:
             while True:
@@ -900,13 +876,12 @@ class MessageSender:
                 sendall_vectors(self.endpoint, vectors)
                 self._feed_link(windows)
             windows.close(self.clock())
-            windows.settle()
         except BaseException:
             queue.close()  # unblock the compression thread
             raise
         return SendResult(0, wire_bytes, 0.0, levels_used=levels_used)
 
     def _feed_link(self, windows: EmissionWindows) -> None:
-        reading = self._link_reading()
-        if reading is not None:
-            windows.departed(*reading)
+        left = self._link_reading()
+        if left is not None:
+            windows.departed(left)

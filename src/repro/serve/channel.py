@@ -23,9 +23,6 @@ What carries over from the blocking engine, per the mode matrix in
 making progress), level adaptation with its guards, and telemetry on
 both directions.  What does not: the 256 KB bandwidth probe (it needs
 timed blocking sends; level selection reads the write backlog instead).
-Emission windows are timed on the socket's link clock when it has one
-(a TCP socket's unsent queue, polled on the loop while windows wait to
-leave; see ``transport.base``), else when the kernel takes the bytes.
 
 Thread model: every public method is **loop-thread-only** — callers on
 other threads go through
@@ -54,7 +51,7 @@ from ..core.sender import raw_message_vectors
 from ..core.sources import BytesSource
 from ..core.stats import ConnectionStats
 from ..obs.telemetry import Telemetry, resolve_telemetry
-from ..transport.base import Endpoint, TransportClosed, link_clock
+from ..transport.base import Endpoint, TransportClosed
 from .pool import PoolClosed, WorkerPool
 from .reactor import EVENT_READ, EVENT_WRITE, Reactor
 
@@ -74,8 +71,6 @@ _TX_HIGH_WATER = 4 * 1024 * 1024
 _RX_HIGH_WATER = 1024
 #: Retry interval while the worker pool is refusing submissions.
 _POOL_RETRY_S = 0.01
-#: Link-clock poll interval while emission windows wait to leave.
-_LINK_POLL_S = 0.001
 
 
 class NonBlockingEndpoint:
@@ -433,13 +428,9 @@ class AdocChannel(_ChannelBase):
         self._tx_source: BytesSource | None = None  # None once read out
         self._tx_next: tuple[memoryview, int] | None = None  # pool refused
         # Records persisting across messages; the divergence records are
-        # fed as packets reach the kernel: (wire offset, packet) marks,
-        # and timed on the socket's link clock when it has one.
-        self._link = link_clock(self._nb.endpoint)
-        self._link_timer = None
+        # fed as packets reach the kernel: (wire offset, packet) marks.
         self.adopt_records(ConnectionRecords(config.divergence_forbid_s))
         self._marks: deque[tuple[int, QueuedPacket]] = deque()
-        self._left_end = 0  # wire offset past the last packet that left
         self.messages_in = 0
         self.messages_out = 0
 
@@ -448,9 +439,7 @@ class AdocChannel(_ChannelBase):
     def adopt_records(self, records: ConnectionRecords) -> None:
         """Learn and decide from ``records`` (before the first message)."""
         self.records = records
-        self._windows = EmissionWindows(
-            records.divergence, self._tele, link=self._link is not None
-        )
+        self._windows = EmissionWindows(records.divergence, self._tele)
 
     @property
     def divergence(self) -> DivergenceGuard:
@@ -483,7 +472,6 @@ class AdocChannel(_ChannelBase):
             )
             self._tx_source = BytesSource(data)
             self._windows.open(time.monotonic())
-            self._poll_link()
             self._pump_tx()
 
     def _queued_packets(self) -> int:
@@ -553,34 +541,9 @@ class AdocChannel(_ChannelBase):
         # close as in the blocking emission loop.
         now = time.monotonic()
         while self._marks and self._marks[0][0] < self.bytes_out:
-            offset, pkt = self._marks.popleft()
-            self._windows.leaving(pkt, now)
-            self._left_end = offset + pkt.wire_length
+            self._windows.leaving(self._marks.popleft()[1], now)
         if not self._pending_tx and self._plan is None:
             self._windows.close(now)
-        self._poll_link()
-
-    def _poll_link(self) -> None:
-        """Feed the windows a link reading; poll again while they wait.
-
-        The reading counts the wire bytes of packets that left and are
-        still in the kernel; bytes of other frames queued after them
-        (message headers, raw messages) count with the next window.
-        """
-        if self._link is None or self._closed:
-            return
-        reading = self._link()
-        if reading is None:
-            return
-        unsent, delay = reading
-        behind = max(0, unsent + self._left_end - self.bytes_out)
-        self._windows.departed(behind, time.monotonic() + delay)
-        if self._windows.draining and self._link_timer is None:
-            self._link_timer = self.reactor.call_later(_LINK_POLL_S, self._link_tick)
-
-    def _link_tick(self) -> None:
-        self._link_timer = None
-        self._poll_link()
 
     # -- receive -----------------------------------------------------------
 

@@ -163,8 +163,9 @@ class ReactorServer:
     :class:`~repro.core.divergence.ConnectionRecords` of the last
     :class:`~repro.serve.channel.AdocChannel`, at most :data:`MAX_PEERS`
     of them.  A new channel from that host adopts them while they are
-    worth adopting (an emission window closed within the forbid
-    window), and its first message can start warm.  The table is loop-thread-confined and dropped by
+    worth adopting (an emission window closed within the forbid window
+    and the last message did not end raw), and its first message can
+    start warm.  The table is loop-thread-confined and dropped by
     :meth:`close`.
     """
 

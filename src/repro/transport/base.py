@@ -16,16 +16,14 @@ Three implementations exist: real loopback TCP sockets
 (:mod:`repro.transport.pipes`), and shaped wrappers that emulate the
 paper's networks (:mod:`repro.transport.shaping`).
 
-An endpoint may also tell when the bytes it accepted leave the link.
-That is an optional, duck-typed method, ``link_departure()``, found with
-:func:`link_clock`; it is deliberately not on :class:`Endpoint`, so a
+An endpoint may also be a **link clock**: an optional, duck-typed
+method ``link_departure()`` returns in how many seconds every byte the
+endpoint has accepted will have left the link (negative: that long
+ago).  Only endpoints that can tell define it — today the shaped
+endpoints, from their serialization horizon — so having the method is
+having the clock.  It is deliberately not on :class:`Endpoint`: a
 wrapper that forwards unknown attributes to the endpoint inside keeps
-the clock and one that does not keeps the send clock.  A reading is
-``(unsent, delay)``: every byte the endpoint has accepted except the
-last ``unsent`` will have left the link ``delay`` seconds from now
-(negative: that long ago).  ``None`` means it cannot tell.  A shaped
-conduit answers with its serialization horizon (``unsent = 0``), a TCP
-socket with its unsent queue (``SIOCOUTQ``, ``delay = 0``).
+the clock, and one that does not keeps the send clock.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "sendall",
     "sendall_vectors",
     "recv_exact",
-    "link_clock",
 ]
 
 #: Portable bound on buffers per scatter-gather call (POSIX guarantees
@@ -176,11 +173,6 @@ class _DeadlineScope:
                 self._ep.settimeout(self._old)
             except ValueError:  # pragma: no cover - defensive
                 pass
-
-
-def link_clock(ep: object) -> Callable[[], tuple[int, float] | None] | None:
-    """``ep``'s ``link_departure`` method, or ``None`` if it has none."""
-    return getattr(ep, "link_departure", None)
 
 
 def sendall(

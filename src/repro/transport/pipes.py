@@ -152,10 +152,6 @@ class ByteConduit:
             self._writable.notify_all()
             return parts[0] if len(parts) == 1 else b"".join(parts)
 
-    def link_departure(self) -> tuple[int, float] | None:
-        """When the accepted bytes leave the link: unknown for a plain pipe."""
-        return None
-
     def close_write(self) -> None:
         """EOF from the writer; queued data remains readable."""
         with self._lock:
@@ -191,10 +187,6 @@ class PipeEndpoint(Endpoint):
 
     def recv(self, n: int) -> bytes:
         return self._in.read(n, timeout=self._io_timeout)
-
-    def link_departure(self) -> tuple[int, float] | None:
-        """The outbound conduit's link reading (see ``transport.base``)."""
-        return self._out.link_departure()
 
     def shutdown_write(self) -> None:
         self._out.close_write()

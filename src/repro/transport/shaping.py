@@ -39,6 +39,7 @@ __all__ = [
     "CongestionModel",
     "LinkScheduler",
     "ShapedConduit",
+    "ShapedEndpoint",
     "shaped_pair",
     "TokenBucket",
 ]
@@ -146,8 +147,8 @@ class ShapedConduit(ByteConduit):
     receive-side pipelining).
 
     The serialization horizon read when a write returns is exactly when
-    that write's last byte leaves the link, which is the conduit's link
-    clock (:meth:`link_departure`).
+    that write's last byte leaves the link: :meth:`link_departure`, the
+    link clock of a :class:`ShapedEndpoint` (``transport.base``).
     """
 
     # Segments here are MTU fragments: a reader taking one per call pays
@@ -200,9 +201,22 @@ class ShapedConduit(ByteConduit):
             self._readable.notify_all()
         return total
 
-    def link_departure(self) -> tuple[int, float]:
-        """Every accepted byte leaves at the serialization horizon."""
-        return 0, self._scheduler.horizon - time.monotonic()
+    def link_departure(self) -> float:
+        """Seconds until every accepted byte has left the link."""
+        return self._scheduler.horizon - time.monotonic()
+
+
+class ShapedEndpoint(PipeEndpoint):
+    """A :class:`PipeEndpoint` whose outbound conduit is shaped.
+
+    It is a link clock (``transport.base``): the outbound conduit's
+    serialization horizon.
+    """
+
+    _out: ShapedConduit
+
+    def link_departure(self) -> float:
+        return self._out.link_departure()
 
 
 @dataclass(frozen=True)
@@ -242,7 +256,7 @@ def shaped_pair(
         buffer_bytes,
         mtu,
     )
-    return PipeEndpoint(fwd, bwd), PipeEndpoint(bwd, fwd)
+    return ShapedEndpoint(fwd, bwd), ShapedEndpoint(bwd, fwd)
 
 
 class TokenBucket:

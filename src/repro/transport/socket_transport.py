@@ -13,14 +13,7 @@ behind a real socket, so a selector-driven server can host it.
 from __future__ import annotations
 
 import socket
-import struct
 import threading
-
-try:
-    from fcntl import ioctl
-    from termios import TIOCOUTQ
-except ImportError:  # pragma: no cover - not a Unix with SIOCOUTQ
-    ioctl = TIOCOUTQ = None
 
 from .base import Endpoint, TransportClosed, TransportTimeout, sendall
 
@@ -35,30 +28,11 @@ _SPLICE_JOIN_TIMEOUT_S = 5.0
 
 
 class SocketEndpoint(Endpoint):
-    """Endpoint wrapper around a connected ``socket.socket``.
-
-    A TCP socket is a link clock (``transport.base``): ``SIOCOUTQ``
-    counts the bytes the kernel still holds, not yet acknowledged by the
-    peer, so the rest have left the link.  Other sockets (``AF_UNIX``
-    pairs count buffer memory, not bytes) cannot tell.
-    """
+    """Endpoint wrapper around a connected ``socket.socket``."""
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
         self._closed = False
-        self._tcp = TIOCOUTQ is not None and sock.type == socket.SOCK_STREAM and (
-            sock.family in (socket.AF_INET, socket.AF_INET6)
-        )
-
-    def link_departure(self) -> tuple[int, float] | None:
-        """Bytes still in the kernel's send queue; the rest have left now."""
-        if not self._tcp:
-            return None
-        try:
-            unsent = ioctl(self._sock.fileno(), TIOCOUTQ, b"\0\0\0\0")
-        except (OSError, ValueError):
-            return None  # closed
-        return struct.unpack("i", unsent)[0], 0.0
 
     @property
     def socket(self) -> socket.socket:

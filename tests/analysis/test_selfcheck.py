@@ -44,12 +44,12 @@ _ACCEPTED = {
     ("core/packets.py", 137, "ADOC108"),
     ("middleware/communicator.py", 103, "ADOC111"),
     ("middleware/communicator.py", 117, "ADOC111"),
-    ("serve/channel.py", 109, "ADOC111"),
-    ("serve/channel.py", 109, "ADOC115"),
-    ("serve/channel.py", 116, "ADOC111"),
-    ("serve/channel.py", 116, "ADOC115"),
-    ("serve/channel.py", 125, "ADOC111"),
-    ("serve/channel.py", 125, "ADOC115"),
+    ("serve/channel.py", 104, "ADOC111"),
+    ("serve/channel.py", 104, "ADOC115"),
+    ("serve/channel.py", 111, "ADOC111"),
+    ("serve/channel.py", 111, "ADOC115"),
+    ("serve/channel.py", 120, "ADOC111"),
+    ("serve/channel.py", 120, "ADOC115"),
     ("serve/pool.py", 186, "ADOC103"),
     ("serve/reactor.py", 248, "ADOC111"),
     ("serve/server.py", 119, "ADOC115"),

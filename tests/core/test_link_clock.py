@@ -1,19 +1,18 @@
 """Emission windows on a link clock.
 
 An endpoint may tell when the bytes it accepted leave the link
-(``link_departure``, found duck-typed by ``transport.base.link_clock``).
-The send drivers then time each window from the departure of the
+(``link_departure``, looked up duck-typed; see ``transport.base``).
+The blocking sender then times each window from the departure of the
 previous window's last byte to the departure of its own, so a conduit
-or kernel buffer that swallows a buffer at once no longer makes its
-level look fast.  These tests script the clock and the readings for
-:class:`~repro.core.planner.EmissionWindows`, check the endpoints'
-readings, and show on a live ``LAN100`` transfer that the probe and the
-per-level records read the link, not the buffer in front of it.
+that swallows a buffer at once no longer makes its level look fast.
+These tests script the readings for
+:class:`~repro.core.planner.EmissionWindows`, check which endpoints
+have the clock, and show on a live ``LAN100`` transfer that the probe
+and the per-level records read the link, not the buffer in front of it.
 """
 
 from __future__ import annotations
 
-import socket
 import statistics
 import threading
 import time
@@ -21,17 +20,20 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import AdocConfig, MessageSender
+from repro.core import AdocConfig, AdocSocket, MessageSender
 from repro.core import sender as sender_mod
 from repro.core.divergence import DivergenceGuard
 from repro.core.fifo import QueuedPacket
 from repro.core.planner import EmissionWindows, SendPlanner
-from repro.data import ascii_data, incompressible_data
+from repro.data import ascii_data
 from repro.obs.telemetry import Telemetry
+from repro.serve.channel import AdocChannel
+from repro.serve.server import ReactorServer
 from repro.transport import LAN100, pipe_pair, socketpair_endpoints
-from repro.transport.base import Endpoint, link_clock
+from repro.transport.base import Endpoint
 from repro.transport.socket_transport import tcp_pair
 
+from ..serve.test_reactor import run_on_loop
 from .test_sender_internals import (
     FEEDBACK_CFG, FEEDBACK_DATA, PINNED_OBSERVATIONS, VirtualLink,
 )
@@ -53,97 +55,76 @@ def packet(level: int, buffer_id: int, nbytes: int, orig: int) -> QueuedPacket:
 class TestEmissionWindows:
     def test_idle_gap_before_a_late_buffer_is_charged_to_its_level(self):
         guard = Recorder()
-        windows = EmissionWindows(guard, link=True)
+        windows = EmissionWindows(guard)
+        windows.departed(0.0)  # nothing ahead of the first window
         windows.open(0.0)
-        windows.departed(0, 0.0)  # nothing ahead of the first window
-        # Buffer 0 (level 6, 1000 wire bytes) leaves the link at 1.0.
+        # Buffer 0 (level 6) is handed over at 0.0 and leaves the link
+        # at 1.0.
         windows.leaving(packet(6, 0, 1000, 4000), 0.0)
-        windows.departed(0, 1.0)
+        windows.departed(1.0)
         # Buffer 1 comes late: the link idles from 1.0, the buffer is
-        # handed over at 3.0 and its 1000 bytes leave at 4.0.
+        # handed over at 3.0 and its bytes leave at 4.0.
         windows.leaving(packet(2, 1, 1000, 3000), 3.0)
-        windows.departed(0, 4.0)
+        windows.departed(4.0)
         windows.close(3.0)
         # The send clock would charge 0.0-3.0 to level 6 and end level
         # 2's window when send() returned.
         assert guard.seen == [(6, 4000, 1.0), (2, 3000, 3.0)]
-        assert not windows.draining
+        assert guard.observed_at == 4.0
 
-    def test_a_window_waits_for_its_last_byte_to_leave(self):
+    def test_a_message_starts_once_the_bytes_ahead_have_left(self):
         guard = Recorder()
-        windows = EmissionWindows(guard, link=True)
-        windows.open(10.0)
-        windows.departed(500, 10.0)  # a header still queued ahead
-        windows.leaving(packet(4, 0, 1000, 5000), 10.0)
-        windows.leaving(packet(4, 0, 1000, 5000), 10.1)
-        windows.leaving(packet(0, 1, 1000, 1000), 10.2)
-        windows.close(10.3)
-        assert windows.draining and guard.seen == []
-        windows.departed(2500, 10.5)  # the header left, the window did not
-        assert guard.seen == []
-        windows.departed(900, 11.0)  # level 4's 2000 bytes have left
-        windows.departed(0, 11.5)
-        assert guard.seen == [(4, 10000, 0.5), (0, 1000, 0.5)]
-        assert guard.observed_at == 11.5
-
-    def test_settle_times_what_has_not_left_on_the_send_clock(self):
-        guard = Recorder()
-        windows = EmissionWindows(guard, link=True)
+        windows = EmissionWindows(guard)
+        windows.departed(2.0)  # a probe still on the wire until 2.0
         windows.open(1.0)
-        windows.departed(0, 1.0)
-        windows.leaving(packet(3, 0, 800, 2000), 1.0)
-        windows.leaving(packet(5, 1, 800, 2000), 1.25)
-        windows.departed(800, 1.5)  # buffer 0 left by 1.5, buffer 1 not
-        windows.close(1.75)
-        windows.settle()
-        assert guard.seen == [(3, 2000, 0.5), (5, 2000, 0.5)]
-        assert not windows.draining
+        windows.leaving(packet(2, 0, 100, 1000), 1.0)
+        windows.departed(2.5)
+        windows.close(1.5)
+        # The link sat idle between messages: not charged to the next.
+        windows.open(5.0)
+        windows.leaving(packet(2, 1, 100, 1000), 5.0)
+        windows.departed(5.25)
+        windows.close(5.25)
+        assert guard.seen == [(2, 1000, 0.5), (2, 1000, 0.25)]
 
-    def test_without_a_link_windows_keep_the_send_clock(self):
+    def test_without_readings_windows_keep_the_send_clock(self):
         guard = Recorder()
         windows = EmissionWindows(guard)
         windows.open(1.0)
         windows.leaving(packet(6, 0, 10, 100), 1.0)
         windows.leaving(packet(6, 0, 10, 100), 1.5)
-        windows.departed(0, 99.0)  # ignored: the driver said it has no clock
         windows.leaving(packet(0, 1, 10, 300), 2.0)
+        assert guard.seen == [(6, 200, 1.0)]  # observed as the next starts
+        assert guard.observed_at == 2.0
         windows.close(2.5)
         assert guard.seen == [(6, 200, 1.0), (0, 300, 0.5)]
-
-    def test_a_sequence_starts_no_earlier_than_its_open(self):
-        guard = Recorder()
-        windows = EmissionWindows(guard, link=True)
-        windows.open(0.0)
-        windows.departed(0, 0.0)
-        windows.leaving(packet(2, 0, 100, 1000), 0.0)
-        windows.departed(0, 0.5)
-        windows.close(0.5)
-        # The link sat idle between messages: not charged to the next.
-        windows.open(5.0)
-        windows.departed(0, 0.5)
-        windows.leaving(packet(2, 1, 100, 1000), 5.0)
-        windows.departed(0, 5.25)
-        windows.close(5.25)
-        assert guard.seen == [(2, 1000, 0.5), (2, 1000, 0.25)]
 
 
 class TestWindowTrace:
     def test_one_window_closed_event_per_window(self):
         tele = Telemetry(enabled=True)
-        windows = EmissionWindows(DivergenceGuard(), tele, link=True)
-        windows.open(0.0)
-        windows.departed(0, 0.0)
-        windows.leaving(packet(6, 0, 100, 400), 0.0)
-        windows.departed(0, 0.5)
-        windows.leaving(packet(0, 1, 100, 100), 0.5)
-        windows.close(0.6)
-        windows.settle()
+        send = EmissionWindows(DivergenceGuard(), tele)
+        send.open(0.0)
+        send.leaving(packet(6, 0, 100, 400), 0.0)
+        send.leaving(packet(0, 1, 100, 100), 0.25)
+        send.close(0.5)
+        link = EmissionWindows(DivergenceGuard(), tele)
+        link.departed(0.0)
+        link.open(0.0)
+        link.leaving(packet(6, 0, 100, 400), 0.0)
+        link.departed(0.5)
+        link.leaving(packet(0, 1, 100, 100), 0.1)
+        link.departed(0.75)
+        link.close(0.2)
         events = tele.tracer.events("window")
-        assert [e.name for e in events] == ["window_closed"] * 2
+        assert [e.name for e in events] == ["window_closed"] * 4
         assert [
             (e.args["level"], e.args["orig_bytes"], e.args["seconds"], e.args["clock"])
             for e in events
-        ] == [(6, 400, 0.5, "link"), (0, 100, pytest.approx(0.1), "send")]
+        ] == [
+            (6, 400, 0.25, "send"), (0, 100, 0.25, "send"),
+            (6, 400, 0.5, "link"), (0, 100, 0.25, "link"),
+        ]
 
     def test_nothing_is_recorded_with_telemetry_off(self):
         tele = Telemetry(enabled=False)
@@ -164,12 +145,39 @@ class TestWindowTrace:
         events = tele.tracer.events("window")
         assert events and {e.args["clock"] for e in events} == {"link"}
 
+    def test_a_spliced_reactor_channel_keeps_the_send_clock(self, no_thread_leaks):
+        # A shaped link adopted by a server is bridged onto a socketpair,
+        # which cannot tell when bytes leave: the channel's windows are
+        # observed on the send clock as they end and feed its guard.
+        tele = Telemetry(enabled=True)
+        cfg = AdocConfig(io_timeout_s=30.0, telemetry=tele)
+        server = ReactorServer(name="spliced-clock", config=cfg, telemetry=tele, workers=1)
+        channels: list[AdocChannel] = []
 
-class NoTell(VirtualLink):
-    """The pinned virtual link, with a link clock that cannot tell."""
+        def factory(endpoint, addr) -> AdocChannel:
+            channels.append(AdocChannel(server.reactor, endpoint, server.pool, cfg, tele))
+            return channels[0]
 
-    def link_departure(self):
-        return None
+        client_end, server_end = LAN100.make_pair(seed=1)
+        payload = ascii_data(1 << 20, seed=4)
+        try:
+            server.adopt(server_end, factory)
+            (channel,) = channels
+            run_on_loop(server.reactor, lambda: channel.send_message(payload))
+            assert AdocSocket(client_end, cfg).read_exact(len(payload)) == payload
+        finally:
+            client_end.close()
+            server.close()
+        events = tele.tracer.events("window")
+        assert len(events) > 1 and {e.args["clock"] for e in events} == {"send"}
+        assert channel.divergence.observed_at is not None
+
+
+class Clocked(VirtualLink):
+    """The pinned virtual link, whose bytes leave as they are accepted."""
+
+    def link_departure(self) -> float:
+        return 0.0
 
 
 class Forwarding(Endpoint):
@@ -199,73 +207,57 @@ class Opaque(Forwarding):
 
 
 class TestEndpoints:
-    def test_an_endpoint_that_cannot_tell_gives_todays_records(self, monkeypatch):
-        seen = []
+    @pytest.mark.parametrize("link_type", [VirtualLink, Clocked])
+    def test_each_window_is_observed_as_it_ends(self, monkeypatch, link_type):
+        # Without a clock the records are the send clock's; a link that
+        # holds nothing back gives the same records on its clock.  On
+        # either, a window feeds the guard as the next one starts, so
+        # the guard can veto a level in the middle of a message.
+        link = link_type()
+        seen, sent_at = [], []
         observe = DivergenceGuard.observe
 
         def record(self, level, payload_bytes, elapsed):
             seen.append((level, payload_bytes, round(elapsed, 9)))
+            sent_at.append(link.sent)
             observe(self, level, payload_bytes, elapsed)
 
         monkeypatch.setattr(DivergenceGuard, "observe", record)
-        link = NoTell()
         cfg = replace(FEEDBACK_CFG, compress_workers=0)
         MessageSender(link, cfg, clock=link.clock).send(FEEDBACK_DATA)
         assert seen == PINNED_OBSERVATIONS
+        assert sent_at[:-1] == sorted(set(sent_at[:-1]))
+        assert sent_at[-2] < link.sent
 
-    def test_a_shaped_conduit_reads_its_serialization_horizon(self):
+    def test_a_shaped_endpoint_reads_its_serialization_horizon(self):
         a, b = LAN100.make_pair(seed=0)
         try:
             t0 = time.monotonic()
             assert a.send(b"x" * 11750) == 11750  # 1 ms at 94 Mbit/s
-            unsent, delay = a.link_departure()
+            delay = a.link_departure()
             took = time.monotonic() - t0
             # The idle link started serializing within ``took`` of t0,
             # and the reading came within ``took`` of t0 too.
-            assert unsent == 0
             assert abs(delay - 0.001) <= took + 1e-6
         finally:
             a.close()
             b.close()
 
-    def test_plain_pipes_and_unix_sockets_cannot_tell(self):
-        a, b = pipe_pair()
-        c, d = socketpair_endpoints()
+    def test_only_shaped_endpoints_have_a_link_clock(self):
+        pairs = [pipe_pair(), socketpair_endpoints(), tcp_pair()]
         try:
-            assert a.link_departure() is None
-            assert c.link_departure() is None
+            for end, _ in pairs:
+                assert not hasattr(end, "link_departure"), end
         finally:
-            for ep in (a, b, c, d):
-                ep.close()
-
-    def test_a_tcp_socket_reads_its_unsent_queue(self):
-        a, b = tcp_pair()
-        try:
-            a.socket.setblocking(False)
-            sent = 0
-            try:
-                while True:
-                    sent += a.send(b"x" * 65536)
-            except BlockingIOError:
-                pass
-            unsent, delay = a.link_departure()
-            assert delay == 0.0 and 0 < unsent <= sent
-            got = 0
-            while got < sent:
-                got += len(b.recv(1 << 20))
-            deadline = time.monotonic() + 5
-            while a.link_departure()[0] and time.monotonic() < deadline:
-                time.sleep(0.001)
-            assert a.link_departure() == (0, 0.0)
-        finally:
-            a.close()
-            b.close()
+            for pair in pairs:
+                for end in pair:
+                    end.close()
 
     def test_a_forwarding_wrapper_keeps_the_clock_an_opaque_one_does_not(self):
         a, b = LAN100.make_pair(seed=0)
         try:
-            assert link_clock(Forwarding(a)) is not None
-            assert link_clock(Opaque(a)) is None
+            assert hasattr(Forwarding(a), "link_departure")
+            assert not hasattr(Opaque(a), "link_departure")
         finally:
             a.close()
             b.close()
@@ -348,56 +340,3 @@ def _skew_faults(
             if not (mine is None or used is None or mine < used):
                 faults.append(("veto", row, mine, used))
     return faults
-
-
-class TestReactorChannel:
-    """A reply over TCP: the channel's windows read the peer's pace."""
-
-    def test_windows_wait_for_the_paced_reader(self, no_thread_leaks):
-        from repro.serve.channel import AdocChannel
-        from repro.serve.pool import WorkerPool
-        from repro.serve.reactor import Reactor
-        from repro.transport.socket_transport import SocketEndpoint
-
-        from ..serve.test_reactor import run_on_loop
-
-        listener = socket.create_server(("127.0.0.1", 0))
-        reader = socket.socket()
-        # Set before connect, so the window honours it: the reader's
-        # pace, not a deep receive buffer, then drains the sender.
-        reader.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
-        reader.connect(listener.getsockname())
-        writer, _ = listener.accept()
-        listener.close()
-        tele = Telemetry(enabled=True)
-        reactor = Reactor(name="link-clock-test")
-        pool = WorkerPool(workers=1, max_pending=16, name="link-clock-pool")
-        reactor.run_in_thread()
-        payload = incompressible_data(1 << 20, seed=4)
-        channel = AdocChannel(
-            reactor, SocketEndpoint(writer), pool, AdocConfig(telemetry=tele)
-        )
-        try:
-            run_on_loop(reactor, channel.open)
-            run_on_loop(reactor, lambda: channel.send_message(payload))
-            got = 0
-            # About 16 MB/s: 16 KB a millisecond at most.
-            while got < len(payload):
-                got += len(reader.recv(16 * 1024))
-                time.sleep(0.001)
-            deadline = time.monotonic() + 5
-            while channel._windows.draining and time.monotonic() < deadline:
-                time.sleep(0.005)
-            run_on_loop(reactor, channel.close)
-        finally:
-            reader.close()
-            reactor.close()
-            pool.close()
-        events = tele.tracer.events("window")
-        assert events and {e.args["clock"] for e in events} == {"link"}
-        # The kernel took the whole message at once; on the send clock
-        # its windows read hundreds of MB/s.
-        # A window that left within one poll of the one before reads
-        # zero seconds, which the guard ignores.
-        rates = [e.args["orig_bytes"] / e.args["seconds"] for e in events if e.args["seconds"]]
-        assert rates and max(rates) < 40e6, rates

@@ -301,9 +301,6 @@ def test_close_before_the_loop_opens_the_channel_reaps_everything(no_thread_leak
 
 
 def test_peer_table_adopts_fresh_compressed_records_and_stays_bounded(server):
-    # Records whose last message ended raw are shared too: on a TCP
-    # peer the channel's level-0 windows read the link clock, not the
-    # kernel's send buffer, so they no longer pin later connections.
     now = time.monotonic()
 
     def records(seen_ago: float | None, last_level: int | None) -> ConnectionRecords:
@@ -324,7 +321,8 @@ def test_peer_table_adopts_fresh_compressed_records_and_stays_bounded(server):
     assert adopt("10.0.0.2", newer) is newer  # stale: starts over
     ended_raw = records(0.0, 0)
     assert adopt("10.0.0.3", ended_raw) is ended_raw
-    assert adopt("10.0.0.3", records(None, None)) is ended_raw  # fresh: shared
+    fresh = records(None, None)
+    assert adopt("10.0.0.3", fresh) is fresh  # ended raw: starts over
 
     # Bounded: the least recently connected hosts go first.
     def fill() -> None:
