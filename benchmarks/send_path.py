@@ -170,7 +170,6 @@ class LegacySender:
                         chunk = wire[off : off + cfg.packet_size]
                         orig = rec.original_size * len(chunk) // n
                         queue.put(QueuedPacket(chunk, rec.level, orig, buffer_id))
-                        inc_guard.note_packet_emitted()
                 offset += len(buf)
                 buffer_id += 1
         except QueueClosed:

@@ -154,32 +154,38 @@ def lzf_compress_slices(
 
     Yields ``(start, end, compressed)`` per slice, lazily — the buffer
     compressor stops consuming when the incompressible guard trips, so
-    slices past the abort point are never encoded.  Each chunk is
+    slices past the abort point are never encoded.  The first slice is
+    compressed on its own, so a guard that trips on it (random data)
+    never pays for match discovery on the rest.  Each chunk is
     byte-identical to ``lzf_compress(data[start:end])``: the vectorized
     path keys its hash chains by ``(slice, hash)``, which is exactly a
     fresh table per slice, while paying the numpy fixed overhead once
-    per buffer.
+    for the rest of the buffer.
     """
     if slice_size <= 0:
         raise ValueError("slice_size must be positive")
     if not isinstance(data, bytes):
         data = bytes(data)
     n = len(data)
-    if _np is None or n < _VEC_MIN_BYTES:
-        for start in range(0, n, slice_size):
+    first = min(slice_size, n)
+    if first:
+        yield 0, first, lzf_compress(data[:first])
+    rest = data[first:]
+    if _np is None or len(rest) < _VEC_MIN_BYTES:
+        for start in range(first, n, slice_size):
             end = min(start + slice_size, n)
             yield start, end, lzf_compress(data[start:end])
         return
-    pre = _prepare(data, n, slice_size)
-    for start in range(0, n, slice_size):
-        end = min(start + slice_size, n)
+    pre = _prepare(rest, len(rest), slice_size)
+    for start in range(0, len(rest), slice_size):
+        end = min(start + slice_size, len(rest))
         length = end - start
         if length < 4:
-            yield start, end, bytes([length - 1]) + data[start:end]
+            yield first + start, first + end, bytes([length - 1]) + rest[start:end]
             continue
         out = bytearray()
-        _encode_span(data, *pre, start, end, out)
-        yield start, end, bytes(out)
+        _encode_span(rest, *pre, start, end, out)
+        yield first + start, first + end, bytes(out)
 
 
 def _prepare(

@@ -107,7 +107,8 @@ class LevelAdapter:
        level whose observed visible bandwidth is worse than a smaller
        level's (and respects its 1-second forbid window);
     4. lets the :class:`~repro.core.guards.IncompressibleGuard` pin the
-       level to the minimum during its 10-packet holdoff;
+       level to the minimum while its 10-packet holdoff lasts; each
+       pinned decision uses up a buffer's raw packet count of it;
     5. applies ``codec_rules(level) -> (level, fenced)``, the send
        planner's codec-failure pin, rate fence and probation.
 
@@ -163,7 +164,7 @@ class LevelAdapter:
             vetoed = self.divergence.filter_level(level, now)
             forbidden = vetoed != level
             level = vetoed
-        if self.incompressible is not None and self.incompressible.active:
+        if self._held():
             level = cfg.min_level
             holdoff = True
         level = min(max(level, cfg.min_level), cfg.max_level)
@@ -217,3 +218,10 @@ class LevelAdapter:
                         ("guard",),
                     ).inc(guard=guard)
         return level
+
+    def _held(self) -> bool:
+        """Whether the incompressible holdoff pins this decision."""
+        cfg = self.config
+        return self.incompressible is not None and self.incompressible.hold(
+            -(-cfg.buffer_size // cfg.packet_size)
+        )

@@ -20,7 +20,13 @@ Per level:
   ``compressobj`` (a single zlib stream keeps the ratio close to
   whole-buffer compression); the running produced/consumed ratio is
   checked as slices are fed, and on a trip the stream is flushed into a
-  record covering the consumed prefix and the rest goes raw.
+  record covering the consumed prefix and the rest goes raw.  Deflate
+  holds its output back, so on random data that check trips only after
+  most of the buffer is consumed.  Once the message's guard has tripped,
+  a zlib job first judges a side sample, ``zlib.compress`` of the first
+  slice at level 1, which is never shipped: if the sample trips the
+  guard, the whole buffer goes raw as one record.  A message that never
+  trips keeps the streaming path alone.
 """
 
 from __future__ import annotations
@@ -107,9 +113,13 @@ def _compress_zlib(
     guard: IncompressibleGuard | None,
     config: AdocConfig,
 ) -> tuple[list[Record], bool]:
-    comp = zlib.compressobj(level - 1)
     slice_size = config.slice_size
     n = len(data)
+    if guard is not None and guard.trips:
+        head = data[:slice_size]
+        if guard.check_packet(len(head), len(zlib.compress(head, 1))):
+            return [Record(0, n, data)], True
+    comp = zlib.compressobj(level - 1)
     consumed = 0
     produced: list[bytes] = []
     produced_len = 0

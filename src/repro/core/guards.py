@@ -6,6 +6,12 @@ AdOC compares each compressed packet's size with its original size; if
 the achieved ratio is below a threshold it (a) stops compressing the
 rest of the current buffer and (b) pins the compression level to its
 minimum for the next 10 packets before letting adaptation resume.
+
+The holdoff counts from the next level decision: the tripped buffer's
+own packets were committed before the trip and do not spend it.  Each
+decision the holdoff pins uses up its buffer's raw packet count
+(:meth:`IncompressibleGuard.hold`), so the default 10 packets hold at
+least the next buffer at the minimum level.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ class IncompressibleGuard:
 
     Thread-safe: with pooled compression (``compress_workers``), several
     codec workers evaluate :meth:`check_packet` for different buffers
-    concurrently while the dispatcher counts emissions, so the holdoff
+    concurrently while the dispatcher decides levels, so the holdoff
     counter is guarded by a leaf lock (no other lock is ever taken while
     it is held).
     """
@@ -64,8 +70,14 @@ class IncompressibleGuard:
             return True
         return False
 
-    def note_packet_emitted(self) -> None:
-        """Count one produced packet against the holdoff window."""
+    def hold(self, packets: int) -> bool:
+        """One level decision: True if the holdoff pins it to the minimum.
+
+        A pinned decision uses up ``packets``, its buffer's raw packet
+        count, of the holdoff.
+        """
         with self._lock:
-            if self._remaining > 0:
-                self._remaining -= 1
+            if self._remaining <= 0:
+                return False
+            self._remaining = max(0, self._remaining - packets)
+            return True

@@ -175,7 +175,9 @@ class SendPlanner:
 
     ``guard`` is the message's incompressible guard: drivers pass it to
     :func:`~repro.core.compressor.compress_buffer` so codec jobs can trip
-    it, and the planner counts the holdoff down per emitted packet.
+    it, and each decision its holdoff pins uses up a buffer's raw
+    packets (:meth:`~repro.core.guards.IncompressibleGuard.hold`), so
+    the holdoff counts from the next decision on every driver.
     ``adapter.history`` is the message's Figure-2 trace.
 
     ``codec_rates`` is the connection's encode-rate records; with them
@@ -345,8 +347,7 @@ class SendPlanner:
         Accounting happens now, and the job's codec seconds feed the
         level's encode rate (a job the incompressible guard cut short
         is not that level's rate); the returned iterator yields the
-        buffer's packets in wire order and counts each against the
-        incompressible holdoff once the driver has taken it.
+        buffer's packets in wire order.
         """
         buf, buffer_id, level = self._inflight.popleft()
         self._pending_packets -= self._raw_packets(len(buf))
@@ -378,6 +379,7 @@ class SendPlanner:
                 level=level,
                 in_bytes=len(buf),
                 out_bytes=sum(len(r.payload) for r in records),
+                tripped=outcome is not None and outcome[1],
             )
             metrics = tele.metrics
             metrics.counter(
@@ -396,15 +398,8 @@ class SendPlanner:
                     "buffers shipped raw after a codec failure",
                     ("mode",),
                 ).inc(mode=self._mode)
-        return self._packets(records, buffer_id)
-
-    def _packets(
-        self, records: list[Record], buffer_id: int
-    ) -> Iterator[QueuedPacket]:
-        for rec in records:
-            for pkt in record_packets(rec, self.config.packet_size, buffer_id):
-                yield pkt
-                self.guard.note_packet_emitted()
+        size = self.config.packet_size
+        return (pkt for rec in records for pkt in record_packets(rec, size, buffer_id))
 
     def _raw_packets(self, nbytes: int) -> int:
         return -(-nbytes // self.config.packet_size)

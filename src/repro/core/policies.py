@@ -55,7 +55,7 @@ class _GuardedAdapter(LevelAdapter):
         level = self.propose(queue_size, delta)
         if self.divergence is not None:
             level = self.divergence.filter_level(level, now)
-        if self.incompressible is not None and self.incompressible.active:
+        if self._held():
             level = cfg.min_level
         self.level = min(max(level, cfg.min_level), cfg.max_level)
         return self.level

@@ -799,9 +799,9 @@ class MessageSender:
                             pipe.raw_first = plan.withdraw()
                         return
                     if outcome is not None:
-                        # Buffer 0's outcome is the next decision's evidence,
-                        # and its packets queue after that decision: a guard
-                        # trip's holdoff still holds it.
+                        # Buffer 0's outcome (its codec rate, a guard trip)
+                        # is the next decision's evidence, and its packets
+                        # queue after that decision.
                         first = plan.complete(*outcome)
                         level = decide()
                         for pkt in first:

@@ -175,27 +175,26 @@ class ShapedConduit(ByteConduit):
         total = 0
         view = memoryview(data)
         give_up = None if timeout is None else time.monotonic() + timeout
-        # Queue MTU fragments, each scheduled whole; stop as soon as
-        # backpressure trims one short, honouring the Endpoint
-        # short-write contract.  The locks are taken once per run of
-        # fragments that fit, not once per 1500 bytes: per-fragment
-        # round trips cost the probe half its time under the lock-order
-        # detector.
+        # Queue MTU fragments of what fits; stop as soon as backpressure
+        # trims one short, honouring the Endpoint short-write contract.
+        # The scheduler is billed for the accepted bytes only: the rest
+        # is billed when a later write carries it.  The locks are taken
+        # once per run of fragments that fit, not once per 1500 bytes:
+        # per-fragment round trips cost the probe half its time under
+        # the lock-order detector.
         with self._lock:
             while total < len(view):
                 if self._buffered >= self.capacity:
                     # Full: wake readers for what this write queued
                     # before waiting for them to make room.
                     self._readable.notify_all()
-                room = self._wait_for_room(give_up)
-                offsets = range(total, min(len(view), total + room), self._mtu)
-                sizes = [min(self._mtu, len(view) - off) for off in offsets]
+                end = min(len(view), total + self._wait_for_room(give_up))
+                offsets = range(total, end, self._mtu)
+                sizes = [min(self._mtu, end - off) for off in offsets]
                 for off, size, when in zip(offsets, sizes, self._scheduler.schedule_all(sizes)):
-                    taken = view[off : off + min(size, room)]
-                    self._segments.append((when, bytes(taken)))
-                    self._buffered += len(taken)
-                    room -= len(taken)
-                    total += len(taken)
+                    self._segments.append((when, bytes(view[off : off + size])))
+                self._buffered += end - total
+                total = end
                 if total % self._mtu and total < len(view):
                     break  # a fragment went short
             self._readable.notify_all()

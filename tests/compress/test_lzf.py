@@ -214,6 +214,48 @@ class TestSliceApi:
             pos = end
         assert pos == len(data)
 
+    @pytest.mark.parametrize(
+        "name, n, digest",
+        [
+            ("ascii", 200 * 1024, "94e89749b17f3b96"),
+            ("ascii", 50_001, "f2a7670be8e9319d"),
+            ("ascii", 9000, "fbbc17adfb2b5183"),
+            ("ascii", 600, "3b9de52b294c7709"),
+            ("binary", 200 * 1024, "b13e0fd1c91034a7"),
+            ("binary", 50_001, "c97b518a29226a40"),
+            ("binary", 9000, "96ab91c02bd434f8"),
+            ("binary", 600, "6f99f2e47b635f18"),
+            ("incompressible", 200 * 1024, "f0457b4a6f0f6794"),
+            ("incompressible", 50_001, "9749daa6b1835ceb"),
+            ("incompressible", 9000, "c51ce93ca6f96ab2"),
+            ("incompressible", 600, "7eb231ce6eae764e"),
+        ],
+    )
+    def test_slices_are_pinned(self, name, n, digest):
+        # Slice bounds and bytes, pinned from the encoder that ran match
+        # discovery once over the whole buffer: compressing the first
+        # slice on its own must not move a byte.
+        import hashlib
+
+        from repro.compress.lzf import lzf_compress_slices
+        from repro.data import data_by_name
+
+        h = hashlib.sha256()
+        for start, end, comp in lzf_compress_slices(data_by_name(name, n, seed=3), 8192):
+            h.update(b"%d:%d:" % (start, end) + comp)
+        assert h.hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("n", [8192, 8195, 8192 + 511, 8192 + 512, 16384, 16387])
+    def test_slices_around_the_first_boundary(self, n):
+        from repro.compress.lzf import lzf_compress_slices
+        from repro.data import ascii_data
+
+        data = ascii_data(n, seed=4)
+        out = list(lzf_compress_slices(data, 8192))
+        bounds = [(s, min(s + 8192, n)) for s in range(0, n, 8192)]
+        assert [(s, e) for s, e, _ in out] == bounds
+        assert [c for _, _, c in out] == [lzf_compress(data[s:e]) for s, e in bounds]
+
     def test_short_input_single_slice(self):
         from repro.compress.lzf import lzf_compress_slices
 

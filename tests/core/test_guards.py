@@ -26,32 +26,37 @@ def test_expansion_trips():
 
 
 def test_holdoff_expires_after_n_packets():
-    g = IncompressibleGuard(holdoff_packets=3)
+    # The holdoff counts from the next decision: each decision it pins
+    # uses up that buffer's raw packet count.
+    g = IncompressibleGuard(holdoff_packets=10)
     g.check_packet(100, 100)
     assert g.active
-    for _ in range(3):
-        g.note_packet_emitted()
+    assert g.hold(4) and g.hold(4)  # 10 -> 6 -> 2
+    assert g.active
+    assert g.hold(4)  # two packets left still pin a whole decision
     assert not g.active
+    assert not g.hold(4)
 
 
 def test_retrip_resets_holdoff():
     g = IncompressibleGuard(holdoff_packets=5)
     g.check_packet(100, 100)
-    for _ in range(4):
-        g.note_packet_emitted()
-    g.check_packet(100, 100)  # trips again
+    assert g.hold(4)  # 5 -> 1
+    g.check_packet(100, 100)  # trips again: a whole holdoff
     assert g.trips == 2
-    for _ in range(4):
-        g.note_packet_emitted()
-    assert g.active  # 4 of 5 consumed
-    g.note_packet_emitted()
+    assert g.hold(4)
+    assert g.active  # 4 of 5 used
+    assert g.hold(4)
     assert not g.active
 
 
 def test_note_without_trip_is_noop():
+    # A decision with no trip behind it is not pinned and spends nothing.
     g = IncompressibleGuard()
-    g.note_packet_emitted()
+    assert not g.hold(25)
     assert not g.active
+    assert g.check_packet(100, 100)
+    assert g.hold(25) and not g.active  # one 200 KB buffer spends it all
 
 
 def test_zero_original_size_ignored():

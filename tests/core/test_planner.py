@@ -85,24 +85,27 @@ class TestScriptedMessage:
         assert plan.inflight == 3 and not plan.can_submit()
 
         # Incompressible trip: buffer 2's codec job fired the guard and
-        # shipped raw; its four packets count down the 10-packet holdoff.
+        # shipped raw.  The 10-packet holdoff counts from the next
+        # decision; each decision it pins uses up four raw packets.
         assert plan.guard.check_packet(CFG.buffer_size, CFG.buffer_size)
         packets = complete(([Record(0, CFG.buffer_size, BUF)], True))
         assert [p.level for p in packets] == [0, 0, 0, 0]
         assert plan.window == 4 and plan.guard.active
-        assert decide_and_submit(30) == 0  # n=38, delta=0: held off
-        assert decide_and_submit(33) == 0  # n=45, delta=+7: held off
+        assert decide_and_submit(30) == 0  # n=38, delta=0: held off (10 -> 6)
+        assert decide_and_submit(33) == 0  # n=45, delta=+7: held off (6 -> 2)
         assert not plan.can_submit()
 
-        # Buffer 3 emits two packets (holdoff 6 -> 4); buffer 4's codec
-        # job raised: it ships raw (4 packets, holdoff drains) and every
-        # later submission is pinned to level 0.
+        # Emitted packets spend none of the holdoff.  Buffer 4's codec
+        # job raised: it ships raw and every later submission is pinned
+        # to level 0.
         assert len(complete(compressed(2500))) == 2
         packets = complete(None, RuntimeError("injected codec failure"))
         assert [(p.level, p.original_bytes) for p in packets] == [(0, 2048)] * 4
-        assert plan.degraded and not plan.guard.active
+        assert plan.degraded and plan.guard.active
         assert plan.window == 4  # capped
-        assert decide_and_submit(40) == 0  # n=48: Figure 2 says 2, degraded 0
+        assert decide_and_submit(40) == 0  # n=48: held off (2 -> 0)
+        assert not plan.guard.active
+        assert decide_and_submit(40) == 0  # n=52: Figure 2 says 2, degraded 0
 
         trace = [
             (t.queue_size, t.delta, t.level, t.holdoff)
@@ -116,7 +119,8 @@ class TestScriptedMessage:
             (38, 12, 6, False),
             (38, 0, 0, True),
             (45, 7, 0, True),
-            (48, 3, 0, False),  # the trace reports the level used
+            (48, 3, 0, True),
+            (52, 4, 0, False),  # the trace reports the level used
         ]
         assert plan.adapter.level == 0
 

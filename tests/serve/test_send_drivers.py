@@ -32,7 +32,7 @@ from repro.core.packets import END_LEVEL
 from repro.core.planner import BYPASS, SendPlanner, message_route
 from repro.core.receiver import StreamingParser
 from repro.data import ascii_data
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.serve import channel as channel_mod
 from repro.serve.channel import AdocChannel
 from repro.serve.pool import WorkerPool, shutdown_shared_pool
@@ -345,7 +345,89 @@ class TestCodecFailure:
         self.check(calls, levels)
 
 
+def decisions_after_trips(tele: Telemetry) -> list[tuple[bool, int]]:
+    """``(holdoff, new_level)`` of the first decision after each trip row."""
+    rows = [
+        e for e in tele.tracer.events()
+        if e.name in ("buffer_compressed", "level_decision")
+    ]
+    return [
+        next(
+            (
+                (r.args["holdoff"], r.args["new_level"])
+                for r in rows[i + 1 :] if r.name == "level_decision"
+            ),
+            None,
+        )
+        for i, e in enumerate(rows[:-1])
+        if e.name == "buffer_compressed" and e.args["tripped"]
+    ]
+
+
+#: Random bytes, then ASCII: the guard trips, then has to let go.
+MIXED = random.Random(3).randbytes(3 * CFG.buffer_size) + ascii_data(
+    9 * CFG.buffer_size, seed=8
+)
+
+
+class Serialized(SendPlanner):
+    """A window of one, so no decision falls between a job's trip and
+    its outcome."""
+
+    made: list[SendPlanner] = []
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.serialize()
+        Serialized.made.append(self)
+
+
 class TestIncompressibleHoldoff:
+    @pytest.fixture
+    def rising(self, monkeypatch):
+        """A queue reading that climbs by one per decision, no veto."""
+        blocking, channel = itertools.count(40), itertools.count(40)
+        monkeypatch.setattr(
+            MessageSender, "_queued_packets", lambda self, queue: next(blocking)
+        )
+        monkeypatch.setattr(AdocChannel, "_queued_packets", lambda self: next(channel))
+        monkeypatch.setattr(
+            DivergenceGuard, "filter_level", lambda self, level, now: level
+        )
+        Serialized.made = []
+        monkeypatch.setattr(sender_mod, "SendPlanner", Serialized)
+        monkeypatch.setattr(channel_mod, "SendPlanner", Serialized)
+
+    @pytest.mark.parametrize("driver", ["blocking", "channel"])
+    def test_the_decision_after_a_trip_is_held_at_min_level(
+        self, loop, rising, driver
+    ):
+        """Figure 2 keeps climbing, so only the holdoff can hold a buffer.
+
+        Buffers are 25 raw packets, as 200 KB buffers of 8 KB packets
+        are: the tripped buffer's own packets would spend the whole
+        10-packet holdoff, so it must count from the next decision.
+        """
+        tele = Telemetry(enabled=True)
+        # A probe that can never read fast: the message takes the pipeline.
+        cfg = replace(
+            CFG, packet_size=328, telemetry=tele, fast_network_bps=float("inf")
+        )
+        assert -(-cfg.buffer_size // cfg.packet_size) == 25
+        if driver == "blocking":
+            blocking_send(replace(cfg, compress_workers=0), MIXED)
+        else:
+            channel_send(loop, cfg, MIXED)
+        (plan,) = Serialized.made
+        after = decisions_after_trips(tele)
+        assert after, "the random prefix never tripped the guard"
+        assert after == [(True, cfg.min_level)] * len(after)
+        # One held decision per trip; the ASCII tail compresses again.
+        history = plan.adapter.history
+        assert sum(t.holdoff for t in history) == len(after)
+        last = max(i for i, t in enumerate(history) if t.holdoff)
+        assert any(t.level > 0 for t in history[last + 1 :])
+
     def test_channel_returns_to_compression_after_the_holdoff(
         self, loop, planners, monkeypatch
     ):
@@ -353,17 +435,14 @@ class TestIncompressibleHoldoff:
 
         The queue reading climbs steadily, so Figure 2 keeps asking for
         more compression; only the 10-packet holdoff pins level 0, and
-        once the channel has emitted those packets the level rises.
+        once the decisions it covers are taken the level rises.
         """
         readings = itertools.count(40)
         monkeypatch.setattr(AdocChannel, "_queued_packets", lambda self: next(readings))
         monkeypatch.setattr(
             DivergenceGuard, "filter_level", lambda self, level, now: level
         )
-        data = random.Random(3).randbytes(3 * CFG.buffer_size) + ascii_data(
-            9 * CFG.buffer_size, seed=8
-        )
-        channel_send(loop, CFG, data)
+        channel_send(loop, CFG, MIXED)
         # The last decision finds the message read out: no buffer used it.
         history = planners[0].adapter.history[:-1]
         held = [i for i, t in enumerate(history) if t.holdoff]

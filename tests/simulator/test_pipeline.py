@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import AdocConfig, DEFAULT_CONFIG
+from repro.core import DEFAULT_CONFIG
 from repro.core.divergence import DivergenceGuard
 from repro.core.planner import SendPlanner
 from repro.simulator import (
@@ -196,10 +196,9 @@ class TestPlannerDriven:
     def test_decisions_after_a_trip_are_held_off(self, monkeypatch):
         """Incompressible data trips the guard; the next decision is held.
 
-        Four-packet buffers leave most of the 10-packet holdoff for the
-        next buffer, so the decision after a tripped buffer must carry
-        ``holdoff`` (with 25-packet buffers the trip's own packets drain
-        it, live and simulated alike).
+        The holdoff counts from the next decision, so the decision after
+        a tripped buffer carries ``holdoff`` even though the buffer's own
+        25 raw packets outnumber the 10-packet holdoff.
         """
         made: list[SendPlanner] = []
 
@@ -214,8 +213,7 @@ class TestPlannerDriven:
                 return super().complete(outcome, error)
 
         monkeypatch.setattr(pipeline_mod, "SendPlanner", Recording)
-        cfg = AdocConfig(buffer_size=32 * KB)
-        r = simulate_adoc_message(4 * MB, INCOMPRESSIBLE, LAN100, config=cfg, seed=1)
+        r = simulate_adoc_message(4 * MB, INCOMPRESSIBLE, LAN100, seed=1)
         (plan,) = made
         assert r.guard_trips == plan.guard.trips > 0
         assert len(r.decisions) == len(plan.tripped)

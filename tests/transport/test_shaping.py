@@ -16,6 +16,7 @@ from repro.transport import (
     sendall,
     shaped_pair,
 )
+from repro.transport.shaping import ShapedConduit
 
 
 class TestLinkScheduler:
@@ -93,6 +94,20 @@ class TestShapedPair:
         assert recv_exact(b, 5) == b"there"
         sendall(b, b"back!")
         assert recv_exact(a, 5) == b"back!"
+
+
+class TestShapedConduit:
+    def test_a_short_write_bills_only_the_bytes_it_accepted(self):
+        # 8 Mbit/s is one byte per microsecond.  The 2000-byte buffer
+        # takes a 1500-byte fragment and 500 bytes of the next: the link
+        # is busy for those 2000 bytes, not for two whole fragments.
+        sched = LinkScheduler(8e6, 0)
+        conduit = ShapedConduit(sched, capacity=2000, mtu=1500)
+        t0 = time.monotonic()
+        assert conduit.write(b"x" * 4000) == 2000
+        t1 = time.monotonic()
+        busy = sched.horizon - t0
+        assert 2000e-6 <= busy <= 2000e-6 + (t1 - t0)
 
 
 class TestTokenBucket:
