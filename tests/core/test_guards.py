@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import IncompressibleGuard
@@ -57,6 +60,36 @@ def test_note_without_trip_is_noop():
     assert not g.active
     assert g.check_packet(100, 100)
     assert g.hold(25) and not g.active  # one 200 KB buffer spends it all
+
+
+def test_concurrent_decisions_spend_the_holdoff_exactly_once():
+    # Deciding threads race on the holdoff's check-then-spend: a lost
+    # update would let more than ``holdoff_packets`` one-packet
+    # decisions be pinned.
+    g = IncompressibleGuard(holdoff_packets=2000)
+    g.check_packet(100, 100)
+    pinned = [0] * 4
+
+    def decide(slot: int) -> None:
+        for _ in range(1000):
+            pinned[slot] += g.hold(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=decide, args=(i,), name=f"decider-{i}")
+            for i in range(len(pinned))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sum(pinned) == 2000
+    assert not g.active
 
 
 def test_zero_original_size_ignored():
