@@ -109,8 +109,9 @@ class LevelAdapter:
     4. lets the :class:`~repro.core.guards.IncompressibleGuard` pin the
        level to the minimum while its 10-packet holdoff lasts; each
        pinned decision uses up a buffer's raw packet count of it;
-    5. applies ``codec_rules(level) -> (level, fenced)``, the send
-       planner's codec-failure pin, rate fence and probation.
+    5. applies ``codec_rules(level) -> (level, fenced, args)``, the
+       send planner's codec-failure pin, rate fence and probation;
+       ``args`` are extra ``level_decision`` trace args.
 
     The level recorded, reported and used as Figure 2's next starting
     point is the one the buffer gets.
@@ -122,7 +123,7 @@ class LevelAdapter:
         divergence: DivergenceGuard | None = None,
         incompressible: IncompressibleGuard | None = None,
         telemetry: Telemetry | None = None,
-        codec_rules: Callable[[int], tuple[int, bool]] | None = None,
+        codec_rules: Callable[[int], tuple[int, bool, dict]] | None = None,
     ) -> None:
         self.config = config
         self.divergence = divergence
@@ -169,8 +170,9 @@ class LevelAdapter:
             holdoff = True
         level = min(max(level, cfg.min_level), cfg.max_level)
         fenced = False
+        fence_args: dict = {}
         if self.codec_rules is not None:
-            level, fenced = self.codec_rules(level)
+            level, fenced, fence_args = self.codec_rules(level)
         old_level = self.level
         self.level = level
         self.history.append(
@@ -194,6 +196,7 @@ class LevelAdapter:
                 fenced=fenced,
                 warm=start is not None,
                 during_probe=during_probe,
+                **fence_args,
             )
             self._tele.metrics.counter(
                 "adoc_level_decisions_total", "Figure-2 controller updates"

@@ -17,8 +17,9 @@ second, after which conditions may have changed and the level may be
 tried again.
 
 Next to those records a connection keeps :class:`CodecRates`: per-level
-encode rates of its own codec jobs, the evidence the send planner's
-rate fence weighs against the level-0 record (``core/planner.py``).
+encode rates and compression ratios of its own codec jobs, the evidence
+from which the send planner's rate fence predicts each level's pipeline
+rate against the level-0 record (``core/planner.py``).
 :class:`ConnectionRecords` bundles both with the level the last message
 ended on and the last bandwidth probe: everything a connection carries
 from one message to the next.
@@ -133,22 +134,32 @@ class DivergenceGuard:
 
 
 class CodecRates:
-    """Per-level encode rates (input bytes per codec second) of one connection.
+    """Per-level encode rates and compression ratios of one connection.
 
-    Fed with every timed codec job; like the divergence records they
-    outlive the message, so a connection's later messages start with
-    its evidence.
+    The rate is input bytes per codec second; the ratio is input bytes
+    over the wire bytes they became, record headers included.  Fed with
+    every timed codec job; like the divergence records they outlive the
+    message, so a connection's later messages start with its evidence.
     """
 
     def __init__(self) -> None:
         self._records: dict[int, BandwidthRecord] = {}
+        self._ratios: dict[int, BandwidthRecord] = {}
 
-    def observe(self, level: int, nbytes: int, seconds: float) -> None:
+    def observe(
+        self, level: int, nbytes: int, seconds: float, wire_bytes: int = 0
+    ) -> None:
         if seconds > 0.0 and nbytes > 0:
             self._records.setdefault(level, BandwidthRecord()).observe(nbytes / seconds)
+        if wire_bytes > 0 and nbytes > 0:
+            self._ratios.setdefault(level, BandwidthRecord()).observe(nbytes / wire_bytes)
 
     def rate(self, level: int) -> float | None:
         rec = self._records.get(level)
+        return rec.bandwidth if rec is not None else None
+
+    def ratio(self, level: int) -> float | None:
+        rec = self._ratios.get(level)
         return rec.bandwidth if rec is not None else None
 
 

@@ -46,11 +46,17 @@ live ones:
   only once its emission windows close, after the window has committed
   several buffers to it.  So the live drivers hand the planner a
   connection's :class:`~repro.core.divergence.CodecRates`, fed with each
-  job's codec seconds, and two rules follow Figure 2 and the guards: the
-  **fence** replaces a level whose encode rate × ``max(1, workers)`` is
-  below the connection's trusted level-0 record (the probe's two
-  windows) with the highest level below it that is unrecorded or fast
-  enough, and **probation** lets a level with no rate record have one
+  job's codec seconds and wire bytes, and two rules follow Figure 2 and
+  the guards.  The **fence** predicts each recorded level's pipeline
+  rate ``T(l) = min(E(l) × max(1, workers), B × r(l))`` from its encode
+  rate ``E``, its ratio ``r`` (1 without a ratio record) and the
+  connection's trusted level-0 record ``B`` (the probe's two windows).
+  A level passes when ``E × max(1, workers) ≥ B`` and no lower passing
+  level's ``T`` beats its own by more than the divergence guard's
+  ``MARGIN``; a recorded level that does not pass is replaced with the
+  highest level below it that is unrecorded or passes.  Without ratio
+  records every passing level predicts ``B`` and only the level-0 test
+  fences.  **Probation** lets a level with no rate record have one
   buffer in flight — later decisions take the highest recorded passing
   level below it until that outcome lands (with none, the level
   stands).  Neither goes below ``min_level``; level 0 needs no codec
@@ -61,7 +67,8 @@ live ones:
   buffer (``n = 0``) at ``minLevel``, i.e. raw.  Given the connection's
   :class:`~repro.core.divergence.ConnectionRecords`, a first decision
   with ``n = 0`` instead starts at the highest level with a codec-rate
-  record that passes the fence, capped by the level of the previous
+  record that passes the fence (within ``MARGIN`` of the best predicted
+  pipeline rate), capped by the level of the previous
   message's last buffer; the divergence veto still applies and
   Figure 2 goes on from there.  Without a trusted level-0 record, a
   passing rate or a previous message (a fresh connection, the
@@ -84,7 +91,7 @@ from .config import AdocConfig
 from .divergence import CodecRates, ConnectionRecords, DivergenceGuard
 from .fifo import QueuedPacket
 from .guards import IncompressibleGuard
-from .packets import Record
+from .packets import RECORD_HEADER_SIZE, Record
 
 __all__ = [
     "BYPASS", "PROBE", "FAST_PATH", "PIPELINE", "message_route",
@@ -170,6 +177,10 @@ def record_packets(
         prefix = b""
 
 
+def _mb_s(rate: float | None) -> float | None:
+    return None if rate is None else round(rate / 1e6, 2)
+
+
 class SendPlanner:
     """Level decisions, in-flight window and codec outcomes of one message.
 
@@ -180,9 +191,9 @@ class SendPlanner:
     the holdoff counts from the next decision on every driver.
     ``adapter.history`` is the message's Figure-2 trace.
 
-    ``codec_rates`` is the connection's encode-rate records; with them
-    the fence and probation apply (the module docstring's fourth
-    property).  ``records`` is the connection's
+    ``codec_rates`` is the connection's encode-rate and ratio records;
+    with them the fence and probation apply (the module docstring's
+    fourth property).  ``records`` is the connection's
     :class:`~repro.core.divergence.ConnectionRecords`: it supplies the
     codec rates when ``codec_rates`` is not given, enables the warm
     first decision (the fifth property), and gets each submitted
@@ -289,31 +300,68 @@ class SendPlanner:
         levels = range(max(1, cfg.min_level), min(last, cfg.max_level) + 1)
         return max(self._passing(levels), default=None)
 
-    def _passing(self, levels) -> set[int]:
-        """The ``levels`` whose encode rate keeps up with the level-0 record.
+    def _link(self) -> float | None:
+        """The trusted level-0 record the codec rules weigh levels against.
 
+        ``None`` without rates or without a trusted level-0 record: the
+        rules are then inert.
+        """
+        if self.codec_rates is None or self._divergence is None:
+            return None
+        return self._divergence.trusted_bandwidth(0)
+
+    def _pipeline_rate(self, level: int, link: float) -> float | None:
+        """``T(l) = min(E(l) × workers, B × r(l))`` in input bytes/s.
+
+        ``E`` is the level's encode rate, ``B`` the level-0 record and
+        ``r`` the level's compression ratio, 1 without a ratio record;
+        ``None`` without a rate record.  Level 0 moves at ``B``.
+        """
+        if level == 0:
+            return link
+        rates = self.codec_rates
+        rate = rates.rate(level)
+        if rate is None:
+            return None
+        return min(rate * self._workers, link * (rates.ratio(level) or 1.0))
+
+    def _passing(self, levels) -> set[int]:
+        """The recorded ``levels`` worth their codec time on this link.
+
+        A level passes when its encode rate × workers keeps up with the
+        level-0 record and no lower passing level's predicted pipeline
+        rate beats its own by more than ``DivergenceGuard.MARGIN``.
         Empty without rates or without a trusted level-0 record.
         """
-        rates, divergence = self.codec_rates, self._divergence
-        if rates is None or divergence is None:
-            return set()
-        link = divergence.trusted_bandwidth(0)
+        link = self._link()
         if link is None:
             return set()
-        return {
-            lvl for lvl in levels
-            if (rate := rates.rate(lvl)) is not None and rate * self._workers >= link
-        }
+        passing: set[int] = set()
+        best = 0.0
+        for lvl in sorted(levels):
+            rate = self.codec_rates.rate(lvl)
+            if rate is None or rate * self._workers < link:
+                continue
+            predicted = self._pipeline_rate(lvl, link)
+            if best <= predicted * DivergenceGuard.MARGIN:
+                passing.add(lvl)
+            best = max(best, predicted)
+        return passing
 
-    def _codec_rules(self, level: int) -> tuple[int, bool]:
-        """The codec-failure pin, then the rate fence and probation."""
+    def _codec_rules(self, level: int) -> tuple[int, bool, dict]:
+        """The codec-failure pin, then the rate fence and probation.
+
+        With telemetry on, a fenced decision's trace args carry the
+        predicted pipeline rates of the proposed level and of the level
+        used, in MB/s (``None`` for a level without a rate record).
+        """
         if self.degraded:
-            return 0, False
-        rates, divergence = self.codec_rates, self._divergence
-        if rates is None or divergence is None or divergence.trusted_bandwidth(0) is None:
-            return level, False
+            return 0, False, {}
+        link = self._link()
+        if link is None:
+            return level, False, {}
         floor = self.config.min_level
-        rate = {lvl: rates.rate(lvl) for lvl in range(floor, level + 1)}
+        rate = {lvl: self.codec_rates.rate(lvl) for lvl in range(floor, level + 1)}
         passing = self._passing(rate)
         used = level
         while used > floor and rate[used] is not None and used not in passing:
@@ -322,7 +370,10 @@ class SendPlanner:
             lvl == used for _, _, lvl in self._inflight
         ):
             used = max((lvl for lvl in passing if lvl < used), default=used)
-        return used, used != level
+        if used == level or not self._tele.enabled:
+            return used, used != level, {}
+        proposed, kept = (_mb_s(self._pipeline_rate(lvl, link)) for lvl in (level, used))
+        return used, True, {"proposed_mb_s": proposed, "used_mb_s": kept}
 
     def submit(self, buf: bytes | memoryview, level: int) -> None:
         """Count ``buf`` in flight: its codec job has been started."""
@@ -344,10 +395,10 @@ class SendPlanner:
     ) -> Iterator[QueuedPacket]:
         """Take the oldest in-flight buffer's codec outcome.
 
-        Accounting happens now, and the job's codec seconds feed the
-        level's encode rate (a job the incompressible guard cut short
-        is not that level's rate); the returned iterator yields the
-        buffer's packets in wire order.
+        Accounting happens now, and the job's codec seconds and wire
+        bytes feed the level's encode rate and ratio (a job the
+        incompressible guard cut short is not that level's evidence);
+        the returned iterator yields the buffer's packets in wire order.
         """
         buf, buffer_id, level = self._inflight.popleft()
         self._pending_packets -= self._raw_packets(len(buf))
@@ -371,7 +422,8 @@ class SendPlanner:
             records = outcome[0]
             rates = self.codec_rates
             if rates is not None and level > 0 and not outcome[1]:
-                rates.observe(level, len(buf), outcome[2])
+                wire = sum(RECORD_HEADER_SIZE + len(r.payload) for r in records)
+                rates.observe(level, len(buf), outcome[2], wire)
         if tele.enabled:
             tele.tracer.record(
                 "buffer", "buffer_compressed",

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import AdocConfig
 from repro.core import sender as sender_mod
-from repro.core.divergence import CodecRates, DivergenceGuard
+from repro.core.divergence import CodecRates, ConnectionRecords, DivergenceGuard
 from repro.core.fifo import QueuedPacket
 from repro.core.packets import Record
 from repro.core.planner import (
@@ -165,9 +165,19 @@ def rated(**rates: float) -> CodecRates:
     return records
 
 
-def timed(level: int, rate: float, tripped: bool = False) -> tuple:
-    """A codec outcome for one whole buffer that ran at ``rate``."""
-    return [Record(level, CFG.buffer_size, b"c" * 100)], tripped, CFG.buffer_size / rate
+def timed(level: int, rate: float, tripped: bool = False, payload: int = 100) -> tuple:
+    """A codec outcome for one whole buffer that ran at ``rate``.
+
+    Its ``payload`` bytes make the level's ratio record: the default
+    (about 75) makes every level codec-bound against :data:`LINK`.
+    """
+    records = [Record(level, CFG.buffer_size, b"c" * payload)]
+    return records, tripped, CFG.buffer_size / rate
+
+
+#: A payload of about half the buffer: a ratio of 2, so every level
+#: that passes the level-0 test moves at the link's 2x (link-bound).
+HALF = CFG.buffer_size // 2
 
 
 class Proposer:
@@ -216,20 +226,22 @@ class TestCodecRules:
         assert driver.propose(2, submit=False) == 2 and not driver.fenced()
 
     def test_probation_allows_one_blind_buffer_per_level(self):
+        # Link-bound ratios: levels 2 and 4 predict the same pipeline
+        # rate, so only probation and the level-0 test move levels here.
         plan = SendPlanner(CFG, probed(), NULL_TELEMETRY, 4, codec_rates=rated(L2=12e6))
         driver = Proposer(plan)
         assert driver.propose(2) == 2
-        list(plan.complete(timed(2, 12e6), None))
+        list(plan.complete(timed(2, 12e6, payload=HALF), None))
         assert driver.propose(4) == 4 and not driver.fenced()  # the blind buffer
         assert driver.propose(4) == 2 and driver.fenced()  # on probation
         assert not plan.can_submit()
-        list(plan.complete(timed(4, 8e6), None))  # level 4's evidence lands
+        list(plan.complete(timed(4, 8e6, payload=HALF), None))  # level 4's evidence lands
         assert driver.propose(4) == 4 and not driver.fenced()
         assert driver.propose(6) == 6 and not driver.fenced()  # its own blind buffer
-        list(plan.complete(timed(2, 12e6), None))
-        list(plan.complete(timed(4, 8e6), None))
+        list(plan.complete(timed(2, 12e6, payload=HALF), None))
+        list(plan.complete(timed(4, 8e6, payload=HALF), None))
         assert driver.propose(6) == 4 and driver.fenced()  # level 5 has no record
-        list(plan.complete(timed(6, 1e6), None))
+        list(plan.complete(timed(6, 1e6, payload=HALF), None))
         # Level 6 is now recorded too slow: the fence allows unrecorded 5.
         assert driver.propose(6, submit=False) == 5 and driver.fenced()
 
@@ -312,6 +324,7 @@ class TestCodecRules:
         driver.propose(5)
         list(plan.complete(timed(5, 1e6, tripped=True), None))
         assert rates.rate(0) is None and rates.rate(5) is None
+        assert rates.ratio(0) is None and rates.ratio(5) is None
 
     def test_fenced_decisions_are_traced_and_counted(self):
         tele = Telemetry(enabled=True)
@@ -325,6 +338,138 @@ class TestCodecRules:
         (point,) = extract_timeline(tele.tracer)
         assert point.fenced
         assert render_timeline([point]).splitlines()[-1].split()[-1] == "C"
+
+
+def measured(**table: tuple[float, float]) -> CodecRates:
+    """Rate and ratio records: ``L6=(15.5e6, 4.84)`` means level 6
+    encodes at 15.5 MB/s into 1/4.84 of its bytes, headers included."""
+    records = CodecRates()
+    for name, (rate, ratio) in table.items():
+        records.observe(
+            int(name[1:]), CFG.buffer_size, CFG.buffer_size / rate,
+            round(CFG.buffer_size / ratio),
+        )
+    return records
+
+
+#: ``LAN100``'s level-0 record: 94 Mbit/s.
+LAN = 94e6 / 8
+#: Per-level (encode rate, ratio) of ``ascii_data`` over ``LAN100``
+#: with two codec workers, read off live 8 MB transfers (EXPERIMENTS.md
+#: "Live ``lan_ascii``: a throughput fence"; level 3 had no record).
+#: Predicted pipeline rates T in MB/s: L2 42, L4 48, L5 41, L6 32,
+#: L7 21, L8 21; L9 and L10 fall short of the link.
+LAN_ASCII = dict(
+    L2=(36.0e6, 3.57), L4=(24.2e6, 4.09), L5=(20.6e6, 4.14),
+    L6=(15.9e6, 4.84), L7=(10.5e6, 4.98), L8=(10.3e6, 5.03),
+    L9=(4.5e6, 5.12), L10=(4.2e6, 5.11),
+)
+#: ``binary_data`` over 22 Mbit/s ``RENATER``: flat ratios, fast codecs.
+WAN = 22e6 / 8
+WAN_BINARY = {f"L{lvl}": (36e6 + 2e6 * (10 - lvl), 2.14) for lvl in range(2, 11)}
+#: A sparse ``rpc_dgemm`` reply: ratios over 100, so every level is
+#: codec-bound, and zlib's lazy matching from level 5 halves the rate.
+RPC_DGEMM = dict(
+    L2=(373e6, 128.4), L3=(328e6, 153.4), L4=(367e6, 153.9),
+    L5=(157e6, 336.3), L6=(156e6, 335.7), L7=(165e6, 335.7),
+    L8=(141e6, 335.7), L9=(150e6, 338.5), L10=(152e6, 338.5),
+)
+
+
+class TestThroughputFence:
+    """The fence ranks levels by ``T = min(E × workers, B × r)``."""
+
+    @staticmethod
+    def decisions(rates: CodecRates, link: float, workers: int = 2) -> list[tuple]:
+        """``(proposed, used, fenced)`` for every level, from the trace."""
+        plan = SendPlanner(CFG, probed(link), NULL_TELEMETRY, workers, codec_rates=rates)
+        driver = Proposer(plan)
+        for level in range(CFG.min_level, CFG.max_level + 1):
+            driver.propose(level, submit=False)
+        return [(t.raw_level, t.level, t.fenced) for t in plan.adapter.history]
+
+    def test_lan_ascii_fences_the_levels_its_codec_cannot_feed(self):
+        rows = self.decisions(measured(**LAN_ASCII), LAN)
+        assert all(used <= 6 and fenced for proposed, used, fenced in rows if proposed >= 7)
+        # Levels 2, 4 and 5 predict 41-48 MB/s, within MARGIN of each
+        # other; 6 (32 MB/s) is beaten by 4, and levels 1 and 3 have no
+        # record.
+        assert [used for _, used, _ in rows] == [0, 1, 2, 3, 4, 5, 5, 5, 5, 5, 5]
+
+    def test_wan_binary_fences_nothing(self):
+        rows = self.decisions(measured(**WAN_BINARY), WAN)
+        assert [used for _, used, _ in rows] == list(range(11))
+        assert not any(fenced for *_, fenced in rows)
+
+    def test_rpc_dgemm_keeps_the_fast_deflate_levels(self):
+        rows = self.decisions(measured(**RPC_DGEMM), LAN)
+        assert [used for _, used, _ in rows] == [0, 1, 2, 3, 4, 4, 4, 4, 4, 4, 4]
+        assert [fenced for *_, fenced in rows] == [False] * 5 + [True] * 6
+
+    @pytest.mark.parametrize("workers", [0, 2, 4])
+    def test_without_ratio_records_the_level0_test_alone_decides(self, workers):
+        rates = rated(**{name: rate for name, (rate, _) in LAN_ASCII.items()})
+        bar = LAN / max(1, workers)
+
+        def level0_test(level: int) -> int:
+            """The highest level up to ``level`` that is unrecorded or
+            keeps up with the link."""
+            while (rate := rates.rate(level)) is not None and rate < bar:
+                level -= 1
+            return level
+
+        rows = self.decisions(rates, LAN, workers)
+        assert [used for _, used, _ in rows] == [level0_test(lvl) for lvl in range(11)]
+        # Levels the ratios would fence stand without them.
+        assert rows[-1][1] == {0: 6, 2: 8, 4: 10}[workers]
+
+    def test_warm_start_takes_the_best_level_by_throughput(self):
+        # T: L2 42, L6 57, L8 34 MB/s; each level keeps up with the link.
+        table = dict(L2=(40e6, 3.58), L6=(32.4e6, 4.84), L8=(16.8e6, 5.03))
+        rates_only = {name: rate for name, (rate, _) in table.items()}
+        for last, start, ratios in [(10, 6, True), (7, 6, True), (5, 2, True), (10, 8, False)]:
+            records = ConnectionRecords()
+            observe_probe(records.divergence, int(LAN), 1.0)
+            records.codec_rates = measured(**table) if ratios else rated(**rates_only)
+            records.last_level = last
+            plan = SendPlanner(CFG, records.divergence, NULL_TELEMETRY, 2, records=records)
+            assert plan.decide(0, 0.0) == start
+            first = plan.adapter.history[0]
+            assert first.warm and not first.fenced
+
+    def test_an_outcome_records_its_ratio_headers_included(self):
+        plan = SendPlanner(CFG, probed(), NULL_TELEMETRY, 2, codec_rates=CodecRates())
+        Proposer(plan).propose(5)
+        records = [Record(5, 4096, b"a" * 91), Record(5, 4096, b"b" * 91)]
+        list(plan.complete((records, False, 1e-3), None))
+        assert plan.codec_rates.ratio(5) == CFG.buffer_size / 200
+
+    def test_a_fenced_row_carries_the_predicted_rates(self, monkeypatch):
+        tele = Telemetry(enabled=True)
+        plan = SendPlanner(CFG, probed(LAN), tele, 2, codec_rates=measured(**LAN_ASCII))
+        driver = Proposer(plan)
+        driver.propose(4, submit=False)
+        driver.propose(8, submit=False)
+        kept, fenced = tele.tracer.events("level")
+        assert "proposed_mb_s" not in kept.args and "used_mb_s" not in kept.args
+        assert fenced.args["fenced"] and fenced.args["new_level"] == 5
+        assert fenced.args["proposed_mb_s"] == pytest.approx(20.6, abs=0.01)
+        assert fenced.args["used_mb_s"] == pytest.approx(41.2, abs=0.01)
+        # Telemetry off: the fence predicts no rate for the trace.
+        calls: list[int] = []
+        predict = SendPlanner._pipeline_rate
+        monkeypatch.setattr(
+            SendPlanner, "_pipeline_rate",
+            lambda self, level, link: calls.append(level) or predict(self, level, link),
+        )
+
+        def predicted(telemetry) -> list[int]:
+            calls.clear()
+            plan = SendPlanner(CFG, probed(LAN), telemetry, 2, codec_rates=measured(**LAN_ASCII))
+            Proposer(plan).propose(8, submit=False)
+            return list(calls)
+
+        assert predicted(Telemetry(enabled=True)) == predicted(NULL_TELEMETRY) + [8, 5]
 
 
 class TestMessageRoute:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import random
 from dataclasses import replace
 
@@ -44,9 +45,13 @@ class TestProbe:
         assert rec.bandwidth < 80e6  # bytes/s upper bound sanity
 
     def test_fast_link_triggers_fast_path(self, background):
-        # Unshaped pipes absorb the probe instantly -> "very fast".
+        # Unshaped pipes absorb the probe instantly -> "very fast".  A
+        # clock that ticks 1 µs per reading times it so: on the wall
+        # clock a process's first sends can take longer than the 65 µs
+        # that 500 Mbit/s allows a 4 KB probe.
         a, b = pipe_pair()
-        sender = MessageSender(a, CFG)
+        ticks = itertools.count()
+        sender = MessageSender(a, CFG, clock=lambda: next(ticks) * 1e-6)
         drainer = background(_drain_until_eof, b)
         result = sender.send(b"q" * 100_000)
         a.close()

@@ -5,8 +5,9 @@ the reactor's :class:`~repro.serve.channel.AdocChannel` each drive a
 :class:`~repro.core.planner.SendPlanner`.  With the queued-packet
 reading scripted and the divergence veto stubbed out, timing cannot
 reach a decision, so the drivers must produce identical Figure-2
-traces; with codec seconds scripted too and a scripted level-0 record,
-they fence the same levels at the same decisions.  The guard tests pin
+traces; with codec seconds scripted too (the real codec's ratios) and a
+scripted level-0 record, they fence the same levels at the same
+decisions.  The guard tests pin
 the codec-failure and incompressible rules on the reactor path, and the
 slow-reader test shows it adapts for real.
 The ladder test adds the third driver, the simulator: all three take
@@ -213,6 +214,14 @@ class TestDriverParity:
         assert any(fenced for *_, fenced in decisions(blocking)), (
             "the script should reach a slow or a blind level"
         )
+        # The real codec's ratios are in play, the same on both drivers:
+        # levels 3 and 4 keep up with LINK (RATES x 2 workers) but are
+        # predicted to move less than level 2, so both drivers fence them.
+        ratios = [blocking.codec_rates.ratio(lvl) for lvl in range(11)]
+        assert ratios == [channel.codec_rates.ratio(lvl) for lvl in range(11)]
+        assert ratios[4] is not None
+        assert blocking._passing(range(11)) == channel._passing(range(11)) == {2}
+        assert (4, 2, True) in [row[2:] for row in decisions(blocking)]
         # The trace reports the levels the buffers went out at.
         used = [t.level for t in blocking.adapter.history[:N_BUFFERS]]
         assert record_levels(wire) == used
