@@ -40,8 +40,9 @@ from .packets import (
     Record,
     RecordHeader,
 )
+from .planner import SendResult
 from .receiver import OutputBuffer, ReceiverPipeline
-from .sender import MessageSender, SendResult
+from .sender import MessageSender
 from .stats import ConnectionStats
 
 # The alternative adapters are ablation baselines; the pipeline runs

@@ -15,14 +15,19 @@ is the driver's), then::
 
     while buffers remain or plan.inflight:
         while buffers remain and plan.can_submit():
-            level = plan.decide(queued_packets, now)  # then read the buffer
+            buf = read the next buffer                 # none left: stop
+            level = plan.decide(queued_packets, now)   # one decision per buffer
             plan.submit(buf, level)                    # codec job starts
         for pkt in plan.complete(outcome, error):      # oldest job done
             put pkt on the wire queue
+    plan.result(into)                                  # the message's ledger
 
 The outcome is :func:`~repro.core.compressor.compress_buffer`'s
 ``(records, tripped, seconds)``; the simulator's modelled codec, which
-runs without rate records, leaves the seconds off.  Three properties the
+runs without rate records, leaves the seconds off.  The planner is each
+message's one send ledger: :meth:`SendPlanner.complete` counts what it
+hands out and :meth:`SendPlanner.result` puts that in the message's
+:class:`SendResult` (the paper's ``*slen``).  Three properties the
 paper's adaptation depends on hold on every driver, and two more on the
 live ones:
 
@@ -83,6 +88,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from ..obs.telemetry import Telemetry
@@ -95,13 +101,46 @@ from .packets import RECORD_HEADER_SIZE, Record
 
 __all__ = [
     "BYPASS", "PROBE", "FAST_PATH", "PIPELINE", "message_route",
-    "observe_probe", "SendPlanner", "EmissionWindows", "record_packets",
+    "observe_probe", "SendResult", "SendPlanner", "EmissionWindows",
+    "record_packets",
 ]
 
 _log = logging.getLogger("repro.core.planner")
 
 #: :func:`message_route` verdicts, in ladder order.
 BYPASS, PROBE, FAST_PATH, PIPELINE = "bypass", "probe", "fast_path", "pipeline"
+
+
+@dataclass
+class SendResult:
+    """What one message send did, on any send driver.
+
+    ``wire_bytes`` is the paper's ``*slen`` out-parameter: bytes that
+    actually crossed the wire (headers included), so the achieved
+    compression ratio is ``payload_bytes / wire_bytes``.
+    """
+
+    payload_bytes: int
+    wire_bytes: int
+    elapsed_s: float
+    pipeline_used: bool = False
+    probe_bps: float | None = None
+    #: True when ``probe_bps`` is the connection's recent probe, reused
+    #: instead of sending one.
+    probe_reused: bool = False
+    fast_path: bool = False
+    #: Packets per compression level.
+    levels_used: dict[int, int] = field(default_factory=dict)
+    guard_trips: int = 0
+    #: True when a codec failure forced the stream down to raw
+    #: (level 0) mid-message — the payload still arrived intact.
+    degraded: bool = False
+
+    @property
+    def compression_ratio(self) -> float:
+        if self.wire_bytes == 0:
+            return 1.0
+        return self.payload_bytes / self.wire_bytes
 
 
 def message_route(
@@ -240,6 +279,8 @@ class SendPlanner:
         self._inflight: deque[tuple[bytes | memoryview, int, int]] = deque()
         self._next_id = 0
         self._pending_packets = 0
+        self._payload = self._wire = 0  # the ledger of completed buffers
+        self._levels: dict[int, int] = {}
         #: Set by :meth:`decide_during_probe`: the next decision is warm.
         self._after_probe = False
         self._last_before_probe: int | None = None
@@ -395,8 +436,9 @@ class SendPlanner:
     ) -> Iterator[QueuedPacket]:
         """Take the oldest in-flight buffer's codec outcome.
 
-        Accounting happens now, and the job's codec seconds and wire
-        bytes feed the level's encode rate and ratio (a job the
+        Accounting happens now: the ledger counts the buffer's payload,
+        wire bytes and packets per level, and the job's codec seconds
+        and wire bytes feed the level's encode rate and ratio (a job the
         incompressible guard cut short is not that level's evidence);
         the returned iterator yields the buffer's packets in wire order.
         """
@@ -405,7 +447,8 @@ class SendPlanner:
         if self.window < self.window_cap:
             self.window += 1
         tele = self._tele
-        if error is not None or outcome is None:
+        failed = error is not None or outcome is None
+        if failed:
             self.degraded = True
             if self._records is not None:
                 self._records.last_level = 0  # the message ends raw
@@ -420,10 +463,17 @@ class SendPlanner:
             )
         else:
             records = outcome[0]
-            rates = self.codec_rates
-            if rates is not None and level > 0 and not outcome[1]:
-                wire = sum(RECORD_HEADER_SIZE + len(r.payload) for r in records)
-                rates.observe(level, len(buf), outcome[2], wire)
+        wire = 0
+        for rec in records:
+            wire += RECORD_HEADER_SIZE + len(rec.payload)
+            # As record_packets cuts it: an empty payload is one packet.
+            packets = max(1, self._raw_packets(len(rec.payload)))
+            self._levels[rec.level] = self._levels.get(rec.level, 0) + packets
+        self._payload += len(buf)
+        self._wire += wire
+        rates = self.codec_rates
+        if rates is not None and level > 0 and not failed and not outcome[1]:
+            rates.observe(level, len(buf), outcome[2], wire)
         if tele.enabled:
             tele.tracer.record(
                 "buffer", "buffer_compressed",
@@ -452,6 +502,19 @@ class SendPlanner:
                 ).inc(mode=self._mode)
         size = self.config.packet_size
         return (pkt for rec in records for pkt in record_packets(rec, size, buffer_id))
+
+    def result(self, into: SendResult | None = None) -> SendResult:
+        """``into`` (what the driver sent itself) plus the completed buffers'
+        payload and wire bytes, with their packets per level, guard trips
+        and codec-failure flag."""
+        into = into or SendResult(0, 0, 0.0)
+        into.payload_bytes += self._payload
+        into.wire_bytes += self._wire
+        into.pipeline_used = True
+        into.levels_used = dict(self._levels)
+        into.guard_trips = self.guard.trips
+        into.degraded = self.degraded
+        return into
 
     def _raw_packets(self, nbytes: int) -> int:
         return -(-nbytes // self.config.packet_size)

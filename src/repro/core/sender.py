@@ -82,7 +82,7 @@ from .divergence import CodecRates, ConnectionRecords, DivergenceGuard
 from .fifo import PacketQueue, QueueClosed, QueuedPacket
 from .packets import Record, end_record_bytes, pack_message_header
 from .planner import BYPASS, FAST_PATH, PIPELINE, PROBE, EmissionWindows, SendPlanner
-from .planner import message_route, observe_probe
+from .planner import SendResult, message_route, observe_probe
 from .sources import BytesSource, ChunkSource, source_for_stream
 from .stats import ConnectionStats
 
@@ -122,37 +122,6 @@ def raw_message_vectors(
         return [header]
     view = data if isinstance(data, memoryview) else memoryview(data)
     return [header, Record(0, total, view).header_bytes(), view]
-
-
-@dataclass
-class SendResult:
-    """What one message send did — returned by :meth:`MessageSender.send`.
-
-    ``wire_bytes`` is the paper's ``*slen`` out-parameter: bytes that
-    actually crossed the wire (headers included), so the achieved
-    compression ratio is ``payload_bytes / wire_bytes``.
-    """
-
-    payload_bytes: int
-    wire_bytes: int
-    elapsed_s: float
-    pipeline_used: bool = False
-    probe_bps: float | None = None
-    #: True when ``probe_bps`` is the connection's recent probe, reused
-    #: instead of sending one.
-    probe_reused: bool = False
-    fast_path: bool = False
-    levels_used: dict[int, int] = field(default_factory=dict)
-    guard_trips: int = 0
-    #: True when a codec failure forced the stream down to raw
-    #: (level 0) mid-message — the payload still arrived intact.
-    degraded: bool = False
-
-    @property
-    def compression_ratio(self) -> float:
-        if self.wire_bytes == 0:
-            return 1.0
-        return self.payload_bytes / self.wire_bytes
 
 
 class _CompletionFIFO:
@@ -319,8 +288,6 @@ class _Pipeline:
     gate: _ProbeGate | None
     thread: threading.Thread | None = None
     error: list[BaseException] = field(default_factory=list)
-    #: Payload bytes the dispatcher pulled from the source.
-    consumed: int = 0
     #: Buffer 0 handed back unsent: the probe overruled its decision.
     raw_first: bytes | memoryview | None = None
 
@@ -366,9 +333,7 @@ class MessageSender:
         The buffer is *borrowed*, never copied: it must stay unchanged
         until the call returns (the same contract as ``writev``).
         """
-        result = self._send_source(BytesSource(data), config or self.config)
-        self.stats.record_send(result)
-        return result
+        return self._send_source(BytesSource(data), config or self.config)
 
     def send_stream(self, stream: BinaryIO, config: AdocConfig | None = None) -> SendResult:
         """Send a file object, streaming it in ``buffer_size`` chunks.
@@ -378,14 +343,12 @@ class MessageSender:
         through the adaptive pipeline.  Either way only one chunk of the
         stream is resident at a time.
         """
-        result = self._send_source(source_for_stream(stream), config or self.config)
-        self.stats.record_send(result)
-        return result
+        return self._send_source(source_for_stream(stream), config or self.config)
 
     # -- the streaming engine ------------------------------------------------
 
     def _send_source(self, source: ChunkSource, cfg: AdocConfig) -> SendResult:
-        """One message from any source, with bounded blocking.
+        """One message from any source, folded into :attr:`stats`.
 
         When ``cfg.io_timeout_s`` is set, every blocking step — raw
         sends, the probe, queue hand-offs, the emission loop — is
@@ -396,11 +359,13 @@ class MessageSender:
         if cfg.io_timeout_s is not None and hasattr(self.endpoint, "settimeout"):
             self.endpoint.settimeout(cfg.io_timeout_s)
         try:
-            return self._send_source_impl(source, cfg)
+            result = self._send_source_impl(source, cfg)
         except TransportTimeout as exc:
             raise DeadlineExceeded(
                 f"send stalled past {cfg.io_timeout_s}s: {exc}", stage="send"
             ) from exc
+        self.stats.record_send(result)
+        return result
 
     def _send_source_impl(self, source: ChunkSource, cfg: AdocConfig) -> SendResult:
         """The unified decision ladder."""
@@ -412,12 +377,9 @@ class MessageSender:
             # slice a probe from without buffering), END-terminated.
             header = pack_message_header(0, length_known=False)
             sendall(self.endpoint, header)
-            result, consumed = self._finish_pipeline(
-                self._start_pipeline(source, cfg, None), cfg
-            )
+            result = self._finish_pipeline(self._start_pipeline(source, cfg, None), cfg)
             end = end_record_bytes()
             sendall(self.endpoint, end)
-            result.payload_bytes = consumed
             result.wire_bytes += len(header) + len(end)
             result.elapsed_s = self.clock() - start
             return result
@@ -469,7 +431,7 @@ class MessageSender:
 
         if pipe is None:
             pipe = self._start_pipeline(source, cfg, total)
-        result, _ = self._finish_pipeline(pipe, cfg)
+        result = self._finish_pipeline(pipe, cfg)
         result.payload_bytes = total
         result.wire_bytes += wire_bytes
         result.elapsed_s = self.clock() - start
@@ -603,17 +565,15 @@ class MessageSender:
         pipe.thread.start()
         return pipe
 
-    def _finish_pipeline(self, pipe: _Pipeline, cfg: AdocConfig) -> tuple[SendResult, int]:
+    def _finish_pipeline(self, pipe: _Pipeline, cfg: AdocConfig) -> SendResult:
         """Run the emission loop until the compression thread is done.
 
-        Returns ``(result, consumed_bytes)`` where ``consumed_bytes`` is
-        how much payload the pipeline pulled from the source (the whole
-        message for unknown-length sends, the post-probe remainder
-        otherwise).
+        Returns the planner's part of the message's result (for a
+        known length, the payload after the probe).
         """
         try:
             with resolve_telemetry(cfg).span("emit"):
-                result = self._emission_loop(pipe.queue, cfg)
+                self._emission_loop(pipe.queue, cfg)
         except BaseException as exc:
             # The emission loop already closed the queue; the worker
             # unblocks on QueueClosed.  Bound the join so the failure
@@ -626,10 +586,7 @@ class MessageSender:
                 ) from exc
             raise
         self._join_pipeline(pipe, cfg)
-        result.pipeline_used = True
-        result.guard_trips = pipe.plan.guard.trips
-        result.degraded = pipe.plan.degraded
-        return result, pipe.consumed
+        return pipe.plan.result()
 
     def _abandon_pipeline(self, pipe: _Pipeline, cfg: AdocConfig) -> None:
         """Stop a message's compression thread after a failure, bounded.
@@ -739,9 +696,12 @@ class MessageSender:
         stream_key = object()  # per-message identity for in-order delivery
         timeout = cfg.io_timeout_s
 
-        def submit(buf: bytes | memoryview, level: int) -> None:
+        def submit(job: tuple | None) -> bool:
+            """Start the codec job of ``(buf, level)``; False for ``None`` (read out)."""
             nonlocal pool
-            pipe.consumed += len(buf)
+            if job is None:
+                return False
+            buf, level = job
             if pool is not None:
                 try:
                     pool.submit(
@@ -751,7 +711,7 @@ class MessageSender:
                         timeout=timeout,
                     )
                     plan.submit(buf, level)
-                    return
+                    return True
                 except PoolClosed:
                     # Drain the window (its completions still arrive in
                     # order), then go on serially.
@@ -766,16 +726,15 @@ class MessageSender:
                 completions.push((outcome, None))
             except Exception as exc:
                 completions.push((None, exc))
+            return True
 
         def decide() -> int:
             return plan.decide(self._queued_packets(queue), self.clock())
 
-        def read_submit(level: int) -> bool:
-            """Read the next buffer and submit it at ``level``.  False once read out."""
+        def read_decide(choose: Callable[[], int]) -> tuple | None:
+            """Read the next buffer, then choose its level: ``(buf, level)``, or ``None``."""
             buf = source.read(cfg.buffer_size)
-            if len(buf):
-                submit(buf, level)
-            return bool(len(buf))
+            return (buf, choose()) if len(buf) else None
 
         exhausted = False
         try:
@@ -784,12 +743,14 @@ class MessageSender:
                 return  # the fast path, or a failed probe: nothing started
             with tele.span("compress"):
                 if claimed:
-                    level = None
+                    job = None
                     try:
-                        level = plan.decide_during_probe(gate.probe_bytes, self.clock())
+                        job = read_decide(
+                            lambda: plan.decide_during_probe(gate.probe_bytes, self.clock())
+                        )
                     finally:
-                        gate.decided(level)
-                    read_submit(level)
+                        gate.decided(None if job is None else job[1])
+                    submit(job)
                     route = gate.route(timeout)
                     if route is None:
                         raise QueueClosed("the probe failed")  # the caller raises
@@ -803,14 +764,14 @@ class MessageSender:
                         # is the next decision's evidence, and its packets
                         # queue after that decision.
                         first = plan.complete(*outcome)
-                        level = decide()
+                        job = read_decide(decide)
                         for pkt in first:
                             queue.put(pkt, timeout)
-                        exhausted = not read_submit(level)
+                        exhausted = not submit(job)
                 while True:
-                    # Decide, then read: the paper's loop shape.
+                    # Read, then decide: one decision per buffer.
                     while not exhausted and plan.can_submit():
-                        exhausted = not read_submit(decide())
+                        exhausted = not submit(read_decide(decide))
                     if not plan.inflight:
                         return
                     # The planner drops the buffer from its window *before*
@@ -828,7 +789,7 @@ class MessageSender:
             completions.drain(plan.inflight, cfg.join_timeout_s)
             raise
 
-    def _emission_loop(self, queue: PacketQueue, cfg: AdocConfig) -> SendResult:
+    def _emission_loop(self, queue: PacketQueue, cfg: AdocConfig) -> None:
         """Drain the queue into the socket, observing per-buffer rates.
 
         Visible bandwidth goes to the divergence guard through
@@ -839,8 +800,6 @@ class MessageSender:
         vectored send (up to :data:`_MAX_BATCH` packets), so a burst of
         framed packets costs one syscall instead of one per packet.
         """
-        wire_bytes = 0
-        levels_used: dict[int, int] = {}
         windows = EmissionWindows(self.divergence, resolve_telemetry(cfg))
         self._feed_link(windows)
         windows.open(self.clock())
@@ -861,8 +820,6 @@ class MessageSender:
                         vectors.append(pkt.prefix)
                     if len(pkt.payload):
                         vectors.append(pkt.payload)
-                    wire_bytes += pkt.wire_length
-                    levels_used[key[1]] = levels_used.get(key[1], 0) + 1
                     count += 1
                     if count >= _MAX_BATCH:
                         break
@@ -879,7 +836,6 @@ class MessageSender:
         except BaseException:
             queue.close()  # unblock the compression thread
             raise
-        return SendResult(0, wire_bytes, 0.0, levels_used=levels_used)
 
     def _feed_link(self, windows: EmissionWindows) -> None:
         left = self._link_reading()

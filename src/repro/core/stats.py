@@ -10,10 +10,12 @@ connection aggregates, across all its messages, **both directions**:
 * receive side (symmetric accounting): messages, wire/payload bytes,
   and how many packets took the raw vs the decompress path.
 
-The counters are updated by :class:`~repro.core.sender.MessageSender`
-after every send and by :class:`~repro.core.receiver.ReceiverPipeline`
-as messages arrive, and are thread-safe to read at any time.  When the
-connection carries a :class:`~repro.obs.Telemetry` handle, every fold
+The send counters are folded once per message by both live send
+drivers (the blocking :class:`~repro.core.sender.MessageSender` and the
+reactor's :class:`~repro.serve.channel.AdocChannel`, from the planner's
+ledger), the receive counters by both receive drivers as messages
+arrive; all are thread-safe to read at any time.  When the connection
+carries a :class:`~repro.obs.Telemetry` handle, every fold
 is mirrored into its metrics registry (the ``adoc_*`` families in
 ``docs/OBSERVABILITY.md``), so ``adoc stats`` exposes the same numbers
 in Prometheus text format.
@@ -28,7 +30,7 @@ from ..analysis.lockgraph import make_lock
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .sender import SendResult
+    from .planner import SendResult
 
 __all__ = ["ConnectionStats"]
 
@@ -82,7 +84,7 @@ class ConnectionStats:
     # -- send side -----------------------------------------------------------
 
     def record_send(self, result: "SendResult") -> None:
-        """Fold one :class:`~repro.core.sender.SendResult` in."""
+        """Fold one :class:`~repro.core.planner.SendResult` in."""
         if result.pipeline_used:
             path = "pipeline"
         elif result.fast_path:
@@ -97,12 +99,7 @@ class ConnectionStats:
             d.guard_trips += result.guard_trips
             if result.degraded:
                 d.degraded += 1
-            if result.pipeline_used:
-                d.pipeline_path += 1
-            elif result.fast_path:
-                d.fast_path += 1
-            else:
-                d.small_path += 1
+            setattr(d, f"{path}_path", getattr(d, f"{path}_path") + 1)
             for level, count in result.levels_used.items():
                 d.levels_used[level] = d.levels_used.get(level, 0) + count
         tele = self._tele

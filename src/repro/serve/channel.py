@@ -44,8 +44,8 @@ from ..core.config import AdocConfig, DEFAULT_CONFIG
 from ..core.deadlines import DeadlineExceeded, TransferError
 from ..core.divergence import CodecRates, ConnectionRecords, DivergenceGuard
 from ..core.fifo import QueuedPacket
-from ..core.packets import ProtocolError, pack_message_header
-from ..core.planner import BYPASS, EmissionWindows, SendPlanner, message_route
+from ..core.packets import MESSAGE_HEADER_SIZE, ProtocolError, pack_message_header
+from ..core.planner import BYPASS, EmissionWindows, SendPlanner, SendResult, message_route
 from ..core.receiver import ReceivePlanner, StreamingParser, decode_record
 from ..core.sender import raw_message_vectors
 from ..core.sources import BytesSource
@@ -391,8 +391,9 @@ class AdocChannel(_ChannelBase):
     their packets enqueued in buffer order (the pool's per-key FIFO
     reinsertion plus the reactor's ordered cross-thread queue make that
     order-safe even with every worker busy).  The planner's queue
-    reading is the write backlog in packets.  Inbound records go through
-    a :class:`~repro.core.receiver.ReceivePlanner` the same way.
+    reading is the write backlog in packets, and its ledger is the
+    message's send half of :attr:`stats`.  Inbound records go through a
+    :class:`~repro.core.receiver.ReceivePlanner` the same way.
 
     The channel's :class:`~repro.core.divergence.ConnectionRecords` are
     its own unless :meth:`adopt_records` hands it a peer's before the
@@ -415,7 +416,8 @@ class AdocChannel(_ChannelBase):
         self._parser = StreamingParser()
         #: Called at each inbound message boundary.
         self.on_message_end: Callable[[], None] | None = None
-        #: Receive accounting, folded in by the receive planner.
+        #: Full-duplex accounting: a message sent is folded in when framed
+        #: (bypass) or when its planner's last packet is enqueued.
         self.stats = ConnectionStats(self._tele)
         self._rx = ReceivePlanner(self.stats, self._tele)
         # Decode jobs not yet on the pool (it refused one), in order.
@@ -431,8 +433,6 @@ class AdocChannel(_ChannelBase):
         # fed as packets reach the kernel: (wire offset, packet) marks.
         self.adopt_records(ConnectionRecords(config.divergence_forbid_s))
         self._marks: deque[tuple[int, QueuedPacket]] = deque()
-        self.messages_in = 0
-        self.messages_out = 0
 
     # -- send --------------------------------------------------------------
 
@@ -461,9 +461,10 @@ class AdocChannel(_ChannelBase):
         while self._plan is None and self._tx_msgq:
             data = self._tx_msgq.popleft()
             total = len(data)
-            self.messages_out += 1
             if message_route(total, cfg) == BYPASS:
-                self._enqueue(raw_message_vectors(data))
+                vectors = raw_message_vectors(data)
+                self.stats.record_send(SendResult(total, sum(map(len, vectors)), 0.0))
+                self._enqueue(vectors)
                 continue
             self._enqueue([pack_message_header(total, length_known=True)])
             self._plan = SendPlanner(
@@ -479,19 +480,18 @@ class AdocChannel(_ChannelBase):
         return -(-self._pending_tx // self.config.packet_size)
 
     def _pump_tx(self) -> None:
-        """Decide and submit buffers while the planner's window has room."""
+        """Read, decide and submit buffers while the planner's window has room."""
         plan = self._plan
         if plan is None or self._closed:
             return
         while self._tx_source is not None and plan.can_submit():
             if self._tx_next is None:
-                # Decide, then read: the paper's loop shape.
-                level = plan.decide(self._queued_packets(), time.monotonic())
+                # Read, then decide: one decision per buffer.
                 buf = self._tx_source.read(self.config.buffer_size)
                 if not len(buf):
                     self._tx_source = None
                     break
-                self._tx_next = (buf, level)
+                self._tx_next = (buf, plan.decide(self._queued_packets(), time.monotonic()))
             buf, level = self._tx_next
             try:
                 accepted = self.pool.try_submit(
@@ -509,6 +509,7 @@ class AdocChannel(_ChannelBase):
             self._tx_next = None
         if self._tx_source is None and not plan.inflight:
             self._plan = None
+            self.stats.record_send(plan.result(SendResult(0, MESSAGE_HEADER_SIZE, 0.0)))
             if not self._pending_tx:
                 self._windows.close(time.monotonic())
             self._next_message()
@@ -550,7 +551,6 @@ class AdocChannel(_ChannelBase):
     def _feed(self, data: bytes) -> None:
         jobs = map(self._rx.accept, self._parser.feed(data))
         self._rx_parked.extend(job for job in jobs if job is not None)
-        self.messages_in = self._parser.messages
         self._submit_parked()
         self._deliver()  # raw records go out inline when nothing is pending
         if self._rx.pending > _RX_HIGH_WATER:

@@ -4,7 +4,7 @@ The simulator is the third thin driver over :mod:`repro.core.planner`,
 beside the blocking :class:`~repro.core.sender.MessageSender` and the
 reactor's :class:`~repro.serve.channel.AdocChannel`.  The section-5
 ladder (:func:`~repro.core.planner.message_route`), the probe's level-0
-evidence, the Figure-2 decisions and both guards
+evidence, the Figure-2 decisions, both guards and the send ledger
 (:class:`~repro.core.planner.SendPlanner`), packetisation and the
 emission windows (:class:`~repro.core.planner.EmissionWindows`) are the
 live code; only the costs — codec time and ratio, wire time — come from
@@ -46,7 +46,7 @@ from ..core.config import AdocConfig, DEFAULT_CONFIG
 from ..core.divergence import DivergenceGuard
 from ..core.guards import IncompressibleGuard
 from ..core.packets import MESSAGE_HEADER_SIZE, RECORD_HEADER_SIZE, Record
-from ..core.planner import BYPASS, FAST_PATH, PROBE, EmissionWindows, SendPlanner
+from ..core.planner import BYPASS, FAST_PATH, PROBE, EmissionWindows, SendPlanner, SendResult
 from ..core.planner import message_route, observe_probe, record_packets
 from ..obs.telemetry import NULL_TELEMETRY
 from ..transport.profiles import NetworkProfile
@@ -83,17 +83,9 @@ PIPELINE_STALL_RTTS = 0.9
 
 
 @dataclass
-class SimTransferResult:
-    """Outcome of one simulated one-way message transfer."""
+class SimTransferResult(SendResult):
+    """One simulated one-way message: a live ``SendResult`` plus the queue and decisions."""
 
-    payload_bytes: int
-    wire_bytes: int
-    elapsed_s: float
-    pipeline_used: bool = False
-    fast_path: bool = False
-    probe_bps: float | None = None
-    levels_used: dict[int, int] = field(default_factory=dict)
-    guard_trips: int = 0
     queue_peak: int = 0
     #: The planner's Figure-2 trace (``adapter.history``), one entry per
     #: pipelined buffer; empty when the pipeline never started.
@@ -105,10 +97,6 @@ class SimTransferResult:
         if self.elapsed_s <= 0:
             return float("inf")
         return self.payload_bytes * 8.0 / self.elapsed_s
-
-    @property
-    def compression_ratio(self) -> float:
-        return self.payload_bytes / self.wire_bytes if self.wire_bytes else 1.0
 
 
 class _Link:
@@ -228,15 +216,12 @@ def simulate_adoc_message(
     cfg = config
     rng = random.Random(seed)
     link = _Link(profile, rng, rate_schedule)
-    result = SimTransferResult(size, 0, 0.0)
 
     route = message_route(size, cfg)
     if route == BYPASS:
         wire = MESSAGE_HEADER_SIZE + (RECORD_HEADER_SIZE if size else 0) + size
         base = simulate_posix_message(wire, profile, seed, rate_schedule)
-        result.wire_bytes = wire
-        result.elapsed_s = base.elapsed_s + ADOC_FRAMING_S
-        return result
+        return SimTransferResult(size, wire, base.elapsed_s + ADOC_FRAMING_S)
 
     env = Environment()
     sock = Store(env, capacity=profile.buffer_bytes)
@@ -252,7 +237,8 @@ def simulate_adoc_message(
     windows = EmissionWindows(divergence)
     # Every modelled payload is a view of this one buffer.
     zeros = memoryview(bytes(cfg.buffer_size))
-    result.wire_bytes = MESSAGE_HEADER_SIZE
+    # What the driver sends itself; the planner adds the pipeline's part.
+    result = SimTransferResult(0, MESSAGE_HEADER_SIZE, 0.0)
     state = {"done_at": None, "delivered": 0}
 
     def send_raw(nbytes: int):
@@ -261,7 +247,9 @@ def simulate_adoc_message(
         # inline, before any thread exists.
         for off in range(0, nbytes, cfg.buffer_size):
             k = min(cfg.buffer_size, nbytes - off)
+            result.payload_bytes += k
             for pkt in record_packets(Record(0, k, zeros[:k]), cfg.packet_size):
+                result.wire_bytes += pkt.wire_length
                 yield sock.put(pkt, weight=pkt.wire_length)
 
     def compression_proc():
@@ -302,7 +290,6 @@ def simulate_adoc_message(
                 break
             windows.leaving(pkt, env.now)
             yield sock.put(pkt, weight=pkt.wire_length)
-            result.levels_used[pkt.level] = result.levels_used.get(pkt.level, 0) + 1
         windows.close(env.now)
         sock.close()
 
@@ -312,7 +299,6 @@ def simulate_adoc_message(
             pkt = yield sock.get()
             if pkt is None:
                 break
-            result.wire_bytes += pkt.wire_length
             yield Timeout(link.ser_time(pkt.wire_length, env.now))
             if first:
                 yield Timeout(link.latency)
@@ -357,9 +343,8 @@ def simulate_adoc_message(
         # The pipelined wire pattern loses a fraction of an RTT to
         # transport stalls (Table 2 calibration).
         elapsed += PIPELINE_STALL_RTTS * profile.rtt_s
+        plan.result(result)
     result.elapsed_s = elapsed
-    result.pipeline_used = not result.fast_path
-    result.guard_trips = plan.guard.trips
     result.decisions = getattr(plan.adapter, "history", [])
     result.queue_peak = queue.peak_size
     return result

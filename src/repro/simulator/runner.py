@@ -20,6 +20,8 @@ import statistics
 from dataclasses import dataclass
 
 from ..core.config import AdocConfig, DEFAULT_CONFIG
+from ..core.stats import ConnectionStats
+from ..obs.telemetry import Telemetry
 from ..transport.profiles import NetworkProfile
 from .costmodel import DataProfile, profile_by_name
 from .pipeline import (
@@ -107,11 +109,13 @@ def flow_snapshot(result: SimTransferResult, method: str) -> dict:
     The fleet aggregator doesn't care whether a push came from a real
     transfer or a simulated one — same series, same labels — so a
     simulated fleet exercises the whole ``adoc top --fleet`` path and
-    its per-instance summary columns light up identically.
+    its per-instance summary columns light up identically.  The send
+    series come from the live fold,
+    :meth:`~repro.core.stats.ConnectionStats.record_send`.
     """
-    from ..obs.metrics import MetricsRegistry
-
-    reg = MetricsRegistry()
+    tele = Telemetry(tracer_capacity=1)
+    ConnectionStats(tele).record_send(result)
+    reg = tele.metrics
     levels = result.levels_used
     # The gauge mirrors "current level": report the level the flow
     # spent most buffers at (0 when the fast path skipped the pipeline).
@@ -125,26 +129,17 @@ def flow_snapshot(result: SimTransferResult, method: str) -> dict:
     reg.counter(
         "adoc_level_decisions_total", "Figure-2 controller updates"
     ).inc(len(result.decisions))
-    reg.counter(
-        "adoc_messages_total", "messages transferred"
-    ).inc()
-    reg.counter(
-        "adoc_payload_bytes_total", "application payload bytes"
-    ).inc(result.payload_bytes)
-    reg.counter(
-        "adoc_wire_bytes_total", "bytes on the wire", ("direction",)
-    ).inc(result.wire_bytes, direction="tx")
     # Materialize the failure counters at zero so the fleet view shows
     # explicit healthy zeros rather than missing columns.
     reg.counter(
-        "adoc_retries_total", "retries", ("stage",)
+        "adoc_retries_total", "retry attempts, by failing stage", ("stage",)
     ).inc(0, stage="sim")
     reg.counter(
-        "adoc_degraded_streams_total", "streams degraded to raw"
+        "adoc_degraded_streams_total", "messages pinned to raw after a codec failure"
     ).inc(0)
     reg.counter(
         "adoc_guard_trips_total", "adaptation guard activations", ("guard",)
-    ).inc(result.guard_trips, guard="incompressible")
+    ).inc(0, guard="incompressible")
     reg.gauge(
         "adoc_sim_bandwidth_bps", "simulated application bandwidth", ("method",)
     ).set(result.app_bandwidth_bps, method=method)

@@ -7,10 +7,13 @@ trace and the in-flight window the planner produces.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import AdocConfig
 from repro.core import sender as sender_mod
+from repro.core.compressor import compress_buffer
 from repro.core.divergence import CodecRates, ConnectionRecords, DivergenceGuard
 from repro.core.fifo import QueuedPacket
 from repro.core.packets import Record
@@ -21,6 +24,7 @@ from repro.core.planner import (
     PROBE,
     EmissionWindows,
     SendPlanner,
+    SendResult,
     message_route,
     observe_probe,
     record_packets,
@@ -148,6 +152,37 @@ class TestScriptedMessage:
 
 #: The scripted link: the probe's level-0 record, in bytes per second.
 LINK = 10e6
+
+
+class TestLedger:
+    def test_result_counts_every_record_handed_out(self):
+        plan = SendPlanner(CFG, DivergenceGuard(), NULL_TELEMETRY)
+        noise = random.Random(1).randbytes(CFG.buffer_size)
+        handed: list[QueuedPacket] = []
+
+        plan.submit(BUF, 6)
+        handed += plan.complete(compressed(3000), None)
+        # Random bytes trip the guard: the records go out raw.
+        plan.submit(noise, 1)
+        outcome = compress_buffer(noise, 1, plan.guard, CFG)
+        assert outcome[1] and plan.guard.trips == 1
+        handed += plan.complete(outcome, None)
+        # A codec failure ships the buffer as one raw record.
+        plan.submit(BUF, 2)
+        handed += plan.complete(None, RuntimeError("injected codec failure"))
+
+        result = plan.result(SendResult(0, 12, 0.0))
+        levels: dict[int, int] = {}
+        for pkt in handed:
+            levels[pkt.level] = levels.get(pkt.level, 0) + 1
+        assert result.levels_used == levels == {6: 2, 0: 8}
+        assert result.wire_bytes == 12 + sum(pkt.wire_length for pkt in handed)
+        assert result.payload_bytes == 3 * CFG.buffer_size
+        assert (result.guard_trips, result.degraded, result.pipeline_used) == (1, True, True)
+
+    def test_result_of_an_empty_message(self):
+        plan = SendPlanner(CFG, DivergenceGuard(), NULL_TELEMETRY)
+        assert plan.result() == SendResult(0, 0, 0.0, pipeline_used=True)
 
 
 def probed(link: float = LINK) -> DivergenceGuard:

@@ -134,7 +134,10 @@ def test_adoc_channel_roundtrip_compressed(loop):
     run_on_loop(reactor, lambda: cha.send_message(payload))
     assert cb.wait_message() == payload
     assert cb.messages == 1
-    assert cha.messages_out == 1 and chb.messages_in == 1
+    sent, got = cha.stats.snapshot(), chb.stats.snapshot()
+    assert sent.messages == 1 and got.recv_messages == 1
+    # The send ledger counts every byte the channel wrote.
+    assert sent.wire_bytes == cha.bytes_out == got.recv_wire_bytes
     # Compressible ASCII must actually compress on the wire.
     assert cha.bytes_out < len(payload)
     run_on_loop(reactor, cha.close)
@@ -156,7 +159,8 @@ def test_adoc_channel_queues_messages_while_tx_busy(loop):
     run_on_loop(reactor, send_all)
     for i, expected in enumerate(payloads):
         assert cb.wait_message(i) == expected
-    assert chb.messages_in == 3
+    assert cha.stats.snapshot().messages == 3
+    assert chb.stats.snapshot().recv_messages == 3
     run_on_loop(reactor, cha.close)
     run_on_loop(reactor, chb.close)
 

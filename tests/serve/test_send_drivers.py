@@ -186,8 +186,8 @@ class TestDriverParity:
         channel_send(loop, FORCED)
         blocking, channel = planners
         assert blocking.window_cap == channel.window_cap == 2 * WORKERS
-        # One decision per buffer plus the one that finds the source dry.
-        assert len(blocking.adapter.history) == N_BUFFERS + 1
+        # Read, then decide: one decision per buffer, none at the end.
+        assert len(blocking.adapter.history) == N_BUFFERS
         assert trace(blocking) == trace(channel)
         levels = {level for _, _, level in trace(blocking)}
         assert len(levels) > 2, "the script should move the level around"
@@ -226,6 +226,58 @@ class TestDriverParity:
         used = [t.level for t in blocking.adapter.history[:N_BUFFERS]]
         assert record_levels(wire) == used
 
+    def test_blocking_and_channel_ledgers_match(
+        self, loop, planners, scripted, fresh_shared_pool
+    ):
+        """One pipelined and one bypass message: equal send-side stats."""
+        small = DATA[: CFG.small_message_threshold - 1]
+        ep = CollectEndpoint()
+        blocking = MessageSender(ep, FORCED)
+        blocking.send(DATA)
+        blocking.send(small, CFG)
+
+        reactor, pool = loop
+        a, b = socketpair_endpoints()
+        channel = AdocChannel(reactor, a, pool, FORCED)
+        receiver = AdocChannel(reactor, b, pool, FORCED)
+        got = Collector()
+        receiver.on_data = got.on_data
+        receiver.on_message_end = got.on_message_end
+        run_on_loop(reactor, channel.open)
+        run_on_loop(reactor, receiver.open)
+        run_on_loop(reactor, lambda: channel.send_message(DATA))
+        assert got.wait_message(0, timeout=30.0) == DATA
+
+        def send_small() -> None:
+            channel.config = CFG  # the channel reads its config per message
+            channel.send_message(small)
+
+        run_on_loop(reactor, send_small)
+        assert got.wait_message(1, timeout=30.0) == small
+        run_on_loop(reactor, channel.close)
+        run_on_loop(reactor, receiver.close)
+
+        fields = (
+            "messages", "payload_bytes", "wire_bytes", "small_path",
+            "pipeline_path", "levels_used", "guard_trips", "degraded",
+        )
+        sent = blocking.stats.snapshot()
+        assert {f: getattr(sent, f) for f in fields} == {
+            f: getattr(channel.stats.snapshot(), f) for f in fields
+        }
+        assert (sent.messages, sent.small_path, sent.pipeline_path) == (2, 1, 1)
+        assert sent.payload_bytes == len(DATA) + len(small)
+        assert sent.wire_bytes == len(ep.wire)
+        # Packets per level, cut from the pipelined message's records.
+        packets: dict[int, int] = {}
+        for rec in StreamingParser().feed(bytes(ep.wire)):
+            if rec.level == END_LEVEL:
+                break
+            n = max(1, -(-len(rec.payload) // FORCED.packet_size))
+            packets[rec.level] = packets.get(rec.level, 0) + n
+        assert sent.levels_used == packets
+        assert len(packets) > 1, "the script should move the level around"
+
     def test_serial_blocking_matches_a_planner_with_window_one(
         self, planners, scripted
     ):
@@ -236,13 +288,9 @@ class TestDriverParity:
         plan = SendPlanner(FORCED, DivergenceGuard(), NULL_TELEMETRY)
         readings = itertools.cycle(READINGS)
         view = memoryview(DATA)
-        offset = 0
-        while True:
-            level = plan.decide(next(readings), 0.0)
+        for offset in range(0, len(DATA), FORCED.buffer_size):
             buf = view[offset : offset + FORCED.buffer_size]
-            if not len(buf):
-                break
-            offset += len(buf)
+            level = plan.decide(next(readings), 0.0)
             plan.submit(buf, level)
             list(plan.complete(compress_buffer(buf, level, plan.guard, FORCED), None))
         assert trace(blocking) == trace(plan)
@@ -452,8 +500,7 @@ class TestIncompressibleHoldoff:
             DivergenceGuard, "filter_level", lambda self, level, now: level
         )
         channel_send(loop, CFG, MIXED)
-        # The last decision finds the message read out: no buffer used it.
-        history = planners[0].adapter.history[:-1]
+        history = planners[0].adapter.history
         held = [i for i, t in enumerate(history) if t.holdoff]
         assert held, "the incompressible prefix never tripped the guard"
         assert any(t.level > 0 for t in history[held[-1] + 1 :]), (

@@ -142,3 +142,20 @@ class TestFlowSnapshot:
             s["labels"] for s in tele.metrics.to_json()["adoc_guard_trips_total"]["series"]
         ]
         assert sim["labels"] in live_labels
+
+    def test_send_series_carry_the_live_labels(self):
+        r = transfer_bandwidth(4 * MB, "ascii", RENATER, seed=1)
+        assert r.pipeline_used
+        sim = flow_snapshot(r, "ascii")
+
+        # A live pipelined send of the same kind, folded by its connection.
+        tele = Telemetry(enabled=True)
+        cfg = AdocConfig(telemetry=tele, compress_workers=0).with_levels(1, 10)
+        MessageSender(_Sink(), cfg).send(b"adoc " * 200_000)
+        live = tele.metrics.to_json()
+        for name in ("adoc_messages_total", "adoc_payload_bytes_total", "adoc_wire_bytes_total"):
+            labels = [s["labels"] for s in sim[name]["series"]]
+            assert labels == [s["labels"] for s in live[name]["series"]], name
+        (payload,) = sim["adoc_payload_bytes_total"]["series"]
+        (wire,) = sim["adoc_wire_bytes_total"]["series"]
+        assert (payload["value"], wire["value"]) == (r.payload_bytes, r.wire_bytes)
