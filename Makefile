@@ -7,9 +7,13 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Fault-injection suite: deterministic resets/stalls/corruption against
-# the deadline/retry/teardown machinery (tests/faults).
+# the deadline/retry/teardown machinery (tests/faults), the reactor and
+# pool (tests/serve), and malformed framing through both receive
+# drivers' shared core -- the same files as CI's chaos job.
 chaos:
-	$(PYTHON) -m pytest tests/faults tests/serve -q
+	$(PYTHON) -m pytest tests/faults tests/serve \
+		tests/integration/test_protocol_fuzz.py \
+		tests/integration/test_fault_injection.py -q
 
 lockcheck:
 	REPRO_LOCKCHECK=1 $(PYTHON) -m pytest -x -q

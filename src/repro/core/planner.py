@@ -1,32 +1,33 @@
-"""The send planner: one message's section-5 ladder and Figure-2 adaptation.
+"""The send core: one message's section-5 ladder and Figure-2 adaptation.
 
 Paper section 3.3: before compressing each 200 KB buffer the sender
 reads the emission FIFO length ``n`` and its change ``delta`` and moves
-the compression level (Figure 2).  This module is that step, written
-once for all three send drivers — the blocking dispatcher in
-:mod:`repro.core.sender`, the reactor's
+the compression level (Figure 2).  This module is that step and the
+section-5 ladder around it, written once for all three send drivers —
+the blocking dispatcher in :mod:`repro.core.sender`, the reactor's
 :class:`~repro.serve.channel.AdocChannel` and the virtual-clock
 simulator in :mod:`repro.simulator.pipeline`.  It owns no thread, socket
 or pool and never reads a clock: drivers pass the queued-packet reading
 and ``now`` in, run (or model) the codec, hand the outcomes back in
-submission order and move the packets they get out.  Per message,
-:func:`message_route` picks the section-5 path (only the probe's timing
-is the driver's), then::
+submission order and move the bytes and packets they get out.  One
+:class:`MessageSend` per message frames it, routes it
+(:func:`message_route`), times its probe and keeps its ledger; only the
+probe's I/O is the driver's.  Down the pipeline it drives a
+:class:`SendPlanner`::
 
     while buffers remain or plan.inflight:
         while buffers remain and plan.can_submit():
-            buf = read the next buffer                 # none left: stop
-            level = plan.decide(queued_packets, now)   # one decision per buffer
+            buf, level = msg.next_job(queued, clock)   # read, then decide
             plan.submit(buf, level)                    # codec job starts
         for pkt in plan.complete(outcome, error):      # oldest job done
             put pkt on the wire queue
-    plan.result(into)                                  # the message's ledger
+    msg.result(elapsed)                                # the message's ledger
 
 The outcome is :func:`~repro.core.compressor.compress_buffer`'s
 ``(records, tripped, seconds)``; the simulator's modelled codec, which
-runs without rate records, leaves the seconds off.  The planner is each
-message's one send ledger: :meth:`SendPlanner.complete` counts what it
-hands out and :meth:`SendPlanner.result` puts that in the message's
+runs without rate records, leaves the seconds off.
+:meth:`SendPlanner.complete` counts what it hands out and
+:meth:`SendPlanner.result` adds that to the message's
 :class:`SendResult` (the paper's ``*slen``).  Three properties the
 paper's adaptation depends on hold on every driver, and two more on the
 live ones:
@@ -97,12 +98,13 @@ from .config import AdocConfig
 from .divergence import CodecRates, ConnectionRecords, DivergenceGuard
 from .fifo import QueuedPacket
 from .guards import IncompressibleGuard
-from .packets import RECORD_HEADER_SIZE, Record
+from .packets import RECORD_HEADER_SIZE, Record, end_record_bytes, pack_message_header
+from .sources import BytesSource, ChunkSource
 
 __all__ = [
     "BYPASS", "PROBE", "FAST_PATH", "PIPELINE", "message_route",
-    "observe_probe", "SendResult", "SendPlanner", "EmissionWindows",
-    "record_packets",
+    "observe_probe", "SendResult", "MessageSend", "SendPlanner",
+    "EmissionWindows", "record_packets", "raw_message_vectors",
 ]
 
 _log = logging.getLogger("repro.core.planner")
@@ -214,6 +216,17 @@ def record_packets(
         assigned += orig
         yield QueuedPacket(chunk, rec.level, orig, buffer_id, prefix)
         prefix = b""
+
+
+def raw_message_vectors(data: bytes | bytearray | memoryview) -> list[bytes | memoryview]:
+    """Frame an in-memory payload as one raw (level-0) message, uncopied.
+
+    The vectors — message header, record header, payload view — are
+    the one send of a bypassed zero-copy message (:meth:`MessageSend.bypass`).
+    """
+    view = memoryview(data)
+    header = pack_message_header(len(view))
+    return [header, Record(0, len(view), view).header_bytes(), view] if len(view) else [header]
 
 
 def _mb_s(rate: float | None) -> float | None:
@@ -518,6 +531,171 @@ class SendPlanner:
 
     def _raw_packets(self, nbytes: int) -> int:
         return -(-nbytes // self.config.packet_size)
+
+
+class MessageSend:
+    """One message's section-5 ladder, framing and ledger, for any driver.
+
+    It reads the message's source and hands the driver what to send;
+    the driver says when the probe left.  :attr:`route` is asked again
+    once a probe is timed or reused.  The probe is kept in ``records``,
+    the connection's :class:`~repro.core.divergence.ConnectionRecords`;
+    without them ``divergence`` takes its level-0 windows.  Only
+    :meth:`pipeline` builds a planner, so a bypass costs no guard or
+    adapter.  All it hands out is counted in :meth:`result`.
+    """
+
+    def __init__(
+        self,
+        source: ChunkSource,
+        config: AdocConfig,
+        telemetry: Telemetry,
+        records: ConnectionRecords | None = None,
+        divergence: DivergenceGuard | None = None,
+    ) -> None:
+        self.source = source
+        self.config = config
+        self.total = source.length
+        self.route = message_route(self.total, config)
+        self.plan: SendPlanner | None = None
+        self.probe_bps: float | None = None
+        self.probe_reused = False
+        self.probe_bytes = 0
+        #: True once :meth:`next_job` found the source read out.
+        self.read_out = False
+        self._tele = telemetry
+        self._records = records
+        self._divergence = divergence if records is None else records.divergence
+        self._payload = self._wire = 0  # sent outside the planner
+        self._first: bytes | memoryview | None = None  # see withdraw()
+
+    def _framed(self, frame: bytes) -> bytes:
+        self._wire += len(frame)
+        return frame
+
+    def header(self) -> bytes:
+        """The message header: the known length, or END-terminated."""
+        return self._framed(pack_message_header(self.total or 0, self.total is not None))
+
+    def end(self) -> list[bytes]:
+        """The END record of an unknown-length message, as send vectors."""
+        return [] if self.total is not None else [self._framed(end_record_bytes())]
+
+    def bypass(self) -> Iterator[list[bytes | memoryview]]:
+        """A bypassed message's whole wire, one vectored send per item.
+
+        A zero-copy source is one send (:func:`raw_message_vectors`); a
+        file streams raw records after the header, so memory stays
+        bounded.
+        """
+        if not self.source.zero_copy:
+            yield [self.header()]
+            yield from ([rec.header_bytes(), rec.payload] for rec in self.raw_records())
+            return
+        vectors = raw_message_vectors(self.source.read(self.total))
+        self._payload += self.total
+        self._wire += sum(map(len, vectors))
+        yield vectors
+
+    def raw_records(self, source: ChunkSource | None = None) -> Iterator[Record]:
+        """``source`` (by default the rest of the message) as raw records.
+
+        ``buffer_size`` records from the source cursor (the probe
+        offset), led by the buffer :meth:`withdraw` took back, if any.
+        """
+        chunk = None
+        if source is None:
+            source, chunk, self._first = self.source, self._first, None
+        while True:
+            if chunk is None:
+                chunk = source.read(self.config.buffer_size)
+            if not len(chunk):
+                return
+            self._payload += len(chunk)
+            self._wire += RECORD_HEADER_SIZE + len(chunk)
+            yield Record(0, len(chunk), chunk)
+            chunk = None
+
+    def probe(self, now: float) -> list[Record] | None:
+        """The probe's raw records, read before any codec job reads on.
+
+        ``None`` when the connection's probe from within the forbid
+        window stands in: the route is asked again with its rate.
+        """
+        bps = None if self._records is None else self._records.recent_probe(now)
+        if bps is None:
+            probe = self.source.read_exact(min(self.config.probe_size, self.total))
+            self.probe_bytes = len(probe)
+            return list(self.raw_records(BytesSource(probe)))
+        self.probe_bps, self.probe_reused = bps, True
+        self.route = message_route(self.total, self.config, bps)
+        self.trace_probe(None)
+        return None
+
+    def probe_timed(
+        self, t0: float, now: float, before: float | None = None, after: float | None = None
+    ) -> str:
+        """The probe was sent from ``t0`` to ``now``: observe it, route again.
+
+        On the send clock that is how fast the link accepts bytes.  With
+        link readings (when the bytes handed over ``before`` and
+        ``after`` the probe leave the link) it runs from the departure
+        of the bytes ahead of it, not before ``t0``, to its own.
+        """
+        seconds = now - t0 if after is None else after - max(t0, before)
+        self.probe_bps = observe_probe(self._divergence, self.probe_bytes, seconds)
+        if self._records is not None:
+            self._records.probe = (self.probe_bps, now)
+        self.route = message_route(self.total, self.config, self.probe_bps)
+        return self.route
+
+    def trace_probe(self, overlap_level: int | None) -> None:
+        """The ``probe`` event, with the level decided while it was sent."""
+        self._tele.event(
+            "probe", "reused" if self.probe_reused else "sent",
+            bps=self.probe_bps, overlap_level=overlap_level,
+        )
+
+    def pipeline(self, workers: int = 0, adapter_factory=None) -> SendPlanner:
+        """Build the message's planner; ``workers`` is the codec pool's size."""
+        self.plan = SendPlanner(
+            self.config, self._divergence, self._tele, workers, adapter_factory,
+            records=self._records,
+        )
+        return self.plan
+
+    def next_job(
+        self, queued: Callable[[], int] | None, clock: Callable[[], float]
+    ) -> tuple[bytes | memoryview, int] | None:
+        """Read the next buffer, then decide its level: ``(buf, level)``.
+
+        ``None`` once the source is read out, so no decision follows the
+        last buffer.  ``queued`` reads the driver's queue; ``None``: the
+        probe, still on the wire, is the queue.
+        """
+        buf = self.source.read(self.config.buffer_size)
+        if not len(buf):
+            self.read_out = True
+            return None
+        if queued is None:
+            return buf, self.plan.decide_during_probe(self.probe_bytes, clock())
+        return buf, self.plan.decide(queued(), clock())
+
+    def withdraw(self) -> None:
+        """The probe was fast: the buffer decided during it goes out raw."""
+        self._first = self.plan.withdraw()
+
+    def result(self, elapsed: float, into: SendResult | None = None) -> SendResult:
+        """Everything sent, the planner's ledger too off the fast path."""
+        into = SendResult(0, 0, 0.0) if into is None else into
+        into.payload_bytes += self._payload
+        into.wire_bytes += self._wire
+        into.elapsed_s = elapsed
+        into.probe_bps, into.probe_reused = self.probe_bps, self.probe_reused
+        into.fast_path = self.route == FAST_PATH
+        if self.plan is not None and not into.fast_path:
+            self.plan.result(into)
+        return into
 
 
 class EmissionWindows:

@@ -1,48 +1,39 @@
 """The AdOC emission pipeline: compression thread + emission thread.
 
 This is the sending half of Figure 1 of the paper.  One ``adoc_write``
-(or ``adoc_send_file``) call maps to one *message* on the wire and runs
-the following decision ladder (sections 3 and 5), which
-:func:`~repro.core.planner.message_route` decides for every send driver:
+(or ``adoc_send_file``) call maps to one *message* on the wire.  Its
+section-5 ladder, framing and ledger are one
+:class:`~repro.core.planner.MessageSend`, shared by every send driver;
+this module is its blocking I/O:
 
-1. **Small messages** (< 512 KB, compression not forced): written raw,
-   inline, without starting any thread — latency equals plain write.
+1. **Small messages** (< 512 KB, compression not forced) are written
+   raw, inline, without starting any thread — latency equals plain
+   write.  So is everything when compression is disabled.
 2. **Bandwidth probe**: the first 256 KB of a large message is sent raw
-   while being timed; if the apparent link speed exceeds 500 Mbit/s the
-   network is "very fast" and the rest is sent raw too.  A connection
-   probes once per forbid window (``divergence_forbid_s``): a message
-   within it reuses the last probe's rate and sends no probe.  The
+   while being timed; if the link reads faster than 500 Mbit/s the rest
+   is sent raw too.  A connection probes once per forbid window.  The
    compression thread starts before a probe goes out and waits at a
-   gate: once the probe has been on the wire longer than a very fast
-   link would take (``probe_size * 8 / fast_network_bps``, about 4 ms)
-   the route cannot be the fast path, so it decides buffer 0 with the
-   probe read as the queue and compresses it while the probe drains;
-   the decision after the probe is then the planner's warm one.  A
-   probe that finishes first leaves the thread idle: the fast path, or
-   the pipeline from a cold start.
-3. **Adaptive pipeline**: a compression thread splits the remaining
-   input into 200 KB buffers, re-evaluating the compression level
-   before each one (Figure 2 + divergence guard + incompressible
-   guard), and pushes framed 8 KB packets into the FIFO queue; the
-   emission loop (running in the calling thread) drains the queue into
-   the socket and feeds per-level visible-bandwidth observations back
-   to the divergence guard.
-
-The compression thread is a dispatcher over one
-:class:`~repro.core.planner.SendPlanner` per message, which decides each
-buffer's level and keeps a window of buffers in flight.  By default the
-codec jobs run on the process-wide shared codec pool
-(``AdocConfig.compress_workers``) and their completions are drained —
-in submission order, whichever worker finishes first — into the FIFO,
-so N buffers compress concurrently while the wire stays byte-identical.
-``compress_workers=0``, short messages and a pool closed mid-message run
-the same loop with a window of one, executed synchronously: the paper's
-original one-buffer-at-a-time compression thread.
+   :class:`_ProbeGate`: once the probe has been on the wire longer than
+   a very fast link would take (``probe_size * 8 / fast_network_bps``,
+   about 4 ms) the route cannot be the fast path, so it decides buffer
+   0 with the probe read as the queue and compresses it while the
+   probe drains.
+3. **Adaptive pipeline**: the compression thread is a dispatcher over
+   the message's :class:`~repro.core.planner.SendPlanner`, which decides
+   each 200 KB buffer's level (Figure 2 + divergence guard +
+   incompressible guard) and keeps a window of buffers in flight.  By
+   default the codec jobs run on the process-wide shared codec pool
+   (``AdocConfig.compress_workers``), their completions drained in
+   submission order into the FIFO queue of framed 8 KB packets;
+   ``compress_workers=0``, short messages and a pool closed mid-message
+   run a window of one synchronously, the paper's original compression
+   thread.  The emission loop (in the calling thread) drains the queue
+   into the socket and feeds per-level visible bandwidth back to the
+   divergence guard.
 
 Forcing compression (``min_level > 0``) skips steps 1 and 2 — that is
 what the paper's Table 2 "AdOC with forced compression" column
 measures: the full thread/queue/mutex start-up cost on a tiny message.
-Disabling compression (``max_level == 0``) short-circuits to raw.
 
 Every entry point feeds one streaming engine (:meth:`_send_source`)
 through a :class:`~repro.core.sources.ChunkSource`: in-memory payloads
@@ -54,14 +45,10 @@ copies payload bytes: record headers ride as packet *prefixes* and the
 emission loop coalesces queued packets into vectored sends
 (:func:`~repro.transport.base.sendall_vectors`).
 
-The wire format is unchanged — a packet is ``prefix + payload`` and the
-receiver sees the same byte stream the pre-streaming sender produced
-(pinned by the golden fixtures in ``tests/golden``).  The only visible
-shift is internal accounting: packets now hold ``packet_size`` payload
-bytes plus the 9-byte header prefix (the header no longer displaces
-payload from the first packet), so queue lengths — a heuristic signal
-to the adapter — can differ by one packet per record from the old
-serialization.
+A queued packet is ``prefix + payload``: up to ``packet_size`` payload
+bytes, plus the 9-byte record header as the prefix of a record's first
+packet.  The header never displaces payload, so the queue length that
+Figure 2 reads counts a record's packets by its payload alone.
 """
 
 from __future__ import annotations
@@ -70,7 +57,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, BinaryIO, Callable
+from typing import Any, BinaryIO, Callable, Iterable
 
 from ..analysis.lockgraph import make_condition, make_lock
 from ..obs.telemetry import Telemetry, resolve_telemetry
@@ -80,16 +67,15 @@ from .config import AdocConfig, DEFAULT_CONFIG
 from .deadlines import DeadlineExceeded, TransferError
 from .divergence import CodecRates, ConnectionRecords, DivergenceGuard
 from .fifo import PacketQueue, QueueClosed, QueuedPacket
-from .packets import Record, end_record_bytes, pack_message_header
-from .planner import BYPASS, FAST_PATH, PIPELINE, PROBE, EmissionWindows, SendPlanner
-from .planner import SendResult, message_route, observe_probe
+from .packets import Record
+from .planner import BYPASS, FAST_PATH, PIPELINE, PROBE, EmissionWindows, MessageSend
+from .planner import SendResult
 from .sources import BytesSource, ChunkSource, source_for_stream
 from .stats import ConnectionStats
 
 __all__ = [
     "SendResult",
     "MessageSender",
-    "raw_message_vectors",
 ]
 
 #: Upper bound on packets coalesced into one vectored send.  Each
@@ -103,25 +89,6 @@ _MAX_BATCH = 64
 #: buffers than a worker window there is nothing to overlap, and the
 #: pool's hand-off latency would only distort the adaptation signal.
 _MIN_POOLED_BUFFERS = 4
-
-
-def raw_message_vectors(
-    data: bytes | bytearray | memoryview,
-) -> list[bytes | memoryview]:
-    """Frame one in-memory payload as a raw (level-0) message.
-
-    Returns the wire as vectors — message header, record header,
-    payload view — without copying the payload: the same bytes the
-    blocking engine's small-message bypass emits.  Used by the
-    readiness-driven engine, where small messages are framed inline on
-    the loop thread and only large ones visit the compression pool.
-    """
-    total = len(data)
-    header = pack_message_header(total, length_known=True)
-    if total == 0:
-        return [header]
-    view = data if isinstance(data, memoryview) else memoryview(data)
-    return [header, Record(0, total, view).header_bytes(), view]
 
 
 class _CompletionFIFO:
@@ -200,8 +167,7 @@ class _ProbeGate:
     while it is held).
     """
 
-    def __init__(self, probe_bytes: int, hold_s: float) -> None:
-        self.probe_bytes = probe_bytes
+    def __init__(self, hold_s: float) -> None:
         self._hold_s = hold_s
         self._lock = make_lock("sender.gate.lock")
         self._changed = make_condition(self._lock, "sender.gate.changed")
@@ -281,15 +247,12 @@ class _ProbeGate:
 
 @dataclass
 class _Pipeline:
-    """One message's compression thread, its planner and the queue it fills."""
+    """One message's compression thread and the queue it fills."""
 
     queue: PacketQueue
-    plan: SendPlanner
     gate: _ProbeGate | None
     thread: threading.Thread | None = None
     error: list[BaseException] = field(default_factory=list)
-    #: Buffer 0 handed back unsent: the probe overruled its decision.
-    raw_first: bytes | memoryview | None = None
 
 
 class MessageSender:
@@ -368,102 +331,39 @@ class MessageSender:
         return result
 
     def _send_source_impl(self, source: ChunkSource, cfg: AdocConfig) -> SendResult:
-        """The unified decision ladder."""
+        """The unified decision ladder, one :class:`MessageSend` per message."""
         start = self.clock()
-        total = source.length
+        msg = MessageSend(source, cfg, resolve_telemetry(cfg), self.records)
+        if msg.route == BYPASS:
+            # Inline, without starting any thread.
+            for vectors in msg.bypass():
+                sendall_vectors(self.endpoint, vectors)
+            return msg.result(self.clock() - start)
 
-        if total is None:
-            # Unknown length: no bypass, no probe (there is nothing to
-            # slice a probe from without buffering), END-terminated.
-            header = pack_message_header(0, length_known=False)
-            sendall(self.endpoint, header)
-            result = self._finish_pipeline(self._start_pipeline(source, cfg, None), cfg)
-            end = end_record_bytes()
-            sendall(self.endpoint, end)
-            result.wire_bytes += len(header) + len(end)
-            result.elapsed_s = self.clock() - start
-            return result
-
-        header = pack_message_header(total, length_known=True)
-        route = message_route(total, cfg)
-        if route == BYPASS:
-            wire = self._send_raw(header, source, total, cfg)
-            return SendResult(total, wire, self.clock() - start)
-
-        wire_bytes = len(header)
-        sendall(self.endpoint, header)
-        probe_bps: float | None = None
-        reused = False
+        sendall(self.endpoint, msg.header())
         pipe: _Pipeline | None = None
-        if route == PROBE:
-            probe_bps = self.records.recent_probe(self.clock())
-            reused = probe_bps is not None
-            overlap_level = None
-            if not reused:
-                probe_bps, probe_wire, pipe = self._probe(source, total, cfg)
-                wire_bytes += probe_wire
-                if pipe is not None:
-                    try:
-                        overlap_level = pipe.gate.overlap_level(cfg.io_timeout_s)
-                    except BaseException:
-                        self._abandon_pipeline(pipe, cfg)
-                        raise
-            resolve_telemetry(cfg).event(
-                "probe", "reused" if reused else "sent", bps=probe_bps,
-                overlap_level=overlap_level,
-            )
-            if message_route(total, cfg, probe_bps) == FAST_PATH:
-                # Very fast network: ship the rest raw, starting with a
-                # buffer the dispatcher read in a race at the gate.
-                first = None
-                if pipe is not None:
-                    self._join_pipeline(pipe, cfg)
-                    first = pipe.raw_first
-                wire_bytes += self._send_raw_records(source, cfg, first)
-                return SendResult(
-                    total,
-                    wire_bytes,
-                    self.clock() - start,
-                    probe_bps=probe_bps,
-                    probe_reused=reused,
-                    fast_path=True,
-                )
+        if msg.route == PROBE:
+            probe = msg.probe(self.clock())
+            if probe is not None:
+                pipe = self._probe(msg, probe, cfg)
+        if msg.route == FAST_PATH:
+            # Very fast network: ship the rest raw, starting with a
+            # buffer the dispatcher read in a race at the gate.
+            if pipe is not None:
+                self._join_pipeline(pipe, cfg)
+            self._send_records(msg.raw_records())
+            return msg.result(self.clock() - start)
 
-        if pipe is None:
-            pipe = self._start_pipeline(source, cfg, total)
-        result = self._finish_pipeline(pipe, cfg)
-        result.payload_bytes = total
-        result.wire_bytes += wire_bytes
-        result.elapsed_s = self.clock() - start
-        result.probe_bps = probe_bps
-        result.probe_reused = reused
-        return result
+        self._finish_pipeline(pipe or self._start_pipeline(msg, cfg), cfg)
+        sendall_vectors(self.endpoint, msg.end())
+        return msg.result(self.clock() - start)
 
-    # -- fast paths ----------------------------------------------------------
-
-    def _send_raw(self, header: bytes, source: ChunkSource, total: int, cfg: AdocConfig) -> int:
-        """Inline raw send of a whole message (no threads).
-
-        Zero-copy sources cover the message with a single record, the
-        header and payload going out as one vectored send.  Chunked
-        sources (files) are streamed as ``buffer_size`` records so peak
-        memory stays bounded — protocol-equivalent, since records simply
-        sum to ``total``.
-        """
-        if source.zero_copy:
-            return sendall_vectors(self.endpoint, raw_message_vectors(source.read(total)))
-        sendall(self.endpoint, header)
-        return len(header) + self._send_raw_records(source, cfg)
+    # -- the probe -----------------------------------------------------------
 
     def _probe(
-        self, source: ChunkSource, total: int, cfg: AdocConfig
-    ) -> tuple[float, int, _Pipeline | None]:
-        """Send the first ``probe_size`` bytes raw, timing them.
-
-        The sender has no feedback channel, so the estimate is
-        write-side only: how fast the link accepts bytes.  For that to
-        reflect the line rate the probe must exceed the send-buffer
-        capacity, which 256 KB does on the kernels the paper targets.
+        self, msg: MessageSend, probe: list[Record], cfg: AdocConfig
+    ) -> _Pipeline | None:
+        """Send the probe's records raw, timing them; trace the probe.
 
         The message's pipeline starts first, its dispatcher behind a
         :class:`_ProbeGate` that opens once the probe has been on the
@@ -471,33 +371,28 @@ class MessageSender:
         with the gate settled.  With ``fast_network_bps <= 0`` every
         probe is very fast and none starts.
         """
-        probe = source.read_exact(min(cfg.probe_size, total))
         pipe = progress = None
         if cfg.fast_network_bps > 0:
-            gate = _ProbeGate(len(probe), len(probe) * 8 / cfg.fast_network_bps)
-            pipe = self._start_pipeline(source, cfg, total, gate)
+            gate = _ProbeGate(msg.probe_bytes * 8 / cfg.fast_network_bps)
+            pipe = self._start_pipeline(msg, cfg, gate)
             progress = gate.moved
             gate.arm()
         before = self._link_reading()
         t0 = self.clock()
+        route = overlap_level = None
         try:
-            wire = self._send_raw_records(BytesSource(probe), cfg, progress=progress)
-            now = self.clock()
-            after = self._link_reading()
-            # On a link clock the probe runs from when the bytes ahead of
-            # it left (not before t0) to when its own last byte leaves.
-            seconds = now - t0 if after is None else after - max(t0, before)
-            bps = observe_probe(self.divergence, len(probe), seconds)
-            self.records.probe = (bps, now)
-            route = message_route(total, cfg, bps)
+            self._send_records(probe, progress)
+            route = msg.probe_timed(t0, self.clock(), before, self._link_reading())
+            if pipe is not None:
+                pipe.gate.settle(route)
+                overlap_level = pipe.gate.overlap_level(cfg.io_timeout_s)
         except BaseException:
             if pipe is not None:
-                pipe.gate.settle(None)
+                pipe.gate.settle(route)  # None if the probe's send failed
                 self._abandon_pipeline(pipe, cfg)
             raise
-        if pipe is not None:
-            pipe.gate.settle(route)
-        return bps, wire, pipe
+        msg.trace_probe(overlap_level)
+        return pipe
 
     def _link_reading(self) -> float | None:
         """When the bytes handed to the endpoint so far leave its link.
@@ -508,69 +403,39 @@ class MessageSender:
         link = getattr(self.endpoint, "link_departure", None)
         return None if link is None else self.clock() + link()
 
-    def _send_raw_records(
-        self, source: ChunkSource, cfg: AdocConfig,
-        chunk: bytes | memoryview | None = None,
-        progress: Callable[[], None] | None = None,
-    ) -> int:
-        """Stream the rest of the source as raw ``buffer_size`` records.
-
-        The probe, the fast path and chunked bypasses all emit raw this
-        way.  Record boundaries continue sequentially from the source
-        cursor (the probe offset), exactly as the resident-buffer sender
-        chunked ``data[offset:]`` — intentionally not re-aligned to a
-        global buffer grid.  ``chunk`` is a first record already read
-        from the source; ``progress`` is told of every send call that
-        moved bytes.
-        """
-        wire = 0
-        while True:
-            if chunk is None:
-                chunk = source.read(cfg.buffer_size)
-            if not len(chunk):
-                break
-            rec = Record(0, len(chunk), chunk)
-            wire += sendall_vectors(self.endpoint, [rec.header_bytes(), chunk], progress)
-            chunk = None
-        return wire
+    def _send_records(
+        self, records: Iterable[Record], progress: Callable[[], None] | None = None
+    ) -> None:
+        """Send raw records, one vectored send each; ``progress`` is told
+        of every send call that moved bytes."""
+        for rec in records:
+            sendall_vectors(self.endpoint, [rec.header_bytes(), rec.payload], progress)
 
     # -- the adaptive pipeline -----------------------------------------------
 
     def _start_pipeline(
-        self,
-        source: ChunkSource,
-        cfg: AdocConfig,
-        remaining: int | None,
-        gate: _ProbeGate | None = None,
+        self, msg: MessageSend, cfg: AdocConfig, gate: _ProbeGate | None = None
     ) -> _Pipeline:
-        """Start the compression thread over the source's remainder.
+        """Start the compression thread over the rest of the message.
 
-        ``remaining`` is a size hint (``None`` = unknown) used to decide
-        whether pooled compression is worth engaging; ``gate`` holds the
-        dispatcher back while the message's probe is on the wire.
+        ``gate`` holds the dispatcher back while the message's probe is
+        on the wire.
         """
         tele = resolve_telemetry(cfg)
-        pool = self._resolve_pool(cfg, remaining)
-        plan = SendPlanner(
-            cfg, self.divergence, tele, pool.workers if pool is not None else 0,
-            records=self.records,
-        )
-        pipe = _Pipeline(PacketQueue(cfg.queue_capacity, tele, "send"), plan, gate)
+        pool = self._resolve_pool(cfg, msg.total)
+        msg.pipeline(pool.workers if pool is not None else 0)
+        pipe = _Pipeline(PacketQueue(cfg.queue_capacity, tele, "send"), gate)
         pipe.thread = threading.Thread(
-            target=self._compression_thread,
-            args=(source, cfg, pipe, pool, tele),
+            target=self._dispatch,
+            args=(msg, cfg, pipe, pool, tele),
             name="adoc-compress",
             daemon=True,
         )
         pipe.thread.start()
         return pipe
 
-    def _finish_pipeline(self, pipe: _Pipeline, cfg: AdocConfig) -> SendResult:
-        """Run the emission loop until the compression thread is done.
-
-        Returns the planner's part of the message's result (for a
-        known length, the payload after the probe).
-        """
+    def _finish_pipeline(self, pipe: _Pipeline, cfg: AdocConfig) -> None:
+        """Run the emission loop until the compression thread is done."""
         try:
             with resolve_telemetry(cfg).span("emit"):
                 self._emission_loop(pipe.queue, cfg)
@@ -586,7 +451,6 @@ class MessageSender:
                 ) from exc
             raise
         self._join_pipeline(pipe, cfg)
-        return pipe.plan.result()
 
     def _abandon_pipeline(self, pipe: _Pipeline, cfg: AdocConfig) -> None:
         """Stop a message's compression thread after a failure, bounded.
@@ -618,38 +482,20 @@ class MessageSender:
                 ) from exc
             raise exc
 
-    def _compression_thread(
-        self,
-        source: ChunkSource,
-        cfg: AdocConfig,
-        pipe: _Pipeline,
-        pool: Any,
-        tele: Telemetry,
-    ) -> None:
-        try:
-            self._dispatch(source, cfg, pipe, pool, tele)
-        except QueueClosed:
-            pass  # emission side failed; it carries the real error
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            pipe.error.append(exc)
-        finally:
-            pipe.queue.close()
-
     def _resolve_pool(self, cfg: AdocConfig, remaining: int | None):
         """The shared codec pool to compress on, or ``None`` for a window of one.
 
+        ``remaining`` is the message's length (``None`` = unknown).
+
         ``compress_workers=0`` opts out (the paper's original two-thread
-        pipeline); a compression-disabled stream is all raw records, so
-        pooling would be pure overhead.  Short pipelines stay serial
-        too: pooling pays per-buffer hand-off latency to buy overlap,
-        which only exists when there are several buffers to overlap —
-        and the hand-off gaps would let the emission side drain the
-        queue between buffers, distorting the Figure-2 signal for
-        messages too short to ever reach steady state.  Unknown-length
-        sources (pipes) take the pooled path: they are open-ended
-        streams.  The import is lazy because :mod:`repro.serve` sits
-        above this module in the package graph (its channels import the
-        sender's framing helpers).
+        pipeline); a compression-disabled stream is all raw records.
+        Short pipelines stay serial too: pooling pays per-buffer
+        hand-off latency to buy overlap, and the hand-off gaps would let
+        the emission side drain the queue between buffers, distorting
+        the Figure-2 signal for messages too short to reach steady
+        state.  Unknown-length sources (pipes) are open-ended, so they
+        pool.  The import is lazy: :mod:`repro.serve` sits above this
+        module in the package graph.
         """
         if cfg.compress_workers == 0 or cfg.compression_disabled:
             return None
@@ -665,15 +511,17 @@ class MessageSender:
 
     def _dispatch(
         self,
-        source: ChunkSource,
+        msg: MessageSend,
         cfg: AdocConfig,
         pipe: _Pipeline,
         pool: Any,
         tele: Telemetry,
     ) -> None:
-        """Feed the source through the planner, emitting outcomes in order.
+        """The compression thread: the message's buffers through its planner.
 
-        Codec jobs run on ``pool`` — completions arrive strictly in
+        Outcomes go to the queue in submission order, which is closed on
+        exit; an error is left in ``pipe.error`` for the caller.  Codec
+        jobs run on ``pool`` — completions arrive strictly in
         submission order through the pool's per-key FIFO reinsertion —
         or, without a pool, synchronously on this thread.  Queue
         backpressure blocks *this* thread (when it enqueues completed
@@ -684,23 +532,24 @@ class MessageSender:
 
         With a probe gate, buffer 0 is decided and submitted while the
         probe is on the wire if the gate opens; the loop goes on once the
-        probe is timed.  A fast-path route ends the dispatcher there, a
-        buffer already read handed back raw once its job is done.  The
-        ``compress`` span starts when the gate opens or the probe routes
-        the message to the pipeline, whichever is first.
+        probe is timed.  A fast-path route ends the dispatcher there; a
+        buffer already read goes back to the message, to be sent raw,
+        once its job is done.  The ``compress`` span starts when the gate
+        opens or the probe routes the message to the pipeline, whichever
+        is first.
         """
         from ..serve.pool import PoolClosed
 
-        queue, plan, gate = pipe.queue, pipe.plan, pipe.gate
+        queue, plan, gate = pipe.queue, msg.plan, pipe.gate
         completions = _CompletionFIFO()
         stream_key = object()  # per-message identity for in-order delivery
         timeout = cfg.io_timeout_s
 
-        def submit(job: tuple | None) -> bool:
-            """Start the codec job of ``(buf, level)``; False for ``None`` (read out)."""
+        def submit(job: tuple | None) -> None:
+            """Start the codec job of ``(buf, level)``; ``None``: read out."""
             nonlocal pool
             if job is None:
-                return False
+                return
             buf, level = job
             if pool is not None:
                 try:
@@ -711,7 +560,7 @@ class MessageSender:
                         timeout=timeout,
                     )
                     plan.submit(buf, level)
-                    return True
+                    return
                 except PoolClosed:
                     # Drain the window (its completions still arrive in
                     # order), then go on serially.
@@ -726,17 +575,10 @@ class MessageSender:
                 completions.push((outcome, None))
             except Exception as exc:
                 completions.push((None, exc))
-            return True
 
-        def decide() -> int:
-            return plan.decide(self._queued_packets(queue), self.clock())
+        def queued() -> int:
+            return self._queued_packets(queue)
 
-        def read_decide(choose: Callable[[], int]) -> tuple | None:
-            """Read the next buffer, then choose its level: ``(buf, level)``, or ``None``."""
-            buf = source.read(cfg.buffer_size)
-            return (buf, choose()) if len(buf) else None
-
-        exhausted = False
         try:
             claimed = gate is not None and gate.claim(timeout)
             if gate is not None and not claimed and gate.route(timeout) != PIPELINE:
@@ -745,9 +587,7 @@ class MessageSender:
                 if claimed:
                     job = None
                     try:
-                        job = read_decide(
-                            lambda: plan.decide_during_probe(gate.probe_bytes, self.clock())
-                        )
+                        job = msg.next_job(None, self.clock)
                     finally:
                         gate.decided(None if job is None else job[1])
                     submit(job)
@@ -757,21 +597,20 @@ class MessageSender:
                     outcome = completions.pop(timeout) if plan.inflight else None
                     if route == FAST_PATH:
                         if outcome is not None:
-                            pipe.raw_first = plan.withdraw()
+                            msg.withdraw()
                         return
                     if outcome is not None:
                         # Buffer 0's outcome (its codec rate, a guard trip)
                         # is the next decision's evidence, and its packets
                         # queue after that decision.
                         first = plan.complete(*outcome)
-                        job = read_decide(decide)
+                        job = msg.next_job(queued, self.clock)
                         for pkt in first:
                             queue.put(pkt, timeout)
-                        exhausted = not submit(job)
+                        submit(job)
                 while True:
-                    # Read, then decide: one decision per buffer.
-                    while not exhausted and plan.can_submit():
-                        exhausted = not submit(read_decide(decide))
+                    while not msg.read_out and plan.can_submit():
+                        submit(msg.next_job(queued, self.clock))
                     if not plan.inflight:
                         return
                     # The planner drops the buffer from its window *before*
@@ -780,14 +619,16 @@ class MessageSender:
                     # completions still genuinely outstanding.
                     for pkt in plan.complete(*completions.pop(timeout)):
                         queue.put(pkt, timeout)
-        except BaseException:
+        except BaseException as exc:  # noqa: BLE001 - reported to caller
             # The message is dead (emission failed, deadline, …).  The
             # borrowed input buffers captured by in-flight jobs must not
             # outlive the send call (the caller may reuse them the
-            # moment it returns), so wait — bounded — for the stragglers
-            # before unwinding.
+            # moment it returns), so wait — bounded — for the stragglers.
             completions.drain(plan.inflight, cfg.join_timeout_s)
-            raise
+            if not isinstance(exc, QueueClosed):  # else emission failed first
+                pipe.error.append(exc)
+        finally:
+            queue.close()
 
     def _emission_loop(self, queue: PacketQueue, cfg: AdocConfig) -> None:
         """Drain the queue into the socket, observing per-buffer rates.

@@ -6,10 +6,10 @@ socket with a :class:`~repro.serve.reactor.Reactor` and moves bytes
 only when the kernel says it can.  Both directions drive the planners
 the blocking engine drives: reads go through the same
 :class:`~repro.core.receiver.StreamingParser` and
-:class:`~repro.core.receiver.ReceivePlanner`, writes drain framing built
-by :func:`~repro.core.sender.raw_message_vectors` and the
-:class:`~repro.core.planner.SendPlanner`.  So the two modes are
-byte-compatible on the wire by construction, and account alike.
+:class:`~repro.core.receiver.ReceivePlanner`, writes drain what one
+:class:`~repro.core.planner.MessageSend` per message frames and plans.
+So the two modes are byte-compatible on the wire by construction, and
+account alike.
 
 CPU-heavy codec work never runs on the loop thread: compression and
 decompression are submitted to a :class:`~repro.serve.pool.WorkerPool`
@@ -44,10 +44,9 @@ from ..core.config import AdocConfig, DEFAULT_CONFIG
 from ..core.deadlines import DeadlineExceeded, TransferError
 from ..core.divergence import CodecRates, ConnectionRecords, DivergenceGuard
 from ..core.fifo import QueuedPacket
-from ..core.packets import MESSAGE_HEADER_SIZE, ProtocolError, pack_message_header
-from ..core.planner import BYPASS, EmissionWindows, SendPlanner, SendResult, message_route
+from ..core.packets import ProtocolError
+from ..core.planner import BYPASS, EmissionWindows, MessageSend
 from ..core.receiver import ReceivePlanner, StreamingParser, decode_record
-from ..core.sender import raw_message_vectors
 from ..core.sources import BytesSource
 from ..core.stats import ConnectionStats
 from ..obs.telemetry import Telemetry, resolve_telemetry
@@ -381,18 +380,19 @@ class AdocChannel(_ChannelBase):
     """AdOC framing over a non-blocking socket, codec work pooled.
 
     One ``send_message`` call is one message on the wire, exactly as one
-    ``adoc_write`` is in the blocking engine.  Messages the shared
-    ladder (:func:`~repro.core.planner.message_route`) bypasses are
-    framed raw inline; the channel has no probe, so every other message
-    is cut into ``buffer_size`` buffers and driven through a
-    :class:`~repro.core.planner.SendPlanner` — the same
-    Figure-2 decisions, slow-start window and codec-failure rule as the
-    blocking dispatcher — with the codec jobs on the worker pool and
-    their packets enqueued in buffer order (the pool's per-key FIFO
+    ``adoc_write`` is in the blocking engine, and one
+    :class:`~repro.core.planner.MessageSend`: its framing, route and
+    ledger come from the core the blocking sender drives.  A bypassed
+    message is framed raw inline.  The channel still sends no probe, so
+    every other message goes through the core's
+    :class:`~repro.core.planner.SendPlanner` — the same Figure-2
+    decisions, slow-start window and codec-failure rule as the blocking
+    dispatcher — with the codec jobs on the worker pool and their
+    packets enqueued in buffer order (the pool's per-key FIFO
     reinsertion plus the reactor's ordered cross-thread queue make that
-    order-safe even with every worker busy).  The planner's queue
-    reading is the write backlog in packets, and its ledger is the
-    message's send half of :attr:`stats`.  Inbound records go through a
+    order-safe even with every worker busy).  The queue reading is the
+    write backlog in packets, and each message's result is its send
+    half of :attr:`stats`.  Inbound records go through a
     :class:`~repro.core.receiver.ReceivePlanner` the same way.
 
     The channel's :class:`~repro.core.divergence.ConnectionRecords` are
@@ -423,11 +423,10 @@ class AdocChannel(_ChannelBase):
         # Decode jobs not yet on the pool (it refused one), in order.
         self._rx_parked: deque[tuple[int, bytes, int]] = deque()
         self._retry_timer = None
-        # Send side: one message at a time through the planner; later
+        # Send side: one message at a time through the core; later
         # messages park until its packets are all enqueued.
         self._tx_msgq: deque[bytes | bytearray | memoryview] = deque()
-        self._plan: SendPlanner | None = None
-        self._tx_source: BytesSource | None = None  # None once read out
+        self._tx: MessageSend | None = None
         self._tx_next: tuple[memoryview, int] | None = None  # pool refused
         # Records persisting across messages; the divergence records are
         # fed as packets reach the kernel: (wire offset, packet) marks.
@@ -457,21 +456,18 @@ class AdocChannel(_ChannelBase):
         self._next_message()
 
     def _next_message(self) -> None:
-        cfg = self.config
-        while self._plan is None and self._tx_msgq:
-            data = self._tx_msgq.popleft()
-            total = len(data)
-            if message_route(total, cfg) == BYPASS:
-                vectors = raw_message_vectors(data)
-                self.stats.record_send(SendResult(total, sum(map(len, vectors)), 0.0))
-                self._enqueue(vectors)
-                continue
-            self._enqueue([pack_message_header(total, length_known=True)])
-            self._plan = SendPlanner(
-                cfg, self.divergence, self._tele, self.pool.workers,
-                records=self.records,
+        while self._tx is None and self._tx_msgq:
+            msg = MessageSend(
+                BytesSource(self._tx_msgq.popleft()), self.config, self._tele, self.records
             )
-            self._tx_source = BytesSource(data)
+            if msg.route == BYPASS:
+                wire = [v for vectors in msg.bypass() for v in vectors]
+                self.stats.record_send(msg.result(0.0))
+                self._enqueue(wire)
+                continue
+            self._enqueue([msg.header()])
+            msg.pipeline(self.pool.workers)
+            self._tx = msg
             self._windows.open(time.monotonic())
             self._pump_tx()
 
@@ -481,17 +477,15 @@ class AdocChannel(_ChannelBase):
 
     def _pump_tx(self) -> None:
         """Read, decide and submit buffers while the planner's window has room."""
-        plan = self._plan
-        if plan is None or self._closed:
+        msg = self._tx
+        if msg is None or self._closed:
             return
-        while self._tx_source is not None and plan.can_submit():
+        plan = msg.plan
+        while not msg.read_out and plan.can_submit():
             if self._tx_next is None:
-                # Read, then decide: one decision per buffer.
-                buf = self._tx_source.read(self.config.buffer_size)
-                if not len(buf):
-                    self._tx_source = None
+                self._tx_next = msg.next_job(self._queued_packets, time.monotonic)
+                if self._tx_next is None:
                     break
-                self._tx_next = (buf, plan.decide(self._queued_packets(), time.monotonic()))
             buf, level = self._tx_next
             try:
                 accepted = self.pool.try_submit(
@@ -507,9 +501,9 @@ class AdocChannel(_ChannelBase):
                 return
             plan.submit(buf, level)
             self._tx_next = None
-        if self._tx_source is None and not plan.inflight:
-            self._plan = None
-            self.stats.record_send(plan.result(SendResult(0, MESSAGE_HEADER_SIZE, 0.0)))
+        if msg.read_out and not plan.inflight:
+            self._tx = None
+            self.stats.record_send(msg.result(0.0))
             if not self._pending_tx:
                 self._windows.close(time.monotonic())
             self._next_message()
@@ -521,11 +515,11 @@ class AdocChannel(_ChannelBase):
         self.reactor.call_soon_threadsafe(partial(self._tx_enqueue_packets, outcome, error))
 
     def _tx_enqueue_packets(self, outcome, error) -> None:
-        if self._closed or self._plan is None:
+        if self._closed or self._tx is None:
             return
         offset = self.bytes_out + self._pending_tx
         vectors: list[bytes | memoryview] = []
-        for pkt in self._plan.complete(outcome, error):
+        for pkt in self._tx.plan.complete(outcome, error):
             self._marks.append((offset, pkt))
             offset += pkt.wire_length
             vectors += (pkt.prefix, pkt.payload)
@@ -543,7 +537,7 @@ class AdocChannel(_ChannelBase):
         now = time.monotonic()
         while self._marks and self._marks[0][0] < self.bytes_out:
             self._windows.leaving(self._marks.popleft()[1], now)
-        if not self._pending_tx and self._plan is None:
+        if not self._pending_tx and self._tx is None:
             self._windows.close(now)
 
     # -- receive -----------------------------------------------------------
@@ -617,7 +611,7 @@ class AdocChannel(_ChannelBase):
         return rx_drained and super()._may_resume()
 
     def _on_eof(self) -> None:
-        if self._rx.pending or self._plan is not None or self._wq:
+        if self._rx.pending or self._tx is not None or self._wq:
             # Let in-flight decodes/writes finish before reporting EOF
             # (or a truncated frame), as the blocking receiver does; the
             # socket stays readable at EOF, so stop polling it meanwhile.

@@ -3,12 +3,12 @@
 The simulator is the third thin driver over :mod:`repro.core.planner`,
 beside the blocking :class:`~repro.core.sender.MessageSender` and the
 reactor's :class:`~repro.serve.channel.AdocChannel`.  The section-5
-ladder (:func:`~repro.core.planner.message_route`), the probe's level-0
-evidence, the Figure-2 decisions, both guards and the send ledger
-(:class:`~repro.core.planner.SendPlanner`), packetisation and the
-emission windows (:class:`~repro.core.planner.EmissionWindows`) are the
-live code; only the costs — codec time and ratio, wire time — come from
-the calibrated model instead of real execution.  What is simulated:
+ladder, framing, probe and ledger (:class:`~repro.core.planner.MessageSend`),
+the Figure-2 decisions and both guards (its ``SendPlanner``),
+packetisation and the emission windows
+(:class:`~repro.core.planner.EmissionWindows`) are the live code; only
+the costs — codec time and ratio, wire time — come from the calibrated
+model instead of real execution.  What is simulated:
 
 * **compression process** — the probe goes raw straight into the socket
   buffer and is timed on the virtual clock; down the pipeline a
@@ -45,9 +45,10 @@ from ..core.compressor import MIN_CONSUMED_FOR_GUARD
 from ..core.config import AdocConfig, DEFAULT_CONFIG
 from ..core.divergence import DivergenceGuard
 from ..core.guards import IncompressibleGuard
-from ..core.packets import MESSAGE_HEADER_SIZE, RECORD_HEADER_SIZE, Record
-from ..core.planner import BYPASS, FAST_PATH, PROBE, EmissionWindows, SendPlanner, SendResult
-from ..core.planner import message_route, observe_probe, record_packets
+from ..core.packets import Record
+from ..core.planner import BYPASS, FAST_PATH, PROBE, EmissionWindows, MessageSend, SendResult
+from ..core.planner import record_packets
+from ..core.sources import BytesSource
 from ..obs.telemetry import NULL_TELEMETRY
 from ..transport.profiles import NetworkProfile
 from .costmodel import DataProfile, LevelCost
@@ -216,60 +217,45 @@ def simulate_adoc_message(
     cfg = config
     rng = random.Random(seed)
     link = _Link(profile, rng, rate_schedule)
+    divergence = (divergence or DivergenceGuard(cfg.divergence_forbid_s)) if use_divergence else None
+    # Zeros: calloc'd, so even a large message costs no resident memory.
+    msg = MessageSend(BytesSource(bytes(size)), cfg, NULL_TELEMETRY, divergence=divergence)
 
-    route = message_route(size, cfg)
-    if route == BYPASS:
-        wire = MESSAGE_HEADER_SIZE + (RECORD_HEADER_SIZE if size else 0) + size
+    if msg.route == BYPASS:
+        wire = sum(len(v) for vectors in msg.bypass() for v in vectors)
         base = simulate_posix_message(wire, profile, seed, rate_schedule)
-        return SimTransferResult(size, wire, base.elapsed_s + ADOC_FRAMING_S)
+        return msg.result(base.elapsed_s + ADOC_FRAMING_S, SimTransferResult(0, 0, 0.0))
 
     env = Environment()
     sock = Store(env, capacity=profile.buffer_bytes)
     recv_sock = Store(env, capacity=profile.buffer_bytes)
     queue = Store(env, capacity=cfg.queue_capacity)
     recv_queue = Store(env, capacity=cfg.recv_queue_packets)
-
-    if use_divergence:
-        divergence = divergence or DivergenceGuard(cfg.divergence_forbid_s)
-    else:
-        divergence = None
-    plan = SendPlanner(cfg, divergence, NULL_TELEMETRY, adapter_factory=adapter_factory)
     windows = EmissionWindows(divergence)
-    # Every modelled payload is a view of this one buffer.
-    zeros = memoryview(bytes(cfg.buffer_size))
-    # What the driver sends itself; the planner adds the pipeline's part.
-    result = SimTransferResult(0, MESSAGE_HEADER_SIZE, 0.0)
+    msg.header()  # counted; the modelled wire starts at the first record
     state = {"done_at": None, "delivered": 0}
 
-    def send_raw(nbytes: int):
-        # Raw records of up to buffer_size, straight into the socket
-        # buffer: the live code sends the probe and the fast path
-        # inline, before any thread exists.
-        for off in range(0, nbytes, cfg.buffer_size):
-            k = min(cfg.buffer_size, nbytes - off)
-            result.payload_bytes += k
-            for pkt in record_packets(Record(0, k, zeros[:k]), cfg.packet_size):
-                result.wire_bytes += pkt.wire_length
+    def send_raw(records):
+        # Raw records straight into the socket buffer: the live code
+        # sends the probe and the fast path inline, before any thread
+        # exists.
+        for rec in records:
+            for pkt in record_packets(rec, cfg.packet_size):
                 yield sock.put(pkt, weight=pkt.wire_length)
 
     def compression_proc():
-        offset = 0
-        if route == PROBE:
-            probe = min(cfg.probe_size, size)
+        if msg.route == PROBE:
             t0 = env.now
-            yield from send_raw(probe)
-            result.probe_bps = observe_probe(divergence, probe, env.now - t0)
-            offset = probe
-            if message_route(size, cfg, result.probe_bps) == FAST_PATH:
-                result.fast_path = True
-                yield from send_raw(size - offset)
+            yield from send_raw(msg.probe(t0))
+            if msg.probe_timed(t0, env.now) == FAST_PATH:
+                yield from send_raw(msg.raw_records())
                 queue.close()
                 return
+        plan = msg.pipeline(adapter_factory=adapter_factory)
         yield Timeout(THREAD_STARTUP_S)
         windows.open(env.now)
-        while offset < size:
-            level = plan.decide(queue.size(), env.now)
-            buf = zeros[: min(cfg.buffer_size, size - offset)]
+        while (job := msg.next_job(queue.size, lambda: env.now)) is not None:
+            buf, level = job
             plan.submit(buf, level)
             cost = data.cost(level)
             outcome, charged = _modelled_codec(buf, level, cost, plan.guard, cfg)
@@ -280,7 +266,6 @@ def simulate_adoc_message(
                     yield Timeout(pkt.original_bytes / cpu_bps)
                     charged -= pkt.original_bytes
                 yield queue.put(pkt)
-            offset += len(buf)
         queue.close()
 
     def emission_proc():
@@ -339,12 +324,12 @@ def simulate_adoc_message(
 
     elapsed = state["done_at"] if state["done_at"] is not None else env.now
     elapsed += ADOC_FRAMING_S
-    if not result.fast_path:
+    if msg.route != FAST_PATH:
         # The pipelined wire pattern loses a fraction of an RTT to
         # transport stalls (Table 2 calibration).
         elapsed += PIPELINE_STALL_RTTS * profile.rtt_s
-        plan.result(result)
-    result.elapsed_s = elapsed
-    result.decisions = getattr(plan.adapter, "history", [])
-    result.queue_peak = queue.peak_size
-    return result
+    return msg.result(elapsed, SimTransferResult(
+        0, 0, 0.0,
+        queue_peak=queue.peak_size,
+        decisions=[] if msg.plan is None else getattr(msg.plan.adapter, "history", []),
+    ))

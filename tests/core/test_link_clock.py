@@ -21,7 +21,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import AdocConfig, AdocSocket, MessageSender
-from repro.core import sender as sender_mod
+from repro.core import planner as planner_mod
 from repro.core.divergence import DivergenceGuard
 from repro.core.fifo import QueuedPacket
 from repro.core.planner import EmissionWindows, SendPlanner
@@ -292,7 +292,7 @@ class TestLan100Skew:
                 plans.append(self)
 
         monkeypatch.setattr(DivergenceGuard, "observe", record)
-        monkeypatch.setattr(sender_mod, "SendPlanner", Recording)
+        monkeypatch.setattr(planner_mod, "SendPlanner", Recording)
         # A host that stalls the sending thread leaves the link idle,
         # which can only slow the probe or a window; the send clock's
         # skew shows on every transfer.  So one clean transfer of three

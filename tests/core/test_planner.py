@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.core import AdocConfig
+from repro.core import planner as planner_mod
 from repro.core import sender as sender_mod
 from repro.core.compressor import compress_buffer
 from repro.core.divergence import CodecRates, ConnectionRecords, DivergenceGuard
@@ -333,7 +334,7 @@ class TestCodecRules:
                 super().__init__(*args, **kwargs)
                 made.append(self)
 
-        monkeypatch.setattr(sender_mod, "SendPlanner", Recording)
+        monkeypatch.setattr(planner_mod, "SendPlanner", Recording)
 
         class Sink:
             def send(self, data) -> int:

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import AdocConfig, ReceiverPipeline
+from repro.core import planner as planner_mod
 from repro.core import sender as sender_mod
 from repro.data import ascii_data, incompressible_data
 from repro.obs.telemetry import Telemetry
@@ -81,12 +82,12 @@ def made(monkeypatch):
     """Every planner the blocking driver builds."""
     plans: list = []
 
-    class Recording(sender_mod.SendPlanner):
+    class Recording(planner_mod.SendPlanner):
         def __init__(self, *args, **kwargs) -> None:
             super().__init__(*args, **kwargs)
             plans.append(self)
 
-    monkeypatch.setattr(sender_mod, "SendPlanner", Recording)
+    monkeypatch.setattr(planner_mod, "SendPlanner", Recording)
     return plans
 
 

@@ -15,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import AdocConfig
+from repro.core import planner as planner_mod
 from repro.core import sender as sender_mod
 from repro.core.divergence import CodecRates, ConnectionRecords, DivergenceGuard
 from repro.core.packets import Record
@@ -245,9 +246,9 @@ class TestProbeOncePerConnection:
         probes: list[int] = []
         real = sender_mod.MessageSender._probe
 
-        def counting(self, source, total, cfg):
-            probes.append(total)
-            return real(self, source, total, cfg)
+        def counting(self, msg, probe, cfg):
+            probes.append(msg.total)
+            return real(self, msg, probe, cfg)
 
         monkeypatch.setattr(sender_mod.MessageSender, "_probe", counting)
         sender = sender_mod.MessageSender(Sink(), CFG, StepClock())
@@ -271,7 +272,7 @@ class Recording(SendPlanner):
 @pytest.fixture
 def made(monkeypatch):
     Recording.made = []
-    monkeypatch.setattr(sender_mod, "SendPlanner", Recording)
+    monkeypatch.setattr(planner_mod, "SendPlanner", Recording)
     return Recording.made
 
 

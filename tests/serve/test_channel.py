@@ -8,7 +8,8 @@ import pytest
 
 from repro.core import AdocConfig
 from repro.core.api import adoc_attach, adoc_detach, adoc_read, adoc_write
-from repro.core.sender import MessageSender, raw_message_vectors
+from repro.core.planner import raw_message_vectors
+from repro.core.sender import MessageSender
 from repro.data import ascii_data
 from repro.serve.channel import AdocChannel, NonBlockingEndpoint, PlainChannel
 from repro.serve.pool import WorkerPool

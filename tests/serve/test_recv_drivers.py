@@ -31,8 +31,8 @@ from repro.core.packets import (
     pack_message_header,
     pack_record_header,
 )
+from repro.core.planner import raw_message_vectors
 from repro.core.receiver import ReceivePlanner, decode_record
-from repro.core.sender import raw_message_vectors
 from repro.core.stats import ConnectionStats, _Snapshot
 from repro.data import ascii_data, binary_data
 from repro.obs import Telemetry

@@ -10,12 +10,14 @@ scripted level-0 record, they fence the same levels at the same
 decisions.  The guard tests pin
 the codec-failure and incompressible rules on the reactor path, and the
 slow-reader test shows it adapts for real.
-The ladder test adds the third driver, the simulator: all three take
-the planner's bypass verdict.
+The ladder tests add the third driver, the simulator: all three take
+the core's bypass verdict, and the blocking sender and the simulator
+frame and count a fast-path message alike.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import random
 import socket
@@ -26,10 +28,11 @@ from dataclasses import replace
 import pytest
 
 from repro.core import AdocConfig, AdocSocket, MessageSender
+from repro.core import planner as planner_mod
 from repro.core import sender as sender_mod
 from repro.core.compressor import compress_buffer
 from repro.core.divergence import DivergenceGuard
-from repro.core.packets import END_LEVEL
+from repro.core.packets import END_LEVEL, MESSAGE_HEADER_SIZE, RECORD_HEADER_SIZE
 from repro.core.planner import BYPASS, SendPlanner, message_route
 from repro.core.receiver import StreamingParser
 from repro.data import ascii_data
@@ -38,7 +41,7 @@ from repro.serve import channel as channel_mod
 from repro.serve.channel import AdocChannel
 from repro.serve.pool import WorkerPool, shutdown_shared_pool
 from repro.simulator import profile_by_name, simulate_adoc_message
-from repro.transport import LAN100, socketpair_endpoints
+from repro.transport import GBIT, LAN100, socketpair_endpoints
 from repro.transport.socket_transport import SocketEndpoint
 
 from .test_channel import Collector
@@ -90,8 +93,7 @@ def planners(monkeypatch):
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    monkeypatch.setattr(sender_mod, "SendPlanner", Recording)
-    monkeypatch.setattr(channel_mod, "SendPlanner", Recording)
+    monkeypatch.setattr(planner_mod, "SendPlanner", Recording)
     return made
 
 
@@ -323,6 +325,47 @@ class TestLadderParity:
         sim = simulate_adoc_message(size, profile_by_name("ascii"), LAN100, cfg)
         assert (not sim.pipeline_used and sim.probe_bps is None) is bypass
 
+    def test_blocking_and_simulator_fast_paths_match(self):
+        """A probe over a very fast link: the rest goes raw, counted alike."""
+        cfg = AdocConfig(io_timeout_s=None)
+        size = 1_500_000
+        data = ascii_data(size, seed=5)
+        # A clock that ticks 1 µs per reading times the probe as very
+        # fast however the host schedules the sends.
+        ticks = itertools.count()
+        ep = CollectEndpoint()
+        blocking = MessageSender(ep, cfg, clock=lambda: next(ticks) * 1e-6).send(data)
+        sim = simulate_adoc_message(size, profile_by_name("ascii"), GBIT, cfg)
+
+        fields = ("payload_bytes", "wire_bytes", "fast_path", "pipeline_used")
+        assert [getattr(blocking, f) for f in fields] == [getattr(sim, f) for f in fields]
+        assert blocking.fast_path and not blocking.pipeline_used
+        # The header, then raw records: the probe's, then the rest's.
+        records = -(-cfg.probe_size // cfg.buffer_size)
+        records += -(-(size - cfg.probe_size) // cfg.buffer_size)
+        assert blocking.wire_bytes == len(ep.wire)
+        assert len(ep.wire) == MESSAGE_HEADER_SIZE + records * RECORD_HEADER_SIZE + size
+
+    def test_an_unknown_length_stream_counts_its_whole_wire(self):
+        """Header, pipeline and END record all land in ``wire_bytes``."""
+
+        class Pipe:
+            """Unseekable, with short reads, as a pipe is."""
+
+            def __init__(self, data: bytes) -> None:
+                self._data = io.BytesIO(data)
+
+            def read(self, n: int) -> bytes:
+                return self._data.read(min(n, 3000))
+
+        ep = CollectEndpoint()
+        result = MessageSender(ep, CFG).send_stream(Pipe(DATA))
+        assert result.pipeline_used and result.payload_bytes == len(DATA)
+        assert result.wire_bytes == len(ep.wire)
+        parser = StreamingParser()
+        records = parser.feed(bytes(ep.wire))
+        assert parser.messages == 1 and records[-1].level == END_LEVEL
+
 
 BUFFERS = [
     DATA[off : off + CFG.buffer_size] for off in range(0, len(DATA), CFG.buffer_size)
@@ -452,8 +495,7 @@ class TestIncompressibleHoldoff:
             DivergenceGuard, "filter_level", lambda self, level, now: level
         )
         Serialized.made = []
-        monkeypatch.setattr(sender_mod, "SendPlanner", Serialized)
-        monkeypatch.setattr(channel_mod, "SendPlanner", Serialized)
+        monkeypatch.setattr(planner_mod, "SendPlanner", Serialized)
 
     @pytest.mark.parametrize("driver", ["blocking", "channel"])
     def test_the_decision_after_a_trip_is_held_at_min_level(

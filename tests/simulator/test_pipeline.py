@@ -8,13 +8,13 @@ import pytest
 
 from repro.core import DEFAULT_CONFIG
 from repro.core.divergence import DivergenceGuard
+from repro.core import planner as planner_mod
 from repro.core.planner import SendPlanner
 from repro.simulator import (
     profile_by_name,
     simulate_adoc_message,
     simulate_posix_message,
 )
-from repro.simulator import pipeline as pipeline_mod
 from repro.transport import GBIT, INTERNET, LAN100, RENATER
 
 KB = 1024
@@ -212,7 +212,7 @@ class TestPlannerDriven:
                 self.tripped.append(outcome[1])
                 return super().complete(outcome, error)
 
-        monkeypatch.setattr(pipeline_mod, "SendPlanner", Recording)
+        monkeypatch.setattr(planner_mod, "SendPlanner", Recording)
         r = simulate_adoc_message(4 * MB, INCOMPRESSIBLE, LAN100, seed=1)
         (plan,) = made
         assert r.guard_trips == plan.guard.trips > 0
