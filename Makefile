@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos lockcheck lint check bench bench-smoke bench-compare bench-compress bench-paper fleet-smoke live-smoke live-ab trace-demo import-profile
+.PHONY: test chaos lockcheck lint check bench bench-smoke bench-compare bench-compress bench-paper sim-shapes fleet-smoke live-smoke live-ab trace-demo import-profile
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -61,6 +61,23 @@ bench-compare:
 # single-thread floor (docs/PERFORMANCE.md).
 bench-compress:
 	$(PYTHON) benchmarks/compress.py
+
+# Simulator shape checks: the paper's Figures 3-9, Table 2 and the
+# ablations, through the simulator (the third send driver over
+# core/planner.py); tier-1 (testpaths = tests/) never runs them.
+# Figures 8-9 size their matrices with the ASCII codec's bytes per
+# entry, so their simulator tests ride along; live or host-timed benches
+# (test_fig8_live_middleware, table1, live overhead) stay out.  CI's
+# bench job runs this target.
+SIM_SHAPES = benchmarks/test_fig3_*.py benchmarks/test_fig4_*.py \
+	benchmarks/test_fig5_*.py benchmarks/test_fig6_*.py \
+	benchmarks/test_fig7_*.py \
+	benchmarks/test_fig8_netsolve_lan.py::test_fig8 \
+	benchmarks/test_fig9_netsolve_internet.py::test_fig9 \
+	benchmarks/test_table2_latency.py benchmarks/test_ablation_*.py \
+	benchmarks/test_dynamic_environment.py
+sim-shapes:
+	$(PYTHON) -m pytest $(SIM_SHAPES) -q --benchmark-disable
 
 # Fleet push-mode smoke: aggregator + 3 pushing child processes,
 # merged exposition + merged cross-process Chrome trace

@@ -38,7 +38,7 @@ def test_adaptation_policy_tournament(benchmark):
         for name, kwargs in POLICY_SETUPS:
             out[name] = simulate_adoc_message(
                 16 * MB, data, RENATER, seed=5,
-                adapter_factory=make_policy(name, **kwargs),
+                policy=make_policy(name, **kwargs),
             )
         return out
 

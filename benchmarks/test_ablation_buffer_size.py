@@ -66,23 +66,11 @@ def test_buffer_size_reactivity(benchmark):
     megabytes of under-compressed data.  The adapter's decision trace
     gives the exact climb length.
     """
-    from repro.core.adaptation import LevelAdapter
-
     data = profile_by_name("ascii")
 
     def climb_bytes(buffer_size: int) -> int:
         cfg = AdocConfig(buffer_size=buffer_size)
-        traces = []
-
-        def factory(c, div, inc):
-            adapter = LevelAdapter(c, div, inc)
-            traces.append(adapter)
-            return adapter
-
-        simulate_adoc_message(
-            32 * MB, data, RENATER, cfg, seed=3, adapter_factory=factory
-        )
-        history = traces[0].history
+        history = simulate_adoc_message(32 * MB, data, RENATER, cfg, seed=3).decisions
         for i, t in enumerate(history):
             if t.level >= 8:
                 return i * buffer_size

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core import DEFAULT_CONFIG
-from repro.core.adaptation import LevelAdapter
 from repro.simulator import profile_by_name, simulate_adoc_message, simulate_posix_message
 from repro.transport import LAN100
 
@@ -35,17 +34,10 @@ def step_schedule(t: float) -> float:
 
 def test_bandwidth_step(benchmark):
     data = profile_by_name("ascii")
-    traces: list[LevelAdapter] = []
-
-    def factory(cfg, div, inc):
-        adapter = LevelAdapter(cfg, div, inc)
-        traces.append(adapter)
-        return adapter
 
     def run():
         adaptive = simulate_adoc_message(
             SIZE, data, LAN100, seed=1, rate_schedule=step_schedule,
-            adapter_factory=factory,
         )
         posix = simulate_posix_message(SIZE, LAN100, seed=1, rate_schedule=step_schedule)
         fixed_high = simulate_adoc_message(
@@ -57,7 +49,7 @@ def test_bandwidth_step(benchmark):
 
     adaptive, posix, fixed_high = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    history = traces[0].history
+    history = adaptive.decisions
     # Partition decisions by when the schedule was slow vs fast is not
     # directly recorded; use the level trajectory instead: it must rise
     # visibly somewhere mid-transfer (the slow phase) above its early

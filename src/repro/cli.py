@@ -282,6 +282,7 @@ def _cmd_trace_merge(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     if getattr(args, "trace_cmd", None) == "merge":
         return _cmd_trace_merge(args)
+    from .obs.timeline import render_timeline
     from .simulator import profile_by_name, simulate_adoc_message
     from .transport import ALL_PROFILES
 
@@ -290,17 +291,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     result = simulate_adoc_message(
         args.size_mb * 1024 * 1024, data, profile, seed=args.seed
     )
-    history = result.decisions
-    if not history:
-        print("(pipeline never started: small message or fast network)")
-    else:
-        from .bench.charts import sparkline
-
-        print(f"{'buf':>4} {'queue':>5} {'delta':>5} {'fig2':>4} {'used':>4}")
-        for i, t in enumerate(history):
-            print(f"{i:>4} {t.queue_size:>5} {t.delta:>+5} {t.raw_level:>4} {t.level:>4}")
-        print("level over time: " + sparkline([t.level for t in history], width=60))
-        print("queue over time: " + sparkline([t.queue_size for t in history], width=60))
+    print(render_timeline(result.decisions, table_rows=None))
     print(
         f"ratio {result.compression_ratio:.2f}, "
         f"time {result.elapsed_s:.2f}s, "
@@ -624,6 +615,13 @@ def _hostport(value: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+def _count(value: str) -> int:
+    """Parse a non-negative integer argument."""
+    if not value.isdigit():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value!r}")
+    return int(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adoc", description="AdOC adaptive online compression toolkit"
@@ -705,8 +703,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "demo transfer finishes)")
     p_top.add_argument("--repeat", type=int, default=1,
                        help="demo transfers to run back to back")
-    p_top.add_argument("--rows", type=int, default=10,
-                       help="decision-table rows shown per refresh")
+    p_top.add_argument("--rows", type=_count, default=10,
+                       help="decision-table rows shown per refresh (0: none)")
     p_top.add_argument("--size-mb", type=int, default=8)
     p_top.add_argument(
         "--data", default="ascii",

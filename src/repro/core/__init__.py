@@ -45,17 +45,13 @@ from .receiver import OutputBuffer, ReceiverPipeline
 from .sender import MessageSender
 from .stats import ConnectionStats
 
-# The alternative adapters are ablation baselines; the pipeline runs
-# LevelAdapter unless a caller passes one of these as adapter_factory.
+# The alternative control laws are ablation baselines; the pipeline's
+# LevelAdapter runs Figure 2 unless a caller passes one as ``policy``,
+# and applies the same guards and codec rules to either.
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "POLICIES": "policies",
-        "AimdAdapter": "policies",
-        "FixedLevelAdapter": "policies",
-        "NaiveStepAdapter": "policies",
-        "PaperAdapter": "policies",
-        "ThresholdAdapter": "policies",
         "make_policy": "policies",
     },
 )
@@ -90,11 +86,6 @@ __all__ = [
     "ConnectionStats",
     "POLICIES",
     "make_policy",
-    "PaperAdapter",
-    "NaiveStepAdapter",
-    "AimdAdapter",
-    "FixedLevelAdapter",
-    "ThresholdAdapter",
     "ReceiverPipeline",
     "OutputBuffer",
     "AdocSocket",

@@ -16,9 +16,14 @@ The transcription below is line-for-line Figure 2 of RR-5500::
     16. else:        if δ > 0   l += 2
     18. l = max(l, minLevel); l = min(l, maxLevel); return l
 
-:func:`update_level` is that pure function; :class:`LevelAdapter` is the
-stateful wrapper the pipeline uses, which also folds in the divergence
-guard and the incompressible-data holdoff (section 5).
+:func:`update_level` is that pure function and :func:`figure2` the
+control law built on it: ``(n, delta, level, config) -> proposed level``.
+:class:`LevelAdapter` is the stateful wrapper the pipeline uses, which
+applies a control law (Figure 2 unless told otherwise; the ablation's
+alternatives live in :mod:`repro.core.policies`) and folds in the
+divergence guard and the incompressible-data holdoff (section 5).
+Each decision is one :class:`AdaptationTrace`; its ``level_decision``
+trace event carries the same fields (:meth:`AdaptationTrace.event_args`).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .config import AdocConfig, DEFAULT_CONFIG
 from .divergence import DivergenceGuard
 from .guards import IncompressibleGuard
 
-__all__ = ["update_level", "LevelAdapter", "AdaptationTrace"]
+__all__ = ["update_level", "figure2", "LevelAdapter", "AdaptationTrace"]
 
 
 def update_level(
@@ -77,9 +82,34 @@ def update_level(
     return min(max(level, min_level), max_level)
 
 
+def figure2(n: int, delta: int, level: int, config: AdocConfig) -> int:
+    """Figure 2 over ``config``'s levels and thresholds: the default law."""
+    return update_level(
+        n, delta, level, config.min_level, config.max_level,
+        config.queue_low, config.queue_mid, config.queue_high,
+    )
+
+
+#: A control law: ``(n, delta, level, config) -> proposed level``.
+ControlLaw = Callable[[int, int, int, AdocConfig], int]
+
+
+#: ``level_decision`` event arg of each :class:`AdaptationTrace` field.
+_EVENT_ARGS = {
+    "queue_size": "n", "delta": "delta", "raw_level": "raw_level",
+    "level": "new_level", "forbidden": "forbidden", "holdoff": "holdoff",
+    "fenced": "fenced", "warm": "warm", "during_probe": "during_probe",
+}
+
+
 @dataclass
 class AdaptationTrace:
-    """One adaptation decision, recorded for diagnostics and tests."""
+    """One adaptation decision: Figure 2's view, its proposal, the level used.
+
+    ``raw_level`` is the control law's proposal (or the warm start that
+    stood in for it) and ``level`` the level the buffer gets; the flags
+    say what moved one to the other.
+    """
 
     queue_size: int
     delta: int
@@ -91,6 +121,15 @@ class AdaptationTrace:
     warm: bool = False
     during_probe: bool = False
 
+    def event_args(self) -> dict:
+        """This decision as ``level_decision`` event args."""
+        return {arg: getattr(self, field) for field, arg in _EVENT_ARGS.items()}
+
+    @classmethod
+    def from_args(cls, args: dict) -> AdaptationTrace:
+        """The decision a ``level_decision`` event's args record."""
+        return cls(**{field: args[arg] for field, arg in _EVENT_ARGS.items()})
+
 
 class LevelAdapter:
     """Stateful level controller combining Figure 2 with the guards.
@@ -100,9 +139,9 @@ class LevelAdapter:
 
     1. computes ``delta`` from the previous observed queue size (or
        from an empty queue, for a decision taken during the probe);
-    2. applies :func:`update_level`, unless the caller passes a
-       ``start`` level (the send planner's warm first decision), which
-       then stands in for Figure 2's output;
+    2. applies the control law ``policy`` (:func:`figure2` by default),
+       unless the caller passes a ``start`` level (the send planner's
+       warm first decision), which then stands in for its output;
     3. lets the :class:`~repro.core.divergence.DivergenceGuard` veto a
        level whose observed visible bandwidth is worse than a smaller
        level's (and respects its 1-second forbid window);
@@ -113,7 +152,7 @@ class LevelAdapter:
        send planner's codec-failure pin, rate fence and probation;
        ``args`` are extra ``level_decision`` trace args.
 
-    The level recorded, reported and used as Figure 2's next starting
+    The level recorded, reported and used as the law's next starting
     point is the one the buffer gets.
     """
 
@@ -124,8 +163,10 @@ class LevelAdapter:
         incompressible: IncompressibleGuard | None = None,
         telemetry: Telemetry | None = None,
         codec_rules: Callable[[int], tuple[int, bool, dict]] | None = None,
+        policy: ControlLaw | None = None,
     ) -> None:
         self.config = config
+        self.policy = figure2 if policy is None else policy
         self.divergence = divergence
         self.incompressible = incompressible
         self.codec_rules = codec_rules
@@ -148,15 +189,8 @@ class LevelAdapter:
         delta = 0 if previous is None else queue_size - previous
         self._last_queue_size = queue_size
 
-        raw = start if start is not None else update_level(
-            queue_size,
-            delta,
-            self.level,
-            cfg.min_level,
-            cfg.max_level,
-            cfg.queue_low,
-            cfg.queue_mid,
-            cfg.queue_high,
+        raw = start if start is not None else self.policy(
+            queue_size, delta, self.level, cfg
         )
         level = raw
         forbidden = False
@@ -175,28 +209,17 @@ class LevelAdapter:
             level, fenced, fence_args = self.codec_rules(level)
         old_level = self.level
         self.level = level
-        self.history.append(
-            AdaptationTrace(
-                queue_size, delta, raw, level, forbidden, holdoff, fenced,
-                start is not None, during_probe,
-            )
+        trace = AdaptationTrace(
+            queue_size, delta, raw, level, forbidden, holdoff, fenced,
+            start is not None, during_probe,
         )
+        self.history.append(trace)
         if self._tele.enabled:
             # The paper's Figure-2 tuple, one event per input buffer:
             # this is what the timeline sampler and `adoc top` replay.
             self._tele.tracer.record(
-                "level",
-                "level_decision",
-                n=queue_size,
-                delta=delta,
-                old_level=old_level,
-                new_level=level,
-                forbidden=forbidden,
-                holdoff=holdoff,
-                fenced=fenced,
-                warm=start is not None,
-                during_probe=during_probe,
-                **fence_args,
+                "level", "level_decision", old_level=old_level,
+                **trace.event_args(), **fence_args,
             )
             self._tele.metrics.counter(
                 "adoc_level_decisions_total", "Figure-2 controller updates"

@@ -93,7 +93,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from ..obs.telemetry import Telemetry
-from .adaptation import LevelAdapter
+from .adaptation import ControlLaw, LevelAdapter
 from .config import AdocConfig
 from .divergence import CodecRates, ConnectionRecords, DivergenceGuard
 from .fifo import QueuedPacket
@@ -250,11 +250,10 @@ class SendPlanner:
     codec rates when ``codec_rates`` is not given, enables the warm
     first decision (the fifth property), and gets each submitted
     buffer's level as its ``last_level``.  ``divergence=None`` runs
-    without the divergence guard, and
-    ``adapter_factory(config, divergence, guard)`` substitutes
-    another level controller (:mod:`repro.core.policies`) that gets
-    neither those rules nor the codec-failure pin; both are ablation
-    hooks of the simulator, whose modelled codec never fails.
+    without the divergence guard, and ``policy`` replaces Figure 2 with
+    another control law (:mod:`repro.core.policies`), which goes through
+    the same guards, codec rules and codec-failure pin; both are
+    ablation hooks of the simulator.
     """
 
     def __init__(
@@ -263,7 +262,7 @@ class SendPlanner:
         divergence: DivergenceGuard | None,
         telemetry: Telemetry,
         workers: int = 0,
-        adapter_factory: Callable[..., LevelAdapter] | None = None,
+        policy: ControlLaw | None = None,
         codec_rates: CodecRates | None = None,
         records: ConnectionRecords | None = None,
     ) -> None:
@@ -271,12 +270,9 @@ class SendPlanner:
         self.guard = IncompressibleGuard(
             config.incompressible_ratio, config.incompressible_holdoff
         )
-        if adapter_factory is None:
-            self.adapter = LevelAdapter(
-                config, divergence, self.guard, telemetry, self._codec_rules
-            )
-        else:
-            self.adapter = adapter_factory(config, divergence, self.guard)
+        self.adapter = LevelAdapter(
+            config, divergence, self.guard, telemetry, self._codec_rules, policy
+        )
         if codec_rates is None and records is not None:
             codec_rates = records.codec_rates
         self.codec_rates = codec_rates
@@ -656,10 +652,10 @@ class MessageSend:
             bps=self.probe_bps, overlap_level=overlap_level,
         )
 
-    def pipeline(self, workers: int = 0, adapter_factory=None) -> SendPlanner:
+    def pipeline(self, workers: int = 0, policy: ControlLaw | None = None) -> SendPlanner:
         """Build the message's planner; ``workers`` is the codec pool's size."""
         self.plan = SendPlanner(
-            self.config, self._divergence, self._tele, workers, adapter_factory,
+            self.config, self._divergence, self._tele, workers, policy,
             records=self._records,
         )
         return self.plan

@@ -49,7 +49,6 @@ from .tracer import (
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "TimelinePoint": "timeline",
         "extract_timeline": "timeline",
         "render_timeline": "timeline",
     },
@@ -68,7 +67,6 @@ __all__ = [
     "set_active_telemetry",
     "resolve_telemetry",
     "telemetry_enabled_by_env",
-    "TimelinePoint",
     "extract_timeline",
     "render_timeline",
     "expose_snapshot",

@@ -202,7 +202,7 @@ def simulate_adoc_message(
     seed: int = 0,
     divergence: DivergenceGuard | None = None,
     use_divergence: bool = True,
-    adapter_factory=None,
+    policy=None,
     rate_schedule=None,
 ) -> SimTransferResult:
     """Simulate one ``adoc_write`` of ``size`` bytes of ``data`` texture.
@@ -210,9 +210,9 @@ def simulate_adoc_message(
     ``divergence`` may be shared across calls to model per-connection
     persistence of the bandwidth records (as the live library does).
     ``use_divergence=False`` removes the guard entirely (ablation);
-    ``adapter_factory(config, divergence, inc_guard)`` may substitute a
-    different level controller (adaptation-policy ablation).  Both are
-    handed to the :class:`~repro.core.planner.SendPlanner`.
+    ``policy`` may substitute a different control law for Figure 2
+    (:mod:`repro.core.policies`, the adaptation-policy ablation).  Both
+    are handed to the :class:`~repro.core.planner.SendPlanner`.
     """
     cfg = config
     rng = random.Random(seed)
@@ -251,7 +251,7 @@ def simulate_adoc_message(
                 yield from send_raw(msg.raw_records())
                 queue.close()
                 return
-        plan = msg.pipeline(adapter_factory=adapter_factory)
+        plan = msg.pipeline(policy=policy)
         yield Timeout(THREAD_STARTUP_S)
         windows.open(env.now)
         while (job := msg.next_job(queue.size, lambda: env.now)) is not None:
@@ -331,5 +331,5 @@ def simulate_adoc_message(
     return msg.result(elapsed, SimTransferResult(
         0, 0, 0.0,
         queue_peak=queue.peak_size,
-        decisions=[] if msg.plan is None else getattr(msg.plan.adapter, "history", []),
+        decisions=[] if msg.plan is None else msg.plan.adapter.history,
     ))

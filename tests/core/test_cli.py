@@ -28,6 +28,7 @@ class TestTrace:
         out = capsys.readouterr().out
         assert "queue" in out
         assert "ratio" in out
+        assert "fig2" in out and "elided" not in out
 
     def test_trace_small_message_note(self, capsys):
         # Gbit + small-ish: fast path, no adaptation history printed.
@@ -275,6 +276,20 @@ class TestTopFlags:
     def test_non_tty_output_has_no_ansi_escapes(self, capsys):
         assert main(["top", "--once", "--interval", "0.2", "--size-mb", "1"]) == 0
         assert "\x1b[" not in capsys.readouterr().out
+
+    def test_rows_zero_shows_no_rows_and_negative_is_rejected(self, capsys):
+        from repro.core import AdaptationTrace
+        from repro.obs.timeline import render_timeline
+
+        points = [AdaptationTrace(n, 1, 2, 2) for n in range(30)]
+        lines = render_timeline(points, table_rows=0).splitlines()
+        assert lines[-1] == "  ... 30 earlier decision(s) elided ..."
+        assert lines[-2].split() == ["buf", "queue", "delta", "fig2", "level", "flags"]
+        assert len(render_timeline(points, table_rows=3).splitlines()) == 4 + 3
+        assert build_parser().parse_args(["top", "--rows", "0"]).rows == 0
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["top", "--rows", "-1"])
+        assert "--rows" in capsys.readouterr().err
 
 
 class TestFleetCli:

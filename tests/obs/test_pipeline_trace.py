@@ -16,6 +16,7 @@ import threading
 import time
 
 from repro.core import AdocConfig, AdocSocket
+from repro.core import planner as planner_mod
 from repro.data import ascii_data
 from repro.obs import Telemetry, extract_timeline
 from repro.transport import pipe_pair
@@ -72,7 +73,7 @@ def test_traced_transfer_covers_all_four_pipeline_stages():
     # The timeline extractor sees the same series.
     points = extract_timeline(tele.tracer)
     assert len(points) == len(levels)
-    assert all(1 <= p.new_level <= 10 for p in points)
+    assert all(1 <= p.level <= 10 for p in points)
 
     # The export is real Chrome trace JSON: serialisable, with one
     # thread_name row per pipeline stage's thread.
@@ -89,6 +90,26 @@ def test_traced_transfer_covers_all_four_pipeline_stages():
     assert digest["level_decisions"] == len(levels)
     assert digest["mean_level"] > 0
     assert set(digest["span_time_s"]) >= PIPELINE_SPANS
+
+
+def test_timeline_is_the_adapters_history(monkeypatch):
+    """The trace's decisions are the adapter's own records, field for field."""
+    made: list[planner_mod.SendPlanner] = []
+
+    class Recording(planner_mod.SendPlanner):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(planner_mod, "SendPlanner", Recording)
+    tele, _, _, buffers = traced_transfer()
+    (plan,) = made
+    history = plan.adapter.history
+    assert len(history) == buffers
+    assert extract_timeline(tele.tracer) == history
+    assert [e.args["raw_level"] for e in tele.tracer.events("level")] == [
+        t.raw_level for t in history
+    ]
 
 
 def test_metrics_cover_both_directions():

@@ -169,24 +169,17 @@ class TestDivergenceScenario:
 
 class TestAdapterFactoryHook:
     def test_custom_adapter_used(self):
+        """A custom control law proposes every level the adapter decides."""
         calls = []
 
-        class FixedAdapter:
-            def __init__(self, level):
-                self.level = level
+        def law(n, delta, level, config):
+            calls.append(n)
+            return 5
 
-            def next_level(self, queue_size, now):
-                calls.append(queue_size)
-                return self.level
-
-        r = simulate_adoc_message(
-            2 * MB,
-            ASCII,
-            RENATER,
-            seed=1,
-            adapter_factory=lambda cfg, div, inc: FixedAdapter(5),
-        )
-        assert calls, "custom adapter must be consulted"
+        r = simulate_adoc_message(2 * MB, ASCII, RENATER, seed=1, policy=law)
+        assert calls, "custom law must be consulted"
+        assert calls == [t.queue_size for t in r.decisions]
+        assert {t.raw_level for t in r.decisions} == {5}
         assert set(r.levels_used) <= {0, 5}
 
 
